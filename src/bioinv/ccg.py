@@ -17,6 +17,7 @@ import numpy as np
 from .formulations import (
     Allocation,
     BioConfig,
+    FormulationError,
     build_master,
     build_subproblem,
     evaluate_profit,
@@ -31,7 +32,6 @@ from .uncertainty import CHANNELS, DemandScenario, UncertaintySet
 
 EXACT_MIP = "exact_mip"
 ALTERNATING = "alternating_heuristic"
-AH_THEN_MIP = "ah_then_mip"
 
 _AH_VALUE_TOL = 1e-9
 
@@ -50,7 +50,6 @@ class CcgOptions:
     max_seconds: float = 300.0
     subproblem_mode: str = EXACT_MIP
     ah_rounds: int = 25
-    mip_node_limit: int | None = None   # deterministic polish cap for ah_then_mip
     rescore_worst_case: bool = True
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ class CcgOptions:
             raise CcgError("epsilon and delta must be positive")
         if self.max_iterations < 1 or self.max_seconds <= 0:
             raise CcgError("limits must be >= 1")
-        if self.subproblem_mode not in (EXACT_MIP, ALTERNATING, AH_THEN_MIP):
+        if self.subproblem_mode not in (EXACT_MIP, ALTERNATING):
             raise CcgError(f"unknown subproblem mode {self.subproblem_mode!r}")
 
 
@@ -138,43 +137,31 @@ def minimize_linear_over_cell(coeffs, lo, hi, bl, bu):
     return d
 
 
+def minimize_linear_over_set(uset: UncertaintySet, costs: dict) -> DemandScenario:
+    """Scenario of U minimizing sum(costs[ch] * d[ch]): U is a product of
+    per-period, per-channel cells, each minimized by the greedy above.
+    `costs[ch]` broadcasts to the (T, n) shape of channel ch."""
+    arrs = {}
+    for ch in CHANNELS:
+        lo, hi = uset.local_lower[ch], uset.local_upper[ch]
+        c = np.broadcast_to(np.asarray(costs[ch], dtype=float), lo.shape)
+        arrs[ch] = np.array([
+            minimize_linear_over_cell(c[t], lo[t], hi[t], uset.budget_lower[ch][t],
+                                      uset.budget_upper[ch][t])
+            for t in range(uset.horizon)]).reshape(lo.shape)
+    return DemandScenario(arrs["b"], arrs["o"])
+
+
 def seed_scenario(uset: UncertaintySet) -> DemandScenario:
     """Canonical pool seed: box lower bounds, lifted minimally (ascending
     index) onto the budget lower bound where needed."""
-    arrs = {}
-    for ch in CHANNELS:
-        lo = uset.local_lower[ch].copy()
-        for t in range(uset.horizon):
-            s = lo[t].sum()
-            need = uset.budget_lower[ch][t] - s
-            i = 0
-            while need > 1e-12 and i < lo.shape[1]:
-                room = uset.local_upper[ch][t, i] - lo[t, i]
-                step = min(room, need)
-                lo[t, i] += step
-                need -= step
-                i += 1
-        arrs[ch] = lo
-    return DemandScenario(arrs["b"], arrs["o"])
+    return minimize_linear_over_set(uset, {"b": 1.0, "o": 1.0})
 
 
 def upper_seed_scenario(uset: UncertaintySet) -> DemandScenario:
     """Box upper bounds trimmed (ascending index) onto the budget upper
     bound; the default start of the alternating heuristic."""
-    arrs = {}
-    for ch in CHANNELS:
-        hi = uset.local_upper[ch].copy()
-        for t in range(uset.horizon):
-            excess = hi[t].sum() - uset.budget_upper[ch][t]
-            i = 0
-            while excess > 1e-12 and i < hi.shape[1]:
-                room = hi[t, i] - uset.local_lower[ch][t, i]
-                step = min(room, excess)
-                hi[t, i] -= step
-                excess -= step
-                i += 1
-        arrs[ch] = hi
-    return DemandScenario(arrs["b"], arrs["o"])
+    return minimize_linear_over_set(uset, {"b": -1.0, "o": -1.0})
 
 
 def alternating_heuristic_subproblem(inst: Instance, uset: UncertaintySet,
@@ -196,19 +183,9 @@ def alternating_heuristic_subproblem(inst: Instance, uset: UncertaintySet,
             value = val
             break
         value = val
-        walkin = np.zeros_like(scen.walkin)
-        online = np.zeros_like(scen.online)
-        for t in range(inst.horizon):
-            cw = (1.0 - lam) * (a[t] - e.walkin_penalty[t])
-            walkin[t] = minimize_linear_over_cell(
-                cw, uset.local_lower["b"][t], uset.local_upper["b"][t],
-                uset.budget_lower["b"][t], uset.budget_upper["b"][t])
-            if inst.num_zones:
-                co = (1.0 - lam_online) * (b[t] - e.online_penalty[t])
-                online[t] = minimize_linear_over_cell(
-                    co, uset.local_lower["o"][t], uset.local_upper["o"][t],
-                    uset.budget_lower["o"][t], uset.budget_upper["o"][t])
-        nxt = DemandScenario(walkin, online)
+        nxt = minimize_linear_over_set(uset, {
+            "b": (1.0 - lam) * (a - e.walkin_penalty),
+            "o": (1.0 - lam_online) * (b - e.online_penalty[:, None])})
         if nxt.key() == scen.key():
             break
         scen = nxt
@@ -221,39 +198,28 @@ def alternating_heuristic_subproblem(inst: Instance, uset: UncertaintySet,
 def _mip_incumbent_from_scenario(inst: Instance, model, alloc: Allocation, lam: float,
                                  scenario: DemandScenario, allied: str,
                                  uset: UncertaintySet):
-    """Feasible subproblem-MIP point built from a scenario: selectors pinned
-    to the scenario, duals from the fixed-demand LP."""
-    val, a, b = solve_subproblem_for_scenario(inst, alloc, lam, scenario, allied, uset)
+    """Feasible subproblem-MIP point built from a scenario: the fixed-demand
+    dual LP's solution in the leading columns (the same columns in the same
+    order), selectors pinned to the scenario, and each picked
+    dual-times-selector column equal to its dual."""
     fixed = build_subproblem(inst, uset, alloc, lam, allied, fixed_scenario=scenario)
     sol = solve(fixed)
+    if sol.status != "optimal":
+        raise FormulationError(f"scenario dual LP status {sol.status}")
     x = np.zeros(model.num_vars)
-    name_to_col = {n: j for j, n in enumerate(model.var_names)}
-    for j, name in enumerate(fixed.var_names):
-        if name in name_to_col:
-            x[name_to_col[name]] = sol.x[j]
+    x[:fixed.num_vars] = sol.x
     info = model.info
-    for (t, l), (wcols, vals) in info["w"]["b"].items():
-        target = float(scenario.walkin[t, l])
-        picked = 0
-        for wc, v in zip(wcols, vals):
-            pick = 1.0 if v == target else 0.0
-            picked += int(pick)
-            x[wc] = pick
-            # alpha-star column sits right after its selector by construction
-            x[wc + 1] = x[name_to_col[f"a[{t},{l}]"]] * pick
-        if picked != 1:
+    cells = [(info["alpha"][t, l], scenario.walkin[t, l], sel)
+             for (t, l), sel in info["w"]["b"].items()]
+    cells += [(info["beta"][t, z], scenario.online[t, z], sel)
+              for (t, z), sel in info["w"]["o"].items()]
+    for dual, target, (wcols, vals, pcols) in cells:
+        picked = [k for k, v in enumerate(vals) if v == float(target)]
+        if len(picked) != 1:
             return None
-    for (t, z), (wcols, vals) in info["w"]["o"].items():
-        target = float(scenario.online[t, z])
-        picked = 0
-        for wc, v in zip(wcols, vals):
-            pick = 1.0 if v == target else 0.0
-            picked += int(pick)
-            x[wc] = pick
-            x[wc + 1] = x[name_to_col[f"b[{t},{z}]"]] * pick
-        if picked != 1:
-            return None
-    return float(val), x
+        x[wcols[picked[0]]] = 1.0
+        x[pcols[picked[0]]] = x[dual]
+    return float(sol.objective), x
 
 
 def _best_heuristic_scenario(inst, uset, alloc, lam, options, allied,
@@ -287,10 +253,7 @@ def _solve_subproblem(inst, uset, alloc, cfg, options, deadline, pool=()):
     incumbent = _mip_incumbent_from_scenario(inst, model, alloc, lam, ah_scen,
                                              allied, uset)
     remaining = None if deadline is None else max(1e-3, deadline - time.perf_counter())
-    limits = {"time": remaining}
-    if options.mip_node_limit is not None:
-        limits["nodes"] = options.mip_node_limit
-    sol = solve(model, limits=limits, incumbent=incumbent)
+    sol = solve(model, limits={"time": remaining}, incumbent=incumbent)
     if sol.status == "optimal":
         try:
             scen = extract_worst_scenario(model, sol)

@@ -8,12 +8,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .ccg import ALTERNATING, AH_THEN_MIP, EXACT_MIP, CcgOptions, solve_two_stage
+from .ccg import ALTERNATING, EXACT_MIP, CcgOptions, solve_two_stage
 from .formulations import Allocation, BioConfig
 from .instance import load_instance, save_instance, validate_instance
 from .reference import synthetic_instance
@@ -76,7 +75,6 @@ def _manifest(args, extra=None) -> dict:
         "package_version": __version__,
         "numpy_version": np.__version__,
         "seed": getattr(args, "seed", None),
-        "threads": _threads(),
         "config": {k: v for k, v in vars(args).items()
                    if k not in ("func", "command") and v is not None},
     }
@@ -85,30 +83,26 @@ def _manifest(args, extra=None) -> dict:
     return d
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BIOINV_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _ccg_options(args) -> CcgOptions:
     return CcgOptions(
         epsilon=args.epsilon, delta=args.delta,
         max_iterations=args.max_iterations, max_seconds=args.max_seconds,
         subproblem_mode=args.subproblem_mode,
-        mip_node_limit=args.mip_node_limit,
     )
 
 
 def _uncertainty_for(args, inst) -> UncertaintySet:
     if args.uncertainty:
         with open(args.uncertainty) as fh:
-            return UncertaintySet.from_dict(json.load(fh))
-    if args.means:
-        means = _load_means(args.means)
-        return quantile_bounds_from_means(means, args.lower_q, args.upper_q)
-    raise CliError("provide --uncertainty or --means")
+            uset = UncertaintySet.from_dict(json.load(fh))
+    elif args.means:
+        uset = quantile_bounds_from_means(_load_means(args.means), args.lower_q, args.upper_q)
+    else:
+        raise CliError("provide --uncertainty or --means")
+    if uset.horizon != inst.horizon:
+        raise CliError(f"{args.uncertainty or args.means}: demand horizon {uset.horizon} "
+                       f"does not match the instance horizon {inst.horizon}")
+    return uset
 
 
 def _add_ccg_flags(sp):
@@ -116,9 +110,7 @@ def _add_ccg_flags(sp):
     sp.add_argument("--delta", type=float, default=1e-5)
     sp.add_argument("--max-iterations", type=int, default=20)
     sp.add_argument("--max-seconds", type=float, default=300.0)
-    sp.add_argument("--subproblem-mode", default=EXACT_MIP,
-                    choices=[EXACT_MIP, ALTERNATING, AH_THEN_MIP])
-    sp.add_argument("--mip-node-limit", type=int, default=None)
+    sp.add_argument("--subproblem-mode", default=EXACT_MIP, choices=[EXACT_MIP, ALTERNATING])
 
 
 def cmd_validate(args) -> int:
@@ -161,14 +153,16 @@ def cmd_solve(args) -> int:
 def cmd_evaluate(args) -> int:
     inst = load_instance(args.instance)
     with open(args.allocation) as fh:
-        alloc = Allocation.from_dict(json.load(fh))
+        doc = json.load(fh)
+    # a solve_report.json nests the allocation
+    alloc = Allocation.from_dict(doc.get("allocation", doc))
     scenarios, meta = load_scenarios(args.scenarios)
     stats = batch_evaluate(inst, alloc, scenarios)
     profits = stats.pop("profits")
     out = _out_dir(args)
     _write(args, out, "evaluation.json", {**stats, "scenarios_meta": meta})
-    _write(args, out, "profits.csv",
-           "scenario,profit\n" + "\n".join(f"{i},{p!r}" for i, p in enumerate(profits)) + "\n")
+    rows = "".join(f"{i},{float(p)!r}\n" for i, p in enumerate(profits))
+    _write(args, out, "profits.csv", "scenario,profit\n" + rows)
     _write(args, out, "run_manifest.json", _manifest(args))
     print(json.dumps(stats, indent=1))
     return 0
@@ -207,28 +201,15 @@ def cmd_simulate(args) -> int:
     for name in args.policy:
         if name.startswith("bio"):
             lam = float(name[3:]) / 100.0 if len(name) > 3 else args.lam
-            spec = PolicySpec("bio", lam=lam, planning_horizon=inst.horizon)
+            spec = PolicySpec("bio", lam=lam)
             spec.ccg.max_iterations = args.max_iterations
             spec.ccg.subproblem_mode = args.subproblem_mode
-            spec.ccg.mip_node_limit = args.mip_node_limit
         else:
-            spec = PolicySpec(name, planning_horizon=inst.horizon)
+            spec = PolicySpec(name)
         policies[name] = spec
-
-    results = {}
-    def run_one(item):
-        name, spec = item
-        return name, run_rolling_horizon(inst, spec, means, args.weeks,
+    results = {name: run_rolling_horizon(inst, spec, means, args.weeks,
                                          args.replications, args.seed)
-    workers = _threads()
-    if workers > 1 and len(policies) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for name, res in pool.map(run_one, policies.items()):
-                results[name] = res
-    else:
-        for item in policies.items():
-            name, res = run_one(item)
-            results[name] = res
+               for name, spec in policies.items()}
 
     out = _out_dir(args)
     _write(args, out, "kpi_ledger.csv", kpi_table(results))
@@ -338,9 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iterations", type=int, default=12)
-    p.add_argument("--subproblem-mode", default=ALTERNATING,
-                   choices=[EXACT_MIP, ALTERNATING, AH_THEN_MIP])
-    p.add_argument("--mip-node-limit", type=int, default=None)
+    p.add_argument("--subproblem-mode", default=ALTERNATING, choices=[EXACT_MIP, ALTERNATING])
     p.add_argument("--out")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_simulate)

@@ -159,17 +159,21 @@ def fulfill_order_stream(orders: list[Order], state: DayState) -> list[dict]:
 # rolling-horizon business-value simulation
 # ---------------------------------------------------------------------------
 
+# days per simulated week; the PWL class-2 discount; the Poisson quantiles
+# of the bio policy's uncertainty set
+DAYS_PER_WEEK = 7
+PWL_DISCOUNT = 0.5
+POLICY_LOWER_Q, POLICY_UPPER_Q = 0.05, 0.95
+
+
 @dataclass
 class PolicySpec:
+    """A replenishment policy; it plans over the instance horizon."""
     kind: str                       # basestock | pwl | bio
     lam: float = 0.0
-    planning_horizon: int = 2       # weeks of look-ahead
     ccg: CcgOptions = field(default_factory=lambda: CcgOptions(
         max_iterations=10, max_seconds=1e9, subproblem_mode=ALTERNATING,
         ah_rounds=10, rescore_worst_case=False))
-    pwl_discount: float = 0.5
-    lower_q: float = 0.05
-    upper_q: float = 0.95
 
     def __post_init__(self):
         if self.kind not in ("basestock", "pwl", "bio"):
@@ -248,27 +252,24 @@ def _solve_policy(plan_inst: Instance, policy: PolicySpec, means: DemandMeans) -
     if policy.kind == "pwl":
         wh = infer_warehouses(plan_inst, means)
         quant = _critical_quantile_demand(plan_inst, means, wh)
-        return pwl_allocation(plan_inst, means, quant, policy.pwl_discount)
-    uset = quantile_bounds_from_means(means, policy.lower_q, policy.upper_q)
+        return pwl_allocation(plan_inst, means, quant, PWL_DISCOUNT)
+    uset = quantile_bounds_from_means(means, POLICY_LOWER_Q, POLICY_UPPER_Q)
     rep = solve_two_stage(plan_inst, uset, BioConfig(lam=policy.lam), policy.ccg)
     return rep.allocation
 
 
 def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: DemandMeans,
                         weeks: int, replications: int, seed: int,
-                        days_per_week: int = 7, credit_excess: bool = False,
                         keep_trace: bool = False):
     """Weekly re-solve / daily transaction simulation.
 
-    Returns (aggregate, reports): per-field mean and standard error across
-    replications, plus the per-replication KpiReports.  With `keep_trace`
-    each report carries a per-day ledger (start/arrivals/sales/shipments/end
-    per node, lost units per channel) for invariant checking.
+    The policy plans `inst.horizon` weeks ahead.  Returns (aggregate,
+    reports): per-field mean and standard error across replications, plus
+    the per-replication KpiReports.  With `keep_trace` each report carries a
+    per-day ledger (start/arrivals/sales/shipments/end per node, lost units
+    per channel) for invariant checking.
     """
-    T = policy.planning_horizon
-    if inst.horizon != T:
-        raise SimulationError(
-            f"instance horizon {inst.horizon} must equal the planning horizon {T}")
+    T = inst.horizon
     if weeks < int(inst.inventory.lead_time.max()) + 1:
         raise SimulationError("weeks must cover at least lead time + 1")
     if replications < 1:
@@ -354,11 +355,11 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
             wk_ecom = rng.poisson(mo[week]) if Z else np.zeros(0, dtype=int)
             walkin_demanded += float(wk_walkin.sum())
             ecom_demanded += float(wk_ecom.sum())
-            day_orders = _spread_orders(rng, wk_walkin, days_per_week, "walkin")
-            for day, lst in enumerate(_spread_orders(rng, wk_ecom, days_per_week, "ecom")):
+            day_orders = _spread_orders(rng, wk_walkin, DAYS_PER_WEEK, "walkin")
+            for day, lst in enumerate(_spread_orders(rng, wk_ecom, DAYS_PER_WEEK, "ecom")):
                 day_orders[day].extend(lst)
-            for day in range(days_per_week):
-                reserves = (mw[week] / days_per_week) * (days_per_week - day)
+            for day in range(DAYS_PER_WEEK):
+                reserves = (mw[week] / DAYS_PER_WEEK) * (DAYS_PER_WEEK - day)
                 state = DayState(on_hand, reserves, edges, stores)
                 day_start = on_hand.copy()
                 day_sales = np.zeros(L)
@@ -402,8 +403,6 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
             sum(on_hand[l] * e.purchase_cost[l] for l in range(L))
             + sum(q * e.purchase_cost[l] for (_w, l), q in in_transit.items()))
         kpi.realized_profit = kpi.satisfied_revenue - kpi.shipping_cost - kpi.purchase_cost
-        if credit_excess:
-            kpi.realized_profit += kpi.excess_inventory_at_cost
         kpi.penalized_profit += kpi.realized_profit
         kpi.walkin_service_level = (walkin_sold / walkin_demanded) if walkin_demanded else 1.0
         kpi.ecom_service_level = (ecom_sold / ecom_demanded) if ecom_demanded else 1.0

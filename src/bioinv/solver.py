@@ -427,22 +427,6 @@ def _solve_relaxation(model: LinearModel, lb_over=None, ub_over=None):
             model.lb, model.ub = saved
 
 
-def constraint_violation(model: LinearModel, x: np.ndarray) -> float:
-    """Max violation of constraints and bounds at x (diagnostic)."""
-    worst = 0.0
-    for con in model.constraints:
-        lhs = sum(v * x[j] for j, v in zip(con.cols, con.vals))
-        if con.sense == LESS_EQUAL:
-            worst = max(worst, lhs - con.rhs)
-        elif con.sense == GREATER_EQUAL:
-            worst = max(worst, con.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - con.rhs))
-    for j in range(model.num_vars):
-        worst = max(worst, model.lb[j] - x[j], x[j] - model.ub[j])
-    return worst
-
-
 def solve(model: LinearModel, limits: dict | None = None,
           incumbent: tuple[float, np.ndarray] | None = None) -> Solution:
     """Solve an LP or mixed-binary model.

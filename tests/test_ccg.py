@@ -5,6 +5,7 @@ from itertools import product
 from bioinv.ccg import (
     ALTERNATING,
     CcgOptions,
+    _mip_incumbent_from_scenario,
     alternating_heuristic_subproblem,
     minimize_linear_over_cell,
     seed_scenario,
@@ -16,6 +17,7 @@ from bioinv.formulations import (
     BioConfig,
     build_subproblem,
     evaluate_profit,
+    solve_subproblem_for_scenario,
     stage_one_value,
 )
 from bioinv.instance import build_instance
@@ -217,6 +219,41 @@ class TestAlliedBothMode:
             assert rep.objective == pytest.approx(full, abs=1e-6)
 
 
+class TestMipIncumbent:
+    def test_incumbent_is_feasible_and_carries_the_dual_lp_value(self):
+        # walk-in stores plus one zone; every scenario of U seeds an incumbent
+        inst = build_instance(
+            ["A", "B"], ["Z"], 1,
+            walkin_price=50.0, walkin_penalty=79.0,
+            online_price=11.0, online_penalty=23.0,
+            fulfill_cost=[[5.0], [6.0]], purchase_cost=25.0)
+        uset = UncertaintySet(
+            local_lower={"b": [[1, 0]], "o": [[0]]},
+            local_upper={"b": [[3, 2]], "o": [[2]]},
+            budget_lower={"b": [1], "o": [0]},
+            budget_upper={"b": [4], "o": [2]})
+        alloc = Allocation([[2.0, 1.0]], s_plus=[[0.5, 0.0]])
+        for lam, allied in ((0.0, "walkin"), (0.5, "walkin"), (0.5, "both")):
+            model = build_subproblem(inst, uset, alloc, lam, allied)
+            lb, ub = np.array(model.lb), np.array(model.ub)
+            for b in uset.enumerate_discrete_points("b", 0):
+                for o in uset.enumerate_discrete_points("o", 0):
+                    scen = DemandScenario([list(b)], [list(o)])
+                    val, x = _mip_incumbent_from_scenario(inst, model, alloc, lam, scen,
+                                                          allied, uset)
+                    dual_val, _a, _b = solve_subproblem_for_scenario(
+                        inst, alloc, lam, scen, allied, uset)
+                    assert val == dual_val
+                    assert (x >= lb - 1e-7).all() and (x <= ub + 1e-7).all()
+                    for con in model.constraints:
+                        lhs = float(np.dot(con.vals, x[con.cols]))
+                        gap = {"<=": lhs - con.rhs, ">=": con.rhs - lhs,
+                               "==": abs(lhs - con.rhs)}[con.sense]
+                        assert gap <= 1e-7, (lam, allied, b, o, con.name)
+                    obj = sum(c * x[j] for j, c in model.obj.items()) + model.obj_const
+                    assert obj == pytest.approx(val, abs=1e-7)
+
+
 class TestOptions:
     def test_bad_options_rejected(self):
         from bioinv.ccg import CcgError
@@ -226,6 +263,8 @@ class TestOptions:
             CcgOptions(max_iterations=0)
         with pytest.raises(CcgError):
             CcgOptions(subproblem_mode="magic")
+        with pytest.raises(CcgError):
+            CcgOptions(subproblem_mode="ah_then_mip")
 
     def test_iteration_limit_respected(self):
         inst = example_walkin_instance(80.0, 80.0)

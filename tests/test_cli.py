@@ -94,6 +94,48 @@ class TestSampleAndEvaluate:
         assert stats["count"] == 200
         profits = (out / "profits.csv").read_text().strip().splitlines()
         assert len(profits) == 201
+        assert profits[0] == "scenario,profit"
+        values = [float(row.split(",")[1]) for row in profits[1:]]
+        assert max(values) == pytest.approx(-360.0)
+
+    def test_solve_report_feeds_evaluate(self, tmp_path):
+        walk = os.path.join(DATA, "example_walkin_p0_b160.json")
+        assert run_cli(["solve", walk, "--means", os.path.join(DATA, "example_walkin_means.json"),
+                        "--lambda", "0.5", "--out", str(tmp_path / "run")]) == 0
+        scen = tmp_path / "scen.json"
+        assert run_cli(["sample", "--means", os.path.join(DATA, "example_walkin_means.json"),
+                        "--samples", "30", "--seed", "3", "--out-file", str(scen)]) == 0
+        report = tmp_path / "run" / "solve_report.json"
+        plain = tmp_path / "alloc.json"
+        plain.write_text(json.dumps(json.load(open(report))["allocation"]))
+        for name, alloc in (("from_report", report), ("plain", plain)):
+            assert run_cli(["evaluate", walk, "--allocation", str(alloc), "--scenarios",
+                            str(scen), "--out", str(tmp_path / name)]) == 0
+        for name in ("evaluation.json", "profits.csv"):
+            assert ((tmp_path / "from_report" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
+
+class TestHorizonCheck:
+    @pytest.mark.parametrize("command", ["solve", "tune"])
+    def test_means_of_another_horizon_rejected(self, tmp_path, capsys, command):
+        # the reference instance plans 2 periods; its simulation means have 3 rows
+        rc = run_cli([command, os.path.join(DATA, "reference_sim_instance.json"),
+                      "--means", os.path.join(DATA, "reference_sim_means.json"),
+                      "--subproblem-mode", "alternating_heuristic",
+                      "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "demand horizon 3" in err and "instance horizon 2" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_removed_flags_rejected(self, tmp_path):
+        base = ["solve", os.path.join(DATA, "example_walkin_p0_b160.json"),
+                "--means", os.path.join(DATA, "example_walkin_means.json"),
+                "--out", str(tmp_path / "run")]
+        for extra in (["--mip-node-limit", "5"], ["--subproblem-mode", "ah_then_mip"]):
+            with pytest.raises(SystemExit):
+                run_cli(base + extra)
 
 
 class TestTune:
