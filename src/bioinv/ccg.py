@@ -20,6 +20,7 @@ from .formulations import (
     FormulationError,
     build_master,
     build_subproblem,
+    channel_weights,
     evaluate_profit,
     extract_allocation,
     extract_worst_scenario,
@@ -174,18 +175,16 @@ def alternating_heuristic_subproblem(inst: Instance, uset: UncertaintySet,
     if rounds < 1:
         raise CcgError("rounds must be >= 1")
     scen = start if start is not None else upper_seed_scenario(uset)
-    e = inst.econ
-    lam_online = lam if allied == "both" else 0.0
+    keep, penalty = channel_weights(inst, lam, allied)
     value = None
     for _ in range(rounds):
-        val, a, b = solve_subproblem_for_scenario(inst, alloc, lam, scen, allied, uset)
+        val, *duals = solve_subproblem_for_scenario(inst, alloc, lam, scen, allied, uset)
         if value is not None and abs(val - value) < _AH_VALUE_TOL:
             value = val
             break
         value = val
         nxt = minimize_linear_over_set(uset, {
-            "b": (1.0 - lam) * (a - e.walkin_penalty),
-            "o": (1.0 - lam_online) * (b - e.online_penalty[:, None])})
+            ch: keep[ch] * (dual - penalty[ch]) for ch, dual in zip(CHANNELS, duals)})
         if nxt.key() == scen.key():
             break
         scen = nxt
@@ -209,10 +208,8 @@ def _mip_incumbent_from_scenario(inst: Instance, model, alloc: Allocation, lam: 
     x = np.zeros(model.num_vars)
     x[:fixed.num_vars] = sol.x
     info = model.info
-    cells = [(info["alpha"][t, l], scenario.walkin[t, l], sel)
-             for (t, l), sel in info["w"]["b"].items()]
-    cells += [(info["beta"][t, z], scenario.online[t, z], sel)
-              for (t, z), sel in info["w"]["o"].items()]
+    cells = [(info["dual"][ch][cell], scenario.channel(ch)[cell], sel)
+             for ch in CHANNELS for cell, sel in info["w"][ch].items()]
     for dual, target, (wcols, vals, pcols) in cells:
         picked = [k for k, v in enumerate(vals) if v == float(target)]
         if len(picked) != 1:
@@ -254,19 +251,9 @@ def _solve_subproblem(inst, uset, alloc, cfg, options, deadline, pool=()):
                                              allied, uset)
     remaining = None if deadline is None else max(1e-3, deadline - time.perf_counter())
     sol = solve(model, limits={"time": remaining}, incumbent=incumbent)
-    if sol.status == "optimal":
-        try:
-            scen = extract_worst_scenario(model, sol)
-        except Exception:
-            scen = ah_scen
-        return scen, float(sol.objective), True
-    if sol.status == "limit" and sol.x is not None:
-        try:
-            scen = extract_worst_scenario(model, sol)
-            return scen, float(sol.objective), False
-        except Exception:
-            pass
-    return ah_scen, ah_val, False
+    if sol.x is None:
+        return ah_scen, ah_val, False
+    return extract_worst_scenario(model, sol), float(sol.objective), sol.status == "optimal"
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +304,7 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
         if not certified:
             certified_run = False
         stage1 = stage_one_value(inst, cfg, alloc, d_plus,
-                                 None if d_plus is None else _online_dplus(master, msol, inst, cfg))
+                                 None if d_plus is None else _online_dplus(master, msol))
         cand = sp_val + stage1
         if cand > lb + 1e-12:
             lb = cand
@@ -343,12 +330,9 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
                    pool, iterations, t0, termination, certified_run)
 
 
-def _online_dplus(master, msol, inst, cfg):
-    info = master.info
-    if info.get("doplus") is None:
-        return None
-    T, Z = inst.horizon, inst.num_zones
-    return np.array([[msol.x[info["doplus"][t, z]] for z in range(Z)] for t in range(T)])
+def _online_dplus(master, msol):
+    doplus = master.info["doplus"]
+    return None if doplus is None else msol.x[doplus]
 
 
 def _finish(inst, uset, cfg, options, alloc, d_plus, lb, lbs, ubs, pool,

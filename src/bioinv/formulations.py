@@ -16,10 +16,11 @@ import numpy as np
 
 from .instance import Instance
 from .solver import BINARY, INF, LinearModel, Solution, solve
-from .uncertainty import DemandScenario, UncertaintySet, poisson_quantile
+from .uncertainty import CHANNELS, DemandScenario, UncertaintySet, poisson_quantile
 
 WALKIN_ONLY = "walkin"
 BOTH_CHANNELS = "both"
+CRITICAL_RATIO_CAP = 1.0 - 1e-9
 
 
 class FormulationError(Exception):
@@ -206,7 +207,7 @@ def build_fulfillment_model(inst: Instance, alloc: Allocation,
         m, inst, scenario.walkin, scenario.online, alloc=alloc,
         const=-first_stage_cost(inst, alloc))
     m.set_objective(terms, const=const)
-    m.info = {"s": s_idx, "I": I_idx, "y": y_idx, "T": T, "L": L, "Z": inst.num_zones}
+    m.info = {"s": s_idx, "I": I_idx, "y": y_idx}
     return m
 
 
@@ -217,17 +218,10 @@ def evaluate_allocation(inst: Instance, alloc: Allocation,
     sol = solve(m)
     if sol.status != "optimal":
         raise FormulationError(f"fulfillment LP ended with status {sol.status}")
-    T, L, Z = m.info["T"], m.info["L"], m.info["Z"]
-    sales = np.zeros((T, L))
-    ship = np.zeros((T, L, Z))
-    inv = np.zeros((T, L))
-    for t in range(T):
-        for l in range(L):
-            sales[t, l] = sol.x[m.info["s"][t, l]]
-            inv[t, l] = sol.x[m.info["I"][t, l]]
+    ship = np.zeros((inst.horizon, inst.num_nodes, inst.num_zones))
     for (t, l, z), col in m.info["y"].items():
         ship[t, l, z] = sol.x[col]
-    return FulfillmentPlan(sales, ship, inv, float(sol.objective))
+    return FulfillmentPlan(sol.x[m.info["s"]], ship, sol.x[m.info["I"]], float(sol.objective))
 
 
 def evaluate_profit(inst: Instance, alloc: Allocation, scenario: DemandScenario) -> float:
@@ -441,33 +435,30 @@ def build_master(inst: Instance, uset: UncertaintySet, scenarios: list[DemandSce
     return m
 
 
+def first_stage_x(model: LinearModel, sol: Solution) -> np.ndarray:
+    """Supplier orders (T, L) of a solved model with a first stage; values
+    within 1e-10 of zero read as zero."""
+    x = sol.x[model.info["x"]]
+    x[np.abs(x) < 1e-10] = 0.0
+    return x
+
+
 def extract_allocation(model: LinearModel, sol: Solution, inst: Instance,
                        cfg: BioConfig) -> tuple[Allocation, np.ndarray | None, float | None]:
     """Allocation, optimistic demand, and eta value from a master solution."""
     info = model.info
-    T, L = inst.horizon, inst.num_nodes
-    x = np.array([[sol.x[info["x"][t, l]] for l in range(L)] for t in range(T)])
-    x[np.abs(x) < 1e-10] = 0.0
     repo = None
     if info["repo"] is not None:
-        repo = np.zeros((T, L, L))
-        for t in range(T):
-            for a in range(L):
-                for b in range(L):
-                    if a != b:
-                        repo[t, a, b] = sol.x[info["repo"][t, a, b]]
-    s_plus = d_plus = None
-    y_plus = None
+        repo = np.where(np.eye(inst.num_nodes, dtype=bool), 0.0, sol.x[info["repo"]])
+    s_plus = d_plus = y_plus = None
     if cfg.lam > 0.0:
-        s_plus = np.array([[sol.x[info["splus"][t, l]] for l in range(L)] for t in range(T)])
-        d_plus = np.array([[sol.x[info["dplus"][t, l]] for l in range(L)] for t in range(T)])
+        s_plus, d_plus = sol.x[info["splus"]], sol.x[info["dplus"]]
         if info["yplus"] is not None:
-            Z = inst.num_zones
-            y_plus = np.zeros((T, L, Z))
+            y_plus = np.zeros((inst.horizon, inst.num_nodes, inst.num_zones))
             for (t, l, z), col in info["yplus"].items():
                 y_plus[t, l, z] = sol.x[col]
     eta_val = None if info["eta"] is None else float(sol.x[info["eta"]])
-    return Allocation(x, repo, s_plus, y_plus), d_plus, eta_val
+    return Allocation(first_stage_x(model, sol), repo, s_plus, y_plus), d_plus, eta_val
 
 
 def stage_one_value(inst: Instance, cfg: BioConfig, alloc: Allocation,
@@ -520,20 +511,34 @@ def build_saa_model(inst: Instance, scenarios: list[DemandScenario],
 # exact adversarial subproblem (RLT mixed-binary reformulation)
 # ---------------------------------------------------------------------------
 
-def _walkin_big_m(inst: Instance, t: int, l: int) -> float:
-    T = inst.horizon
-    return float(inst.econ.walkin_price[t, l] + inst.econ.walkin_penalty[t, l]
-                 + (T - t) * inst.econ.holding[l])
+def channel_weights(inst: Instance, lam: float, allied: str = WALKIN_ONLY):
+    """Per-channel share of demand left to the adversary (1 - lam, online
+    only when both channels are allied) and lost-sales penalty, (T, n)."""
+    T, Z = inst.horizon, inst.num_zones
+    lam_online = lam if allied == BOTH_CHANNELS else 0.0
+    keep = {"b": 1.0 - lam, "o": 1.0 - lam_online}
+    penalty = {"b": inst.econ.walkin_penalty,
+               "o": np.broadcast_to(inst.econ.online_penalty[:, None], (T, Z))}
+    return keep, penalty
 
-def _online_big_m(inst: Instance, t: int, z: int) -> float:
-    T = inst.horizon
-    best = -INF
-    for (l, zz, _d) in allowed_edges(inst):
-        if zz == z:
-            best = max(best, (T - t) * inst.econ.holding[l] - inst.econ.fulfill_cost[l, z])
-    if best == -INF:
+
+def _big_m(inst: Instance, ch: str, t: int, i: int) -> float:
+    """Upper bound on the demand dual of cell (t, i) of channel ch."""
+    e, T = inst.econ, inst.horizon
+    if ch == "b":
+        return float(e.walkin_price[t, i] + e.walkin_penalty[t, i] + (T - t) * e.holding[i])
+    best = max(((T - t) * e.holding[l] - e.fulfill_cost[l, i]
+                for l, z, _d in allowed_edges(inst) if z == i), default=None)
+    if best is None:
         return 0.0
-    return max(0.0, float(inst.econ.online_price[t] + inst.econ.online_penalty[t] + best))
+    return max(0.0, float(e.online_price[t] + e.online_penalty[t] + best))
+
+
+def _columns(m: LinearModel, name: str, shape: tuple, lb: float = 0.0) -> np.ndarray:
+    idx = np.empty(shape, dtype=int)
+    for cell in np.ndindex(shape):
+        idx[cell] = m.add_var(f"{name}{list(cell)}", lb, INF)
+    return idx
 
 
 def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
@@ -542,19 +547,20 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
     """Adversary's problem at fixed first-stage commitments.
 
     Without `fixed_scenario` this is the exact mixed-binary reformulation:
-    binary selectors w pick one discrete demand value per cell, budget rows
-    keep the selection inside the set, and big-M links linearize the
-    dual-times-demand products.  With `fixed_scenario` the selectors are
+    per channel and cell, binary selectors w pick one discrete demand value,
+    budget rows keep the selection inside the set, and big-M links linearize
+    the dual-times-demand products.  With `fixed_scenario` the selectors are
     dropped and the model is the plain dual LP at that demand (used by the
     alternating heuristic and for strong-duality checks); its columns are
     the leading columns of the mixed-binary model, in the same order.
-    `info["w"]` maps each cell to (selectors, values, dual-times-selector
-    columns).
+    `info["dual"][ch]` holds the demand-dual columns of channel ch, (T, n),
+    and `info["w"][ch]` maps each cell to (selectors, values,
+    dual-times-selector columns).
     """
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
     e = inst.econ
     br = inst.business_rules
-    lam_online = lam if allied == BOTH_CHANNELS else 0.0
+    keep, penalty = channel_weights(inst, lam, allied)
     s_plus = alloc.s_plus if alloc.s_plus is not None else np.zeros((T, L))
     y_plus = alloc.y_plus
 
@@ -562,40 +568,27 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
     obj: dict[int, float] = {}
     const = 0.0
 
-    gamma = np.empty((T, L), dtype=int)
-    for t in range(T):
-        for l in range(L):
-            gamma[t, l] = m.add_var(f"g[{t},{l}]", -INF, INF)
-    alpha = np.empty((T, L), dtype=int)
-    for t in range(T):
-        for l in range(L):
-            alpha[t, l] = m.add_var(f"a[{t},{l}]", 0.0, INF)
-    beta = np.empty((T, Z), dtype=int) if Z else None
-    for t in range(T):
-        for z in range(Z):
-            beta[t, z] = m.add_var(f"b[{t},{z}]", 0.0, INF)
+    gamma = _columns(m, "g", (T, L), -INF)
+    dual = {ch: _columns(m, f"dual_{ch}", (T, n)) for ch, n in (("b", L), ("o", Z))}
     kappa = None
     if br.fulfill_capacity is not None:
-        kappa = np.empty((T, L), dtype=int)
+        kappa = _columns(m, "k", (T, L))
         for t in range(T):
             for l in range(L):
-                kappa[t, l] = m.add_var(f"k[{t},{l}]", 0.0, INF)
                 obj[int(kappa[t, l])] = float(br.fulfill_capacity[t, l])
     sigma = None
     if br.service_window_fraction is not None:
-        sigma = np.empty(T, dtype=int)
-        for t in range(T):
-            sigma[t] = m.add_var(f"sg[{t}]", 0.0, INF)
+        sigma = _columns(m, "sg", (T,))
 
     # dual feasibility
     edge_days = {(l, z): d for l, z, d in allowed_edges(inst)}
     for t in range(T):
         for l in range(L):
-            m.add_constr({int(alpha[t, l]): 1.0, int(gamma[t, l]): 1.0}, ">=",
+            m.add_constr({int(dual["b"][t, l]): 1.0, int(gamma[t, l]): 1.0}, ">=",
                          float(e.walkin_price[t, l] + e.walkin_penalty[t, l]),
                          name=f"dual_s[{t},{l}]")
         for (l, z), d in edge_days.items():
-            row = {int(beta[t, z]): 1.0, int(gamma[t, l]): 1.0}
+            row = {int(dual["o"][t, z]): 1.0, int(gamma[t, l]): 1.0}
             if kappa is not None:
                 row[int(kappa[t, l])] = 1.0
             if sigma is not None:
@@ -623,98 +616,67 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
                 coeff -= float(y_plus[t, l, :].sum())
             obj[int(gamma[t, l])] = obj.get(int(gamma[t, l]), 0.0) + coeff
 
-    winfo = {"b": {}, "o": {}}
-    if fixed_scenario is None:
-        for t in range(T):
-            for l in range(L):
-                vals = list(range(int(uset.local_lower["b"][t, l]),
-                                  int(uset.local_upper["b"][t, l]) + 1))
-                M = _walkin_big_m(inst, t, l)
-                wcols, acols = [], []
-                for k, val in enumerate(vals):
-                    wc = m.add_var(f"wb[{t},{l},{k}]", 0.0, 1.0, BINARY)
-                    ac = m.add_var(f"as[{t},{l},{k}]", 0.0, INF)
-                    wcols.append(wc)
-                    acols.append(ac)
-                    obj[ac] = obj.get(ac, 0.0) + (1.0 - lam) * val
-                    obj[wc] = obj.get(wc, 0.0) - (1.0 - lam) * val * float(e.walkin_penalty[t, l])
-                    m.add_constr({ac: 1.0, wc: -M}, "<=", 0.0, name=f"link_a[{t},{l},{k}]")
-                    # lower RLT link keeps the relaxation tight
-                    m.add_constr({ac: 1.0, int(alpha[t, l]): -1.0, wc: -M}, ">=", -M,
-                                 name=f"linklo_a[{t},{l},{k}]")
-                m.add_constr({c: 1.0 for c in wcols}, "==", 1.0, name=f"pick_b[{t},{l}]")
-                row = {c: 1.0 for c in acols}
-                row[int(alpha[t, l])] = -1.0
-                m.add_constr(row, "==", 0.0, name=f"sum_a[{t},{l}]")
-                m.add_sos1(wcols, vals)
-                winfo["b"][t, l] = (wcols, vals, acols)
-            row = {}
-            for l in range(L):
-                wcols, vals, _a = winfo["b"][t, l]
-                for wc, val in zip(wcols, vals):
-                    if val:
-                        row[wc] = float(val)
-            m.add_constr(row, ">=", float(uset.budget_lower["b"][t]), name=f"bud_bl[{t}]")
-            m.add_constr(row, "<=", float(uset.budget_upper["b"][t]), name=f"bud_bu[{t}]")
-            for z in range(Z):
-                vals = list(range(int(uset.local_lower["o"][t, z]),
-                                  int(uset.local_upper["o"][t, z]) + 1))
-                M = _online_big_m(inst, t, z)
-                wcols, bcols = [], []
-                for k, val in enumerate(vals):
-                    wc = m.add_var(f"wo[{t},{z},{k}]", 0.0, 1.0, BINARY)
-                    bc = m.add_var(f"bs[{t},{z},{k}]", 0.0, INF)
-                    wcols.append(wc)
-                    bcols.append(bc)
-                    obj[bc] = obj.get(bc, 0.0) + (1.0 - lam_online) * val
-                    obj[wc] = obj.get(wc, 0.0) - (1.0 - lam_online) * val * float(e.online_penalty[t])
-                    m.add_constr({bc: 1.0, wc: -M}, "<=", 0.0, name=f"link_b[{t},{z},{k}]")
-                    m.add_constr({bc: 1.0, int(beta[t, z]): -1.0, wc: -M}, ">=", -M,
-                                 name=f"linklo_b[{t},{z},{k}]")
-                m.add_constr({c: 1.0 for c in wcols}, "==", 1.0, name=f"pick_o[{t},{z}]")
-                row = {c: 1.0 for c in bcols}
-                row[int(beta[t, z])] = -1.0
-                m.add_constr(row, "==", 0.0, name=f"sum_b[{t},{z}]")
-                m.add_sos1(wcols, vals)
-                winfo["o"][t, z] = (wcols, vals, bcols)
-            if Z:
-                row = {}
-                for z in range(Z):
-                    wcols, vals, _b = winfo["o"][t, z]
-                    for wc, val in zip(wcols, vals):
-                        if val:
-                            row[wc] = float(val)
-                m.add_constr(row, ">=", float(uset.budget_lower["o"][t]), name=f"bud_ol[{t}]")
-                m.add_constr(row, "<=", float(uset.budget_upper["o"][t]), name=f"bud_ou[{t}]")
-    else:
-        d = fixed_scenario
-        for t in range(T):
-            for l in range(L):
-                v = float(d.walkin[t, l])
-                obj[int(alpha[t, l])] = obj.get(int(alpha[t, l]), 0.0) + (1.0 - lam) * v
-                const -= (1.0 - lam) * float(e.walkin_penalty[t, l]) * v
-            for z in range(Z):
-                v = float(d.online[t, z])
-                obj[int(beta[t, z])] = obj.get(int(beta[t, z]), 0.0) + (1.0 - lam_online) * v
-                const -= (1.0 - lam_online) * float(e.online_penalty[t]) * v
+    # demand terms: (1 - lam) * (dual - penalty) * demand per cell, with the
+    # demand fixed or picked by selectors
+    winfo = {ch: {} for ch in CHANNELS}
+    for t in range(T):
+        for ch in CHANNELS:
+            n = dual[ch].shape[1]
+            if fixed_scenario is not None:
+                for i in range(n):
+                    v = float(fixed_scenario.channel(ch)[t, i])
+                    obj[int(dual[ch][t, i])] = keep[ch] * v
+                    const -= keep[ch] * float(penalty[ch][t, i]) * v
+                continue
+            for i in range(n):
+                vals = list(range(int(uset.local_lower[ch][t, i]),
+                                  int(uset.local_upper[ch][t, i]) + 1))
+                winfo[ch][t, i] = _add_selectors(
+                    m, obj, f"{ch}[{t},{i}]", int(dual[ch][t, i]), vals, keep[ch],
+                    float(penalty[ch][t, i]), _big_m(inst, ch, t, i))
+            if n:
+                row = {wc: float(val) for i in range(n)
+                       for wc, val in zip(*winfo[ch][t, i][:2]) if val}
+                m.add_constr(row, ">=", float(uset.budget_lower[ch][t]), name=f"bud_{ch}l[{t}]")
+                m.add_constr(row, "<=", float(uset.budget_upper[ch][t]), name=f"bud_{ch}u[{t}]")
 
     m.set_objective(obj, const=const)
-    m.info = {"gamma": gamma, "alpha": alpha, "beta": beta, "w": winfo,
-              "T": T, "L": L, "Z": Z}
+    m.info = {"gamma": gamma, "dual": dual, "w": winfo}
     return m
+
+
+def _add_selectors(m: LinearModel, obj: dict, cell: str, dual: int, vals: list,
+                   keep: float, pen: float, M: float) -> tuple:
+    """One binary selector per discrete demand value of a cell, each with a
+    dual-times-selector column tied to the cell's `dual` by big-M links;
+    returns (selectors, values, dual-times-selector columns)."""
+    wcols, pcols = [], []
+    for k, val in enumerate(vals):
+        wc = m.add_var(f"w{cell}[{k}]", 0.0, 1.0, BINARY)
+        pc = m.add_var(f"p{cell}[{k}]", 0.0, INF)
+        wcols.append(wc)
+        pcols.append(pc)
+        obj[pc] = keep * val
+        obj[wc] = -keep * val * pen
+        m.add_constr({pc: 1.0, wc: -M}, "<=", 0.0, name=f"link{cell}[{k}]")
+        # lower RLT link keeps the relaxation tight
+        m.add_constr({pc: 1.0, dual: -1.0, wc: -M}, ">=", -M, name=f"linklo{cell}[{k}]")
+    m.add_constr({c: 1.0 for c in wcols}, "==", 1.0, name=f"pick{cell}")
+    row = {c: 1.0 for c in pcols}
+    row[dual] = -1.0
+    m.add_constr(row, "==", 0.0, name=f"sum{cell}")
+    m.add_sos1(wcols, vals)
+    return wcols, vals, pcols
 
 
 def extract_worst_scenario(model: LinearModel, sol: Solution) -> DemandScenario:
     """Demand selected by the subproblem's binary selectors."""
-    winfo = model.info["w"]
-    T, L, Z = model.info["T"], model.info["L"], model.info["Z"]
-    walkin = np.zeros((T, L))
-    online = np.zeros((T, Z))
-    for (t, l), (wcols, vals, _a) in winfo["b"].items():
-        walkin[t, l] = _selected_value(sol, wcols, vals, f"walk-in cell ({t},{l})")
-    for (t, z), (wcols, vals, _b) in winfo["o"].items():
-        online[t, z] = _selected_value(sol, wcols, vals, f"online cell ({t},{z})")
-    return DemandScenario(walkin, online)
+    info = model.info
+    demand = {ch: np.zeros(info["dual"][ch].shape) for ch in CHANNELS}
+    for ch in CHANNELS:
+        for (t, i), (wcols, vals, _p) in info["w"][ch].items():
+            demand[ch][t, i] = _selected_value(sol, wcols, vals, f"channel {ch} cell ({t},{i})")
+    return DemandScenario(demand["b"], demand["o"])
 
 
 def _selected_value(sol: Solution, wcols, vals, where: str) -> float:
@@ -734,18 +696,14 @@ def solve_subproblem_for_scenario(inst: Instance, alloc: Allocation, lam: float,
                                   scenario: DemandScenario,
                                   allied: str = WALKIN_ONLY,
                                   uset: UncertaintySet | None = None):
-    """Dual LP value and multipliers at a fixed demand (strong-duality twin of
-    the inner fulfillment problem)."""
+    """Dual LP value and walk-in and online demand duals at a fixed demand
+    (strong-duality twin of the inner fulfillment problem)."""
     m = build_subproblem(inst, uset, alloc, lam, allied, fixed_scenario=scenario)
     sol = solve(m)
     if sol.status != "optimal":
         raise FormulationError(f"scenario dual LP status {sol.status}")
-    info = m.info
-    T, L, Z = info["T"], info["L"], info["Z"]
-    a = np.array([[sol.x[info["alpha"][t, l]] for l in range(L)] for t in range(T)])
-    bta = (np.array([[sol.x[info["beta"][t, z]] for z in range(Z)] for t in range(T)])
-           if Z else np.zeros((T, 0)))
-    return float(sol.objective), a, bta
+    dual = m.info["dual"]
+    return float(sol.objective), sol.x[dual["b"]], sol.x[dual["o"]]
 
 
 # ---------------------------------------------------------------------------
@@ -804,16 +762,34 @@ def pwl_allocation(inst: Instance, mean_demand, quantile_demand,
     sol = solve(m)
     if sol.status != "optimal":
         raise FormulationError(f"PWL model status {sol.status}")
-    T, L = inst.horizon, inst.num_nodes
-    x = np.array([[sol.x[m.info["x"][t, l]] for l in range(L)] for t in range(T)])
-    x[np.abs(x) < 1e-10] = 0.0
-    return Allocation(x)
+    return Allocation(first_stage_x(m, sol))
 
 
 def infer_warehouses(inst: Instance, means) -> list[int]:
     """Nodes with no walk-in demand act as warehouses for the heuristics."""
     mw = np.atleast_2d(means.walkin)
     return [l for l in range(inst.num_nodes) if float(mw[:, l].sum()) == 0.0]
+
+
+def critical_ratios(inst: Instance, warehouses: list[int]) -> tuple[list[float], float]:
+    """Margin-ratio critical levels of the heuristics: one walk-in level per
+    node, and one chain-level online level at the mean purchase cost of the
+    warehouses (of every node when there is none) and the mean shipping
+    cost.  Each is capped below 1, so that a zero cost still gives a valid
+    quantile level."""
+    e = inst.econ
+    walkin = []
+    for l in range(inst.num_nodes):
+        price = float(e.walkin_price[0, l])
+        cr = (price - float(e.purchase_cost[l])) / price if price > 0 else 0.0
+        walkin.append(min(cr, CRITICAL_RATIO_CAP))
+    edges = allowed_edges(inst)
+    avg_ship = float(np.mean([e.fulfill_cost[l, z] for l, z, _ in edges])) if edges else 0.0
+    cands = warehouses if warehouses else list(range(inst.num_nodes))
+    avg_cost = float(np.mean([e.purchase_cost[l] for l in cands]))
+    price = float(e.online_price[0])
+    online = (price - avg_cost - avg_ship) / price if price > 0 else 0.0
+    return walkin, min(online, CRITICAL_RATIO_CAP)
 
 
 def basestock_policy(inst: Instance, means) -> Allocation:
@@ -829,14 +805,12 @@ def basestock_policy(inst: Instance, means) -> Allocation:
     position = np.array([sum(inst.inventory.pipeline[l]) for l in range(L)])
 
     warehouses = infer_warehouses(inst, means)
+    cr_w, cr_o = critical_ratios(inst, warehouses)
     store_excess = np.zeros(L)
     for l in range(L):
         horizon_l = min(T, int(inst.inventory.lead_time[l]) + 1)
         mu = float(mw[:horizon_l, l].sum())
-        price = float(e.walkin_price[0, l])
-        margin = price - float(e.purchase_cost[l])
-        cr = margin / price if price > 0 else 0.0
-        target = float(poisson_quantile(cr, mu)) if cr > 0.0 and mu > 0 else 0.0
+        target = float(poisson_quantile(cr_w[l], mu)) if cr_w[l] > 0.0 and mu > 0 else 0.0
         if l not in warehouses:
             x[0, l] = max(0.0, target - position[l])
             store_excess[l] = max(0.0, position[l] - target)
@@ -853,11 +827,6 @@ def basestock_policy(inst: Instance, means) -> Allocation:
             if c < best_c - 1e-12:
                 best, best_c = l, c
         zone_home[z] = best
-    price_o = float(e.online_price[0])
-    avg_ship = float(np.mean([e.fulfill_cost[l, z] for l, z, _ in allowed_edges(inst)])
-                     ) if allowed_edges(inst) else 0.0
-    avg_cost = float(np.mean([e.purchase_cost[l] for l in candidates]))
-    cr_o = (price_o - avg_cost - avg_ship) / price_o if price_o > 0 else 0.0
 
     lead_o = max((int(inst.inventory.lead_time[l]) for l in candidates), default=0)
     horizon_o = min(T, lead_o + 1)

@@ -25,12 +25,14 @@ from .formulations import (
     BioConfig,
     allowed_edges,
     basestock_policy,
+    critical_ratios,
     evaluate_profit,
     infer_warehouses,
     pwl_allocation,
 )
 from .instance import Instance, InventoryState
 from .uncertainty import (
+    CHANNELS,
     DemandMeans,
     DemandScenario,
     poisson_quantile,
@@ -182,15 +184,6 @@ class PolicySpec:
             raise SimulationError(f"lambda must lie in [0,1], got {self.lam}")
 
 
-KPI_FIELDS = (
-    "replenish_qty", "dc_replenish_qty", "walkin_sales_qty", "total_sales_qty",
-    "sfs_qty", "satisfied_revenue", "missed_revenue", "shipping_cost",
-    "purchase_cost", "excess_inventory_at_cost", "walkin_service_level",
-    "ecom_service_level", "total_service_level", "inventory_turnover",
-    "penalized_profit", "realized_profit",
-)
-
-
 @dataclass
 class KpiReport:
     replenish_qty: float = 0.0
@@ -215,35 +208,24 @@ class KpiReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+KPI_FIELDS = tuple(f.name for f in fields(KpiReport) if f.name != "solver_failures")
+
+
 def _critical_quantile_demand(inst: Instance, means: DemandMeans,
                               warehouses: list[int]) -> DemandMeans:
     """Per-cell Poisson quantile at the margin-ratio critical level (the PWL
     second class ceiling)."""
-    T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
-    e = inst.econ
-    qw = np.array(means.walkin, dtype=float).copy()
-    qo = np.array(means.online, dtype=float).copy()
-    for l in range(L):
-        price = float(e.walkin_price[0, l])
-        cr = (price - float(e.purchase_cost[l])) / price if price > 0 else 0.0
-        cr = min(cr, 1.0 - 1e-9)
-        for t in range(T):
-            mu = float(means.walkin[t, l])
-            if cr > 0 and mu > 0:
-                qw[t, l] = max(mu, float(poisson_quantile(cr, mu)))
-    edges = allowed_edges(inst)
-    avg_ship = float(np.mean([e.fulfill_cost[l, z] for l, z, _ in edges])) if edges else 0.0
-    cands = warehouses if warehouses else list(range(L))
-    avg_cost = float(np.mean([e.purchase_cost[l] for l in cands]))
-    for z in range(Z):
-        price = float(e.online_price[0])
-        cr = (price - avg_cost - avg_ship) / price if price > 0 else 0.0
-        cr = min(cr, 1.0 - 1e-9)
-        for t in range(T):
-            mu = float(means.online[t, z])
-            if cr > 0 and mu > 0:
-                qo[t, z] = max(mu, float(poisson_quantile(cr, mu)))
-    return DemandMeans(qw, qo)
+    cr_w, cr_o = critical_ratios(inst, warehouses)
+    levels = {"b": cr_w, "o": [cr_o] * inst.num_zones}
+    quant = {}
+    for ch in CHANNELS:
+        mu = np.array(means.channel(ch), dtype=float)
+        quant[ch] = mu.copy()
+        for (t, i), mean in np.ndenumerate(mu):
+            mean = float(mean)
+            if levels[ch][i] > 0 and mean > 0:
+                quant[ch][t, i] = max(mean, float(poisson_quantile(levels[ch][i], mean)))
+    return DemandMeans(quant["b"], quant["o"])
 
 
 def _solve_policy(plan_inst: Instance, policy: PolicySpec, means: DemandMeans) -> Allocation:

@@ -10,12 +10,18 @@ solves.  Grid search re-solves per lambda and works unconditionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ccg import CcgOptions, SolveReport, solve_two_stage
-from .formulations import Allocation, BioConfig, build_saa_model, evaluate_profit
+from .formulations import (
+    Allocation,
+    BioConfig,
+    build_saa_model,
+    evaluate_profit,
+    first_stage_x,
+)
 from .instance import Instance
 from .solver import solve
 from .uncertainty import DemandScenario, UncertaintySet
@@ -184,10 +190,7 @@ def tune_lambda(inst: Instance, uset: UncertaintySet, scenarios: list[DemandScen
         curve = []
         reports = {}
         for lam in grid:
-            cfg = BioConfig(lam=float(lam), allied_channels=cfg_base.allied_channels,
-                            integer_allocations=cfg_base.integer_allocations,
-                            repositioning=cfg_base.repositioning)
-            rep = solve_two_stage(inst, uset, cfg, options)
+            rep = solve_two_stage(inst, uset, replace(cfg_base, lam=float(lam)), options)
             sc = vscore(rep.allocation)
             curve.append((float(lam), sc))
             reports[float(lam)] = rep
@@ -202,8 +205,8 @@ def tune_lambda(inst: Instance, uset: UncertaintySet, scenarios: list[DemandScen
             raise TuningError("bisection is unavailable with integer allocations; use grid")
         if not inst.zero_initial_inventory():
             raise TuningError("bisection requires zero initial inventory; use grid")
-        rep0 = solve_two_stage(inst, uset, BioConfig(lam=0.0), options)
-        rep1 = solve_two_stage(inst, uset, BioConfig(lam=1.0), options)
+        rep0 = solve_two_stage(inst, uset, replace(cfg_base, lam=0.0), options)
+        rep1 = solve_two_stage(inst, uset, replace(cfg_base, lam=1.0), options)
         x0, x1 = rep0.allocation, rep1.allocation
         cache: dict[float, float] = {}
 
@@ -240,10 +243,7 @@ def solve_saa(inst: Instance, scenarios: list[DemandScenario],
     sol = solve(m)
     if sol.status != "optimal":
         raise TuningError(f"SAA model ended with status {sol.status}")
-    T, L = inst.horizon, inst.num_nodes
-    x = np.array([[sol.x[m.info["x"][t, l]] for l in range(L)] for t in range(T)])
-    x[np.abs(x) < 1e-10] = 0.0
-    return Allocation(x), float(sol.objective)
+    return Allocation(first_stage_x(m, sol)), float(sol.objective)
 
 
 def bio_value_of_allocation(inst: Instance, uset: UncertaintySet, lam: float,

@@ -29,17 +29,6 @@ class UncertaintyError(Exception):
     pass
 
 
-def poisson_cdf(k: int, mean: float) -> float:
-    if k < 0:
-        return 0.0
-    term = math.exp(-mean)
-    total = term
-    for i in range(k):
-        term *= mean / (i + 1)
-        total += term
-    return min(total, 1.0)
-
-
 def poisson_quantile(q: float, mean: float) -> int:
     """Smallest integer k with CDF(k) >= q (left-continuous inverse)."""
     if not 0.0 < q < 1.0:
@@ -196,12 +185,10 @@ class UncertaintySet:
         hi = self.local_upper[channel][period].astype(int)
         bl = float(self.budget_lower[channel][period])
         bu = float(self.budget_upper[channel][period])
-        widths = hi - lo + 1
-        raw = int(np.prod(widths.astype(np.float64))) if len(widths) else 1
-        if np.prod(widths.astype(np.float64)) > cap:
+        box = np.prod((hi - lo + 1).astype(np.float64))
+        if box > cap:
             raise UncertaintyError(
-                f"discrete enumeration would generate {np.prod(widths.astype(np.float64)):.3g} "
-                f"box points (cap {cap})")
+                f"discrete enumeration would generate {box:.3g} box points (cap {cap})")
         if len(lo) == 0:
             return [()] if bl <= 0 <= bu else []
         pts = []

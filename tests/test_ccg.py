@@ -15,6 +15,7 @@ from bioinv.ccg import (
 from bioinv.formulations import (
     Allocation,
     BioConfig,
+    FormulationError,
     build_subproblem,
     evaluate_profit,
     solve_subproblem_for_scenario,
@@ -252,6 +253,22 @@ class TestMipIncumbent:
                         assert gap <= 1e-7, (lam, allied, b, o, con.name)
                     obj = sum(c * x[j] for j, c in model.obj.items()) + model.obj_const
                     assert obj == pytest.approx(val, abs=1e-7)
+
+
+class TestSubproblemErrors:
+    def test_extraction_failure_surfaces(self, monkeypatch):
+        # a selector read that fails must stop the solve, not fall back to the
+        # heuristic's scenario under the MIP's certified value
+        import bioinv.ccg as ccg
+
+        def broken(model, sol):
+            raise FormulationError("no selector chosen")
+
+        monkeypatch.setattr(ccg, "extract_worst_scenario", broken)
+        inst = example_walkin_instance(0.0, 160.0)
+        with pytest.raises(FormulationError, match="no selector"):
+            solve_two_stage(inst, example_walkin_uncertainty(), BioConfig(lam=0.0),
+                            CcgOptions())
 
 
 class TestOptions:

@@ -444,6 +444,18 @@ class TestBasestock:
         assert alloc.x[0, 1] > 0
 
 
+    def test_zero_purchase_cost_store(self):
+        # a free store's critical ratio is 1, capped just below it so that it
+        # stays a valid quantile level
+        inst = build_instance(["S1", "D1"], ["Z1"], 2, walkin_price=100.0,
+                              walkin_penalty=100.0, online_price=100.0,
+                              online_penalty=100.0, fulfill_cost=[[9.0], [3.0]],
+                              purchase_cost=[0.0, 30.0], lead_time=1)
+        alloc = basestock_policy(inst, DemandMeans([[2.0, 0.0]] * 2, [[1.5]] * 2))
+        assert np.isfinite(alloc.x).all()
+        assert alloc.x[0, 0] > 0 and alloc.x[0, 1] > 0
+
+
 class TestBusinessRuleRows:
     def test_transport_capacity_bounds_orders(self):
         from bioinv.ccg import solve_two_stage, CcgOptions

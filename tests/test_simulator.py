@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bioinv.formulations import Allocation
+from bioinv.instance import build_instance
 from bioinv.reference import (
     MONTE_CARLO_SEED,
     example_walkin_instance,
@@ -201,6 +202,18 @@ class TestRollingHorizon:
         assert lines[0].startswith("policy,replication,replenish_qty")
         assert len(lines) == 1 + 2 + 1  # header, two reps, aggregate
         assert lines[-1].split(",")[1] == "aggregate"
+
+
+    def test_basestock_with_free_store_never_fails(self):
+        inst = build_instance(["S1", "D1"], ["Z1"], 2, walkin_price=100.0,
+                              walkin_penalty=100.0, online_price=100.0,
+                              online_penalty=100.0, fulfill_cost=[[9.0], [3.0]],
+                              purchase_cost=[0.0, 30.0], lead_time=1)
+        means = DemandMeans([[2.0, 0.0]] * 3, [[1.5]] * 3)
+        agg, _ = run_rolling_horizon(inst, PolicySpec("basestock"), means, weeks=3,
+                                     replications=2, seed=0)
+        assert agg["solver_failures"] == (0.0, 0.0)
+        assert agg["replenish_qty"][0] > 0
 
 
 class TestNoNegativeInventory:

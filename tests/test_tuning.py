@@ -4,7 +4,11 @@ import pytest
 from bioinv.ccg import CcgOptions, solve_two_stage
 from bioinv.formulations import Allocation, BioConfig, evaluate_profit
 from bioinv.instance import build_instance
-from bioinv.reference import example_walkin_instance, example_walkin_uncertainty
+from bioinv.reference import (
+    example_walkin_instance,
+    example_walkin_uncertainty,
+    synthetic_instance,
+)
 from bioinv.tuning import (
     ScoringObjective,
     TuningError,
@@ -15,7 +19,12 @@ from bioinv.tuning import (
     tune_lambda,
     verify_superposition,
 )
-from bioinv.uncertainty import DemandScenario, UncertaintySet, sample_scenarios
+from bioinv.uncertainty import (
+    DemandScenario,
+    UncertaintySet,
+    quantile_bounds_from_means,
+    sample_scenarios,
+)
 
 
 def walkin_set(lo, hi, bl, bu):
@@ -241,6 +250,20 @@ class TestTuneLambda:
         with pytest.raises(TuningError, match="integer"):
             tune_lambda(inst, uset, [wscen([1])] * 4, method="bisection",
                         cfg_base=BioConfig(integer_allocations=True))
+
+    def test_bisection_keeps_cfg_base(self):
+        # both channels allied: the lam = 1 endpoint commits online sales y+,
+        # as grid search's lam = 1 solve does
+        inst, means = synthetic_instance(2, 0, 1, seed=1, horizon=1)
+        uset = quantile_bounds_from_means(means)
+        scen = sample_scenarios(means, 10, seed=1)
+        cfg = BioConfig(allied_channels="both")
+        grid = tune_lambda(inst, uset, scen, method="grid", grid=(1.0,), cfg_base=cfg)
+        bis = tune_lambda(inst, uset, scen, method="bisection", cfg_base=cfg)
+        expected = grid.reports[1.0].allocation
+        assert bis.reports[1.0].allocation.y_plus is not None
+        assert np.array_equal(bis.reports[1.0].allocation.y_plus, expected.y_plus)
+        assert np.array_equal(bis.reports[1.0].allocation.x, expected.x)
 
     def test_bisection_matches_explicit_saa(self):
         # p = 0 single location: the lam segment spans [0, d_max], so the
