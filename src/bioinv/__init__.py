@@ -34,6 +34,7 @@ from .formulations import (  # noqa: F401
     build_subproblem,
     evaluate_allocation,
     evaluate_profit,
+    evaluate_profits,
     extract_worst_scenario,
     pwl_allocation,
 )

@@ -28,7 +28,7 @@ from .formulations import (
     stage_one_value,
 )
 from .instance import Instance
-from .solver import solve
+from .solver import SolverError, solve
 from .uncertainty import CHANNELS, DemandScenario, UncertaintySet
 
 EXACT_MIP = "exact_mip"
@@ -77,6 +77,7 @@ class SolveReport:
     d_plus: np.ndarray | None = None
     worst_case_scenario: DemandScenario | None = None
     worst_case_profit: float | None = None
+    rescore_error: str | None = None   # why the worst-case rescore gave no profit
 
     def to_dict(self) -> dict:
         def clean(v):
@@ -93,6 +94,7 @@ class SolveReport:
             "allocation": self.allocation.to_dict(),
             "scenario_pool": [s.to_dict() for s in self.scenario_pool],
             "worst_case_profit": clean(self.worst_case_profit),
+            "rescore_error": self.rescore_error,
         }
         if self.d_plus is not None:
             d["d_plus"] = np.asarray(self.d_plus).tolist()
@@ -359,6 +361,8 @@ def _finish(inst, uset, cfg, options, alloc, d_plus, lb, lbs, ubs, pool,
                 scen = extract_worst_scenario(model, sol)
                 report.worst_case_scenario = scen
                 report.worst_case_profit = evaluate_profit(inst, plain, scen)
-        except Exception:
-            pass
+            else:
+                report.rescore_error = f"rescore MIP ended {sol.status}"
+        except (SolverError, FormulationError) as exc:
+            report.rescore_error = f"{type(exc).__name__}: {exc}"
     return report

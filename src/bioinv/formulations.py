@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .solver import BINARY, INF, LinearModel, Solution, solve
+from .solver import BINARY, INF, LinearModel, Solution, solve, solve_family
 from .uncertainty import CHANNELS, DemandScenario, UncertaintySet, poisson_quantile
 
 WALKIN_ONLY = "walkin"
@@ -203,11 +203,10 @@ def build_fulfillment_model(inst: Instance, alloc: Allocation,
     if alloc.x.shape != (T, L):
         raise FormulationError(f"allocation shape {alloc.x.shape}, expected {(T, L)}")
     m = LinearModel("fulfillment", sense="max")
-    terms, const, s_idx, y_idx, I_idx = _add_recourse_block(
+    terms, const, m.info = _add_recourse_block(
         m, inst, scenario.walkin, scenario.online, alloc=alloc,
         const=-first_stage_cost(inst, alloc))
     m.set_objective(terms, const=const)
-    m.info = {"s": s_idx, "I": I_idx, "y": y_idx}
     return m
 
 
@@ -225,11 +224,46 @@ def evaluate_allocation(inst: Instance, alloc: Allocation,
 
 
 def evaluate_profit(inst: Instance, alloc: Allocation, scenario: DemandScenario) -> float:
-    m = build_fulfillment_model(inst, alloc, scenario)
-    sol = solve(m)
-    if sol.status != "optimal":
-        raise FormulationError(f"fulfillment LP ended with status {sol.status}")
-    return float(sol.objective)
+    return float(evaluate_profits(inst, alloc, [scenario])[0])
+
+
+def evaluate_profits(inst: Instance, alloc: Allocation,
+                     scenarios: list[DemandScenario]) -> np.ndarray:
+    """Optimal-fulfillment profit of one allocation on each scenario.
+
+    The scenarios share one fulfillment model: walk-in demand is the upper
+    bound of the walk-in sales columns and online demand the right-hand side
+    of the e-commerce rows, so the batch is one `solve_family` call.  Each
+    scenario's constant (first-stage cost and lost-sales penalties) is summed
+    in the order `_add_recourse_block` sums it."""
+    T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
+    if not scenarios:
+        return np.zeros(0)
+    for s in scenarios:
+        if s.walkin.shape != (T, L) or s.online.shape != (T, Z):
+            raise FormulationError(
+                f"scenario dims {s.walkin.shape}/{s.online.shape} do not match "
+                f"instance ({T},{L})/({T},{Z})")
+    m = build_fulfillment_model(inst, alloc, scenarios[0])
+    m.obj_const = -0.0   # x + -0.0 is x for every x, signed zeros included
+    walkin = np.stack([s.walkin for s in scenarios], axis=-1)   # (T, L, K)
+    online = np.stack([s.online for s in scenarios], axis=-1)   # (T, Z, K)
+    K = len(scenarios)
+    sols = solve_family(m, m.info["ecom"].ravel(), online.reshape(T * Z, K),
+                        m.info["s"].ravel(), walkin.reshape(T * L, K))
+    e = inst.econ
+    const = np.full(K, -first_stage_cost(inst, alloc))
+    for t in range(T):
+        for l in range(L):
+            const -= e.walkin_penalty[t, l] * walkin[t, l]
+        for z in range(Z):
+            const -= e.online_penalty[t] * online[t, z]
+    profits = np.empty(K)
+    for k, sol in enumerate(sols):
+        if sol.status != "optimal":
+            raise FormulationError(f"fulfillment LP ended with status {sol.status}")
+        profits[k] = sol.objective + const[k]
+    return profits
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +385,9 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
     ((T, L) columns) and `extra_y` ({(t, l, z): column}) are further sales
     drawing on the same stock: the committed s+/y+ of the BIO master, the
     second demand class of the PWL baseline.  Returns the block's profit
-    terms, its constant (`const` less the lost-sales penalties) and the s,
-    y and I index maps."""
+    terms, its constant (`const` less the lost-sales penalties) and the
+    index maps: columns "s", "I" ((T, L)) and "y" ({(t, l, z): column}),
+    e-commerce rows "ecom" ((T, Z))."""
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
     e = inst.econ
     edges = allowed_edges(inst)
@@ -360,6 +395,7 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
     s_idx = np.empty((T, L), dtype=int)
     I_idx = np.empty((T, L), dtype=int)
     y_idx: dict[tuple[int, int, int], int] = {}
+    ecom_rows = np.empty((T, Z), dtype=int)
     prev_I = None
     for t in range(T):
         s_row, I_row, y_row = [], [], {}
@@ -375,8 +411,8 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
         for z in range(Z):
             const -= e.online_penalty[t] * online_frac * float(online[t, z])
             row = {y_row[l, z]: 1.0 for l in range(L) if (l, z) in y_row}
-            m.add_constr(row, "<=", online_frac * float(online[t, z]),
-                         name=f"ecom{tag}[{t},{z}]")
+            ecom_rows[t, z] = m.add_constr(row, "<=", online_frac * float(online[t, z]),
+                                           name=f"ecom{tag}[{t},{z}]")
         extra_row = None if extra_y is None else {
             (l, z): col for (tt, l, z), col in extra_y.items() if tt == t}
         for l in range(L):
@@ -398,7 +434,7 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
             m.add_constr(coeffs, "==", rhs, name=f"bal{tag}[{t},{l}]")
         _add_business_rule_rows(m, inst, t, y_row, extra_row)
         s_idx[t], I_idx[t], prev_I = s_row, I_row, I_row
-    return terms, const, s_idx, y_idx, I_idx
+    return terms, const, {"s": s_idx, "I": I_idx, "y": y_idx, "ecom": ecom_rows}
 
 
 def build_master(inst: Instance, uset: UncertaintySet, scenarios: list[DemandScenario],
@@ -421,7 +457,7 @@ def build_master(inst: Instance, uset: UncertaintySet, scenarios: list[DemandSce
         obj[eta] = 1.0
         online_frac = 1.0 - cfg.lam if cfg.allied_channels == BOTH_CHANNELS else 1.0
         for i, scen in enumerate(scenarios):
-            terms, const, _s, _y, _I = _add_recourse_block(
+            terms, const, _ = _add_recourse_block(
                 m, inst, scen.walkin, scen.online, walkin_frac=1.0 - cfg.lam,
                 online_frac=online_frac, cols=(x_idx, repo_idx),
                 extra_s=splus_idx, extra_y=yplus_idx, tag=f"_{i}")
@@ -497,7 +533,7 @@ def build_saa_model(inst: Instance, scenarios: list[DemandScenario],
     w = 1.0 / len(scenarios)
     const = 0.0
     for i, scen in enumerate(scenarios):
-        terms, c, _s, _y, _I = _add_recourse_block(
+        terms, c, _ = _add_recourse_block(
             m, inst, scen.walkin, scen.online, cols=(x_idx, repo_idx), tag=f"_{i}")
         for col, coeff in terms.items():
             obj[col] = obj.get(col, 0.0) + w * coeff
@@ -741,7 +777,7 @@ def build_pwl_baseline(inst: Instance, mean_demand, quantile_demand,
                                 - e.fulfill_cost[l, z])
         for z in range(Z):
             const -= discount * e.online_penalty[t] * float(exo[t, z])
-    terms, const, _s, _y, _I = _add_recourse_block(
+    terms, const, _ = _add_recourse_block(
         m, inst, mw, mo, cols=(x_idx, repo_idx), extra_s=s2, extra_y=y2,
         const=const, tag="1")
     # class-2 e-commerce rows after the block's rows: with them before, the

@@ -19,22 +19,25 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .ccg import ALTERNATING, CcgOptions, solve_two_stage
+from .ccg import ALTERNATING, CcgError, CcgOptions, solve_two_stage
 from .formulations import (
     Allocation,
     BioConfig,
+    FormulationError,
     allowed_edges,
     basestock_policy,
     critical_ratios,
-    evaluate_profit,
+    evaluate_profits,
     infer_warehouses,
     pwl_allocation,
 )
 from .instance import Instance, InventoryState
+from .solver import SolverError
 from .uncertainty import (
     CHANNELS,
     DemandMeans,
     DemandScenario,
+    UncertaintyError,
     poisson_quantile,
     quantile_bounds_from_means,
 )
@@ -61,7 +64,7 @@ def batch_evaluate(inst: Instance, alloc: Allocation,
     statistics (lower empirical quantiles)."""
     if not scenarios:
         raise SimulationError("at least one scenario is required")
-    profits = np.array([evaluate_profit(inst, alloc, s) for s in scenarios])
+    profits = evaluate_profits(inst, alloc, scenarios)
     srt = np.sort(profits)
     return {
         "min": float(srt[0]),
@@ -166,6 +169,9 @@ def fulfill_order_stream(orders: list[Order], state: DayState) -> list[dict]:
 DAYS_PER_WEEK = 7
 PWL_DISCOUNT = 0.5
 POLICY_LOWER_Q, POLICY_UPPER_Q = 0.05, 0.95
+# a policy solve that fails with one of these counts as a solver failure and
+# orders nothing that week; any other exception is a bug and propagates
+POLICY_ERRORS = (SolverError, FormulationError, CcgError, UncertaintyError)
 
 
 @dataclass
@@ -272,6 +278,9 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
     for z in edges:
         edges[z].sort()
 
+    # the plan depends only on the plan state and the look-ahead rows, and
+    # replications share early-week states; failures are not cached
+    planned: dict[tuple, np.ndarray] = {}
     reports = []
     for rep_i in range(replications):
         rng = np.random.default_rng([seed, rep_i])
@@ -292,32 +301,35 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
                 qty = in_transit.pop((week, l), 0.0)
                 on_hand[l] += qty
             # plan on the current state with a T-week look-ahead
-            rows = [min(week + k, weeks - 1) for k in range(T)]
-            plan_means = DemandMeans(mw[rows], mo[rows])
+            rows = tuple(min(week + k, weeks - 1) for k in range(T))
             pipeline = []
             for l in range(L):
                 lead = int(inst.inventory.lead_time[l])
                 row = [on_hand[l]] + [in_transit.get((week + j, l), 0.0)
                                       for j in range(1, lead + 1)]
-                pipeline.append(row)
-            plan_inst = Instance(inst.network, inst.econ,
-                                 InventoryState(tuple(tuple(r) for r in pipeline),
-                                                inst.inventory.lead_time,
-                                                inst.inventory.reposition_lead),
-                                 inst.horizon, inst.business_rules)
+                pipeline.append(tuple(row))
+            key = (tuple(pipeline), rows)
             # an order is pointless when it cannot arrive within the run
             receivable = [l for l in range(L)
                           if week + int(inst.inventory.lead_time[l]) < weeks]
-            if receivable:
+            if not receivable:
+                orders_now = np.zeros(L)
+            elif key in planned:
+                orders_now = planned[key]
+            else:
+                plan_inst = Instance(inst.network, inst.econ,
+                                     InventoryState(tuple(pipeline),
+                                                    inst.inventory.lead_time,
+                                                    inst.inventory.reposition_lead),
+                                     inst.horizon, inst.business_rules)
                 try:
-                    alloc = _solve_policy(plan_inst, policy, plan_means)
+                    alloc = _solve_policy(plan_inst, policy,
+                                          DemandMeans(mw[list(rows)], mo[list(rows)]))
                     # whole units move through the transaction simulator
-                    orders_now = np.maximum(0.0, np.floor(alloc.x[0] + 0.5))
-                except Exception:
+                    orders_now = planned[key] = np.maximum(0.0, np.floor(alloc.x[0] + 0.5))
+                except POLICY_ERRORS:
                     kpi.solver_failures += 1
                     orders_now = np.zeros(L)
-            else:
-                orders_now = np.zeros(L)
             for l in range(L):
                 q = float(orders_now[l])
                 if q <= 0 or l not in set(receivable):

@@ -19,7 +19,7 @@ from .formulations import (
     Allocation,
     BioConfig,
     build_saa_model,
-    evaluate_profit,
+    evaluate_profits,
     first_stage_x,
 )
 from .instance import Instance
@@ -128,8 +128,7 @@ def score_allocation(inst: Instance, alloc: Allocation, scenarios: list[DemandSc
         raise TuningError(
             f"{objective.kind} at level {objective.level} needs at least "
             f"{objective.min_samples()} samples, got {len(scenarios)}")
-    profits = np.array([evaluate_profit(inst, alloc, s) for s in scenarios])
-    return objective.score(profits)
+    return objective.score(evaluate_profits(inst, alloc, scenarios))
 
 
 def split_scenarios(scenarios: list[DemandScenario], validation_fraction: float = 0.8):

@@ -271,6 +271,60 @@ class TestSubproblemErrors:
                             CcgOptions())
 
 
+class TestRescore:
+    """The worst-case rescore MIP (the only model with binaries in an
+    alternating-heuristic solve) fails in three ways."""
+
+    @staticmethod
+    def solve_with_rescore(monkeypatch, rescore):
+        import bioinv.ccg as ccg
+        real = ccg.solve
+
+        def patched(model, *args, **kwargs):
+            if "binary" in model.kind:
+                return rescore(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(ccg, "solve", patched)
+        inst = example_walkin_instance(0.0, 160.0)
+        return solve_two_stage(inst, example_walkin_uncertainty(), BioConfig(lam=0.0),
+                               CcgOptions(subproblem_mode=ALTERNATING))
+
+    def test_solver_error_is_reported(self, monkeypatch):
+        from bioinv.solver import SolverError
+
+        def fail(model):
+            raise SolverError("simplex iteration safety cap reached")
+
+        rep = self.solve_with_rescore(monkeypatch, fail)
+        assert rep.worst_case_profit is None
+        assert rep.rescore_error == "SolverError: simplex iteration safety cap reached"
+        assert rep.to_dict()["rescore_error"] == rep.rescore_error
+
+    def test_limit_status_is_reported(self, monkeypatch):
+        from bioinv.solver import Solution
+
+        rep = self.solve_with_rescore(
+            monkeypatch, lambda model: Solution("limit", float("nan"), None))
+        assert rep.worst_case_profit is None
+        assert rep.rescore_error == "rescore MIP ended limit"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def bug(model):
+            raise KeyError("x")
+
+        with pytest.raises(KeyError):
+            self.solve_with_rescore(monkeypatch, bug)
+
+    def test_clean_rescore_has_no_error(self):
+        inst = example_walkin_instance(0.0, 160.0)
+        rep = solve_two_stage(inst, example_walkin_uncertainty(), BioConfig(lam=0.0),
+                              CcgOptions(subproblem_mode=ALTERNATING))
+        assert rep.worst_case_profit is not None
+        assert rep.rescore_error is None
+        assert rep.to_dict()["rescore_error"] is None
+
+
 class TestOptions:
     def test_bad_options_rejected(self):
         from bioinv.ccg import CcgError

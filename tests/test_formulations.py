@@ -15,15 +15,21 @@ from bioinv.formulations import (
     build_subproblem,
     evaluate_allocation,
     evaluate_profit,
+    evaluate_profits,
     extract_worst_scenario,
     first_stage_cost,
     pwl_allocation,
     solve_subproblem_for_scenario,
 )
 from bioinv.instance import BusinessRules, build_instance
-from bioinv.reference import example_walkin_instance, example_walkin_uncertainty
+from bioinv.reference import (
+    example_walkin_instance,
+    example_walkin_uncertainty,
+    synthetic_instance,
+)
 from bioinv.solver import solve
-from bioinv.uncertainty import DemandMeans, DemandScenario, UncertaintySet
+from bioinv.tuning import superpose
+from bioinv.uncertainty import DemandMeans, DemandScenario, UncertaintySet, sample_scenarios
 
 
 def walkin_set(lo, hi, bl, bu, periods=1):
@@ -491,3 +497,81 @@ class TestBusinessRuleRows:
         fast = plan.shipments[0, 1, 0]
         total = plan.shipments.sum()
         assert fast >= 0.8 * total - 1e-9
+
+
+class TestEvaluateProfits:
+    """The batch evaluation against one cold `solve` per scenario."""
+
+    @staticmethod
+    def check(inst, alloc, scenarios):
+        got = evaluate_profits(inst, alloc, scenarios)
+        ref = []
+        for scen in scenarios:
+            sol = solve(build_fulfillment_model(inst, alloc, scen))
+            assert sol.status == "optimal"
+            ref.append(sol.objective)
+        ref = np.array(ref)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+        # the first scenario is solved cold, as `solve` solves it
+        assert got[0] == ref[0]
+        return got
+
+    @staticmethod
+    def scenarios(means, count, seed):
+        """Poisson draws with some cells zeroed, and the first five repeated
+        at the end."""
+        scens = sample_scenarios(means, count, seed=seed)
+        for k, s in enumerate(scens[::3]):
+            s.walkin[:, k % s.walkin.shape[1]] = 0.0
+            if s.online.size:
+                s.online[k % s.online.shape[0]] = 0.0
+        return scens + scens[:5]
+
+    @pytest.mark.parametrize("shape", [(1, 0, 1, 1, 0), (2, 1, 2, 2, 1), (3, 2, 3, 3, 0),
+                                       (2, 0, 0, 4, 1), (4, 1, 2, 5, 0)])
+    @pytest.mark.parametrize("rules", [False, True])
+    def test_synthetic_instances(self, shape, rules):
+        import dataclasses
+        stores, dcs, zones, seed, lead = shape
+        inst, means = synthetic_instance(stores, dcs, zones, seed=seed, lead_time=lead)
+        T, L = inst.horizon, inst.num_nodes
+        if rules:
+            inst = dataclasses.replace(inst, business_rules=BusinessRules(
+                fulfill_capacity=np.full((T, L), 1.5), service_window_fraction=0.6,
+                service_window_days=2))
+        rng = np.random.default_rng(seed)
+        alloc = Allocation(rng.integers(0, 4, size=(T, L)) + rng.choice([0.0, 0.5], size=(T, L)))
+        got = self.check(inst, alloc, self.scenarios(means, 40, seed))
+        assert np.array_equal(got[-5:], got[:5])
+
+    def test_repositioning(self):
+        inst = build_instance(
+            ["A", "B", "C"], ["Z1", "Z2"], 2,
+            walkin_price=100.0, walkin_penalty=60.0, online_price=90.0,
+            online_penalty=40.0, holding=1.0,
+            fulfill_cost=[[5.0, 9.0], [7.0, 4.0], [3.0, 3.0]], purchase_cost=45.0,
+            reposition_cost=[[0.0, 2.0, 3.0], [2.0, 0.0, 2.5], [3.0, 2.5, 0.0]],
+            reposition_lead=[[0, 1, 0], [1, 0, 0], [0, 1, 0]],
+            pipeline=[[4.0, 1.0], [0.0, 2.0], [6.0, 0.0]], lead_time=1)
+        rng = np.random.default_rng(3)
+        x_repo = rng.choice([0.0, 1.0, 2.0], size=(2, 3, 3))
+        x_repo[:, np.arange(3), np.arange(3)] = 0.0
+        alloc = Allocation(rng.integers(0, 5, size=(2, 3)).astype(float), x_repo=x_repo)
+        means = DemandMeans(np.full((2, 3), 2.5), np.full((2, 2), 1.5))
+        self.check(inst, alloc, self.scenarios(means, 40, 3))
+
+    @pytest.mark.parametrize("lam", [0.5 - 1e-9, 0.5, 0.5 + 1e-9])
+    def test_superposed_allocations(self, lam):
+        inst, means = synthetic_instance(3, 1, 2, seed=6)
+        rng = np.random.default_rng(6)
+        x0 = Allocation(rng.integers(0, 3, size=(2, 4)).astype(float))
+        x1 = Allocation(rng.integers(2, 6, size=(2, 4)).astype(float))
+        self.check(inst, superpose(x0, x1, lam), self.scenarios(means, 60, 6))
+
+    def test_empty_batch_and_bad_shapes(self):
+        inst = example_walkin_instance(0.0, 160.0)
+        alloc = Allocation(np.zeros((1, 3)))
+        assert evaluate_profits(inst, alloc, []).shape == (0,)
+        with pytest.raises(FormulationError, match="dims"):
+            evaluate_profits(inst, alloc, [wscen([1, 1, 1]), wscen([1, 1])])

@@ -203,6 +203,47 @@ class TestRollingHorizon:
         assert len(lines) == 1 + 2 + 1  # header, two reps, aggregate
         assert lines[-1].split(",")[1] == "aggregate"
 
+    def test_policy_solves_are_memoized(self, monkeypatch):
+        import bioinv.simulate as sim
+        calls = []
+        real_solve = sim._solve_policy
+        monkeypatch.setattr(sim, "_solve_policy",
+                            lambda *args: calls.append(args) or real_solve(*args))
+        pol = PolicySpec("basestock")
+        _, cached = run_rolling_horizon(self.inst, pol, self.means, 3, 5, seed=7)
+        # weeks 0 and 1 plan on the same state in every replication (nothing
+        # on hand to sell in week 0); week 2 orders nothing that can arrive
+        assert len(calls) == 2
+        # uncached reference: each replication run alone on its own random
+        # stream, so no plan is shared between replications
+        real_rng = np.random.default_rng
+        uncached = []
+        for i in range(5):
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed, i=i: real_rng([seed[0], i]))
+            uncached += run_rolling_horizon(self.inst, pol, self.means, 3, 1, seed=7)[1]
+        monkeypatch.setattr(np.random, "default_rng", real_rng)
+        assert len(calls) == 2 + 5 * 2
+        assert [r.as_row() for r in cached] == [r.as_row() for r in uncached]
+
+    def test_policy_failures_count_and_bugs_propagate(self, monkeypatch):
+        import bioinv.simulate as sim
+        from bioinv.solver import SolverError
+
+        def fail(*args):
+            raise SolverError("simplex iteration safety cap reached")
+
+        def bug(*args):
+            raise KeyError("walkin")
+
+        pol = PolicySpec("basestock")
+        monkeypatch.setattr(sim, "_solve_policy", fail)
+        _, reps = run_rolling_horizon(self.inst, pol, self.means, 3, 3, seed=0)
+        # failures are not cached: every planning week of every replication
+        assert [r.solver_failures for r in reps] == [2, 2, 2]
+        monkeypatch.setattr(sim, "_solve_policy", bug)
+        with pytest.raises(KeyError):
+            run_rolling_horizon(self.inst, pol, self.means, 3, 1, seed=0)
 
     def test_basestock_with_free_store_never_fails(self):
         inst = build_instance(["S1", "D1"], ["Z1"], 2, walkin_price=100.0,

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from itertools import product
 
-from bioinv.solver import INF, LinearModel, SolverError, solve
+from bioinv import solver
+from bioinv.solver import INF, LinearModel, SolverError, solve, solve_family
 
 
 def test_single_variable_lp():
@@ -212,3 +215,112 @@ def test_lp_text_dump_roundtrippable_tokens():
     text = m.to_lp_text()
     assert "Maximize" in text and "Binary" in text and "Subject To" in text
     assert "w" in text and "x" in text
+
+
+def test_ratio_test_never_overflows():
+    # the row's coefficient 1e-300 on the entering column is below the pivot
+    # tolerance; dividing by it before masking overflowed
+    m = LinearModel(sense="max")
+    x1 = m.add_var("x1", 0.0, 1.0)
+    x2 = m.add_var("x2", 0.0, 2e300)
+    m.add_constr({x1: 1e-300, x2: 1.0}, "<=", 1e300)
+    m.set_objective({x1: 1.0, x2: 1e-9})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = solve(m)
+    assert s.status == "optimal"
+    assert s.x[0] == 1.0 and s.x[1] == pytest.approx(1e300)
+
+
+def _random_family(rng, n, rows, k):
+    """A random LP with finite bounds, plus right-hand sides of its first
+    rows and upper bounds of its first columns for k members (some repeated,
+    some with zero-width bounds)."""
+    A = rng.integers(-4, 5, size=(rows, n)).astype(float)
+    b = rng.integers(0, 12, size=rows).astype(float)
+    c = rng.integers(-5, 6, size=n).astype(float)
+    senses = rng.choice(["<=", ">=", "=="], size=rows, p=[0.7, 0.2, 0.1])
+    m = LinearModel(sense=str(rng.choice(["min", "max"])))
+    for j in range(n):
+        m.add_var(f"x{j}", 0.0, float(rng.integers(1, 8)))
+    for i in range(rows):
+        m.add_constr({j: A[i, j] for j in range(n)}, senses[i], b[i])
+    m.set_objective({j: c[j] for j in range(n)}, const=float(rng.integers(-3, 4)))
+    frows = np.arange(int(rng.integers(0, rows + 1)))
+    fcols = np.arange(int(rng.integers(1, n + 1)))
+    rhs = b[frows, None] + rng.integers(-3, 4, size=(frows.size, k))
+    ub = rng.integers(0, 8, size=(fcols.size, k)).astype(float)
+    rhs[:, k // 2] = rhs[:, 0]
+    ub[:, k // 2] = ub[:, 0]
+    return m, A, senses, frows, rhs, fcols, ub
+
+
+def _member(m, frows, rhs_k, fcols, ub_k):
+    mk = LinearModel(sense=m.obj_sense)
+    for j in range(m.num_vars):
+        mk.add_var(m.var_names[j], m.lb[j], m.ub[j])
+    for i, con in enumerate(m.constraints):
+        mk.add_constr(list(zip(con.cols, con.vals)), con.sense, con.rhs)
+    mk.set_objective(m.obj, const=m.obj_const)
+    for i, v in zip(frows, rhs_k):
+        mk.constraints[i].rhs = float(v)
+    for j, v in zip(fcols, ub_k):
+        mk.ub[j] = float(v)
+    return mk
+
+
+def test_solve_family_matches_member_solves_and_highs(monkeypatch):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    cold = []
+    cold_solve = solver._Simplex.solve
+    monkeypatch.setattr(solver._Simplex, "solve",
+                        lambda self: cold.append(1) or cold_solve(self))
+    rng = np.random.default_rng(11)
+    members = family_cold = 0
+    for trial in range(60):
+        n, rows, k = int(rng.integers(2, 8)), int(rng.integers(1, 7)), 12
+        m, A, senses, frows, rhs, fcols, ub = _random_family(rng, n, rows, k)
+        before = len(cold)
+        sols = solve_family(m, frows, rhs, fcols, ub)
+        family_cold += len(cold) - before
+        assert len(sols) == k
+        assert sols[k // 2] is sols[0]
+        for i in range(k):
+            mk = _member(m, frows, rhs[:, i], fcols, ub[:, i])
+            ref = solve(mk)
+            assert sols[i].status == ref.status, f"trial {trial} member {i}"
+            bounds = [(0.0, u) for u in mk.ub]
+            sign = 1.0 if m.obj_sense == "min" else -1.0
+            b_k = np.array([con.rhs for con in mk.constraints])
+            le, ge, eq = senses == "<=", senses == ">=", senses == "=="
+            hi = linprog(sign * np.array([m.obj.get(j, 0.0) for j in range(n)]),
+                         A_ub=np.vstack([A[le], -A[ge]]),
+                         b_ub=np.concatenate([b_k[le], -b_k[ge]]),
+                         A_eq=A[eq] if eq.any() else None,
+                         b_eq=b_k[eq] if eq.any() else None,
+                         bounds=bounds, method="highs")
+            assert sols[i].status == {0: "optimal", 2: "infeasible"}[hi.status]
+            if ref.status == "optimal":
+                assert sols[i].objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+                assert sols[i].objective == pytest.approx(
+                    sign * hi.fun + m.obj_const, rel=1e-7, abs=1e-7)
+                x = sols[i].x
+                assert np.all(x >= -1e-9) and np.all(x <= np.array(mk.ub) + 1e-9)
+        members += k
+    # most members are re-optimized from a basis, not solved cold
+    assert family_cold < members / 2
+
+
+def test_solve_family_rejects_bad_input():
+    m = LinearModel(sense="max")
+    x = m.add_var("x", 0.0, 3.0)
+    f = m.add_var("f", -INF, INF)
+    m.add_constr({x: 1.0, f: 1.0}, "<=", 2.0)
+    m.set_objective({x: 1.0})
+    with pytest.raises(SolverError):
+        solve_family(m, [0], np.ones((1, 2)), [x], np.ones((1, 3)))
+    with pytest.raises(SolverError):
+        solve_family(m, [0], np.ones((1, 2)), [f], np.ones((1, 2)))
+    m.lb[x] = 1.0
+    with pytest.raises(SolverError):
+        solve_family(m, [0], np.ones((1, 2)), [x], np.zeros((1, 2)))
