@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integer", action="store_true")
     p.add_argument("--repositioning", action="store_true")
     p.add_argument("--allow-violations", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--force", action="store_true")
     _add_ccg_flags(p)

@@ -2,8 +2,19 @@
 
 Self-contained two-phase bounded-variable simplex plus best-bound
 branch-and-bound on binary variables.  Every optimization model in this
-package goes through `LinearModel` and `solve`, so an external backend could
-be swapped in behind the same interface.
+package goes through `LinearModel` and `solve` (or `solve_family` for a
+batch of LPs), so an external backend could be swapped in behind the same
+interface.
+
+One engine serves every solve.  A `solve` or `solve_family` call builds the
+model's standard form (`_StandardLP`) once; every LP of the call (the model
+itself, a branch-and-bound node, a family member) is that form with its own
+right-hand side and column bounds, solved by `_StandardLP.solve`.
+Branch-and-bound nodes fix binaries through column bounds (binaries are never
+split or negated) and are solved cold.  Family members are re-optimized by
+dual simplex from the last optimal basis, accepted only within 1e-12 of their
+bounds, and solved cold otherwise; a cold member gives the same result as
+`solve`.  The primal and the dual simplex share one pivot step.
 
 Conventions:
   - variables carry individual bounds; free variables are split internally,
@@ -13,9 +24,7 @@ Conventions:
     deterministic and cycle-free.
 
 Tolerances: feasibility 1e-7, relative optimality 1e-6, binary integrality
-1e-6.  `solve_family` re-optimizes a family of LPs that differ only in
-right-hand sides and upper bounds by dual simplex from the last optimal
-basis, and accepts a re-optimized basis only within 1e-12 of its bounds.
+1e-6.
 """
 
 from __future__ import annotations
@@ -189,9 +198,6 @@ class Solution:
     x: np.ndarray | None
     stats: SolveStats = field(default_factory=SolveStats)
 
-    def value(self, j: int) -> float:
-        return float(self.x[j])
-
 
 # ---------------------------------------------------------------------------
 # standard form
@@ -273,6 +279,27 @@ class _StandardLP:
             x[j] = -v if self.negated[j] else v
         return x
 
+    def solve(self, b, lb, ub, warm: _Simplex | None = None):
+        """The LP of this standard form with right-hand side `b` and column
+        bounds `lb`, `ub`: re-optimized from `warm` when given and when that
+        succeeds, else solved cold.  Returns the `Solution` and the simplex
+        that holds its final basis."""
+        t0 = time.perf_counter()
+        if warm is not None and warm.reoptimize(b, lb, ub):
+            sx, status = warm, "optimal"
+        else:
+            sx = _Simplex(self.A, b, self.c, lb, ub)
+            status = sx.solve()
+        stats = SolveStats(simplex_iterations=sx.iterations)
+        if status == "optimal":
+            xs = sx._assemble()[: sx.n]
+            sol = Solution("optimal", self.min_sign * float(self.c @ xs) + self.model.obj_const,
+                           self.recover(xs), stats)
+        else:
+            sol = Solution(status, float("nan"), None, stats)
+        stats.wall_time = time.perf_counter() - t0
+        return sol, sx
+
 
 # ---------------------------------------------------------------------------
 # bounded-variable two-phase simplex
@@ -291,7 +318,7 @@ class _Simplex:
         self.ntot = self.n + self.m
         self.T = np.hstack([A.astype(float), np.eye(self.m)])
         self.b = b.astype(float)
-        self.c = c
+        self.cost = np.concatenate([c, np.zeros(self.m)])  # phase 2: artificials cost 0
         self.lb = np.concatenate([lb, np.zeros(self.m)])
         self.ub = np.concatenate([ub, np.zeros(self.m)])
         self.status = np.full(self.ntot, _AT_LOWER, dtype=np.int8)
@@ -314,14 +341,18 @@ class _Simplex:
         self.bhat = resid.copy()  # values of the basic (artificial) variables
         self.ub[self.n:] = INF
 
-    def _pivot_tableau(self, row: int, col: int):
-        piv = self.T[row, col]
-        self.T[row] = self.T[row] / piv
+    def _pivot(self, row: int, col: int, leave_at: int):
+        """Column `col` enters the basis at `row`; the column basic there
+        leaves at bound `leave_at` (_AT_LOWER or _AT_UPPER)."""
+        self.status[self.basis[row]] = leave_at
+        self.T[row] = self.T[row] / self.T[row, col]
         colvals = self.T[:, col].copy()
         colvals[row] = 0.0
         self.T -= np.outer(colvals, self.T[row])
         self.T[:, col] = 0.0
         self.T[row, col] = 1.0
+        self.basis[row] = col
+        self.status[col] = _BASIC
 
     def _run(self, cost: np.ndarray, allow: np.ndarray) -> str:
         degenerate = 0
@@ -378,41 +409,29 @@ class _Simplex:
                 self.bhat -= d * theta_enter
                 self.status[enter] = _AT_UPPER if increasing else _AT_LOWER
                 continue
-            leaving = int(self.basis[r])
-            self.status[leaving] = _AT_LOWER if drop[r] <= rise[r] else _AT_UPPER
             self.bhat = self.bhat - d * theta
-            self._pivot_tableau(r, enter)
-            self.basis[r] = enter
-            self.status[enter] = _BASIC
             self.bhat[r] = (self.lb[enter] + theta) if increasing else (self.ub[enter] - theta)
+            self._pivot(r, enter, _AT_LOWER if drop[r] <= rise[r] else _AT_UPPER)
 
     def _assemble(self) -> np.ndarray:
         xs = self._nonbasic_values()
         xs[self.basis] = self.bhat
         return xs
 
-    def _optimum(self):
-        xs = self._assemble()[: self.n]
-        return float(self.c @ xs), xs
-
-    def solve(self):
+    def solve(self) -> str:
+        """Cold two-phase solve; returns optimal, infeasible or unbounded."""
         self._setup_phase1()
         phase1 = np.zeros(self.ntot)
         phase1[self.n:] = 1.0
         allow = np.ones(self.ntot, dtype=bool)
-        result = self._run(phase1, allow)
-        if result != "optimal":
+        if self._run(phase1, allow) != "optimal":
             raise SolverError("phase-1 simplex did not terminate optimally")
         if float(np.sum(self._assemble()[self.n:])) > 1e-6:
-            return "infeasible", None, None
+            return "infeasible"
         # artificials pinned at zero; they may linger in the basis at value 0
         self.ub[self.n:] = 0.0
         allow[self.n:] = False
-        cost2 = np.concatenate([self.c, np.zeros(self.m)])
-        result = self._run(cost2, allow)
-        if result == "unbounded":
-            return "unbounded", None, self._assemble()[: self.n]
-        return ("optimal",) + self._optimum()
+        return self._run(self.cost, allow)
 
     def reoptimize(self, b, lb, ub) -> bool:
         """Bounded dual simplex from the optimal basis of the last solve
@@ -425,10 +444,9 @@ class _Simplex:
         n, m = self.n, self.m
         self.lb[:n], self.ub[:n] = lb, ub
         db = np.where(self.flip, -b, b)
-        cost = np.concatenate([self.c, np.zeros(m)])
         self.iterations = 0
         while True:
-            z = cost - cost[self.basis] @ self.T
+            z = self.cost - self.cost[self.basis] @ self.T
             nonbasic = np.ones(n, dtype=bool)
             nonbasic[self.basis[self.basis < n]] = False
             if self.iterations == 0:
@@ -462,33 +480,8 @@ class _Simplex:
             if not elig.any():
                 return False
             ratio = np.divide(np.abs(z[:n]), np.abs(alpha), out=np.full(n, INF), where=elig)
-            enter = int(np.argmin(ratio))
-            self.status[self.basis[r]] = _AT_LOWER if rise else _AT_UPPER
-            self._pivot_tableau(r, enter)
-            self.basis[r] = enter
-            self.status[enter] = _BASIC
+            self._pivot(r, int(np.argmin(ratio)), _AT_LOWER if rise else _AT_UPPER)
             self.iterations += 1
-
-
-def _solve_relaxation(model: LinearModel, lb_over=None, ub_over=None):
-    saved = None
-    if lb_over or ub_over:
-        saved = (list(model.lb), list(model.ub))
-        for j, v in (lb_over or {}).items():
-            model.lb[j] = v
-        for j, v in (ub_over or {}).items():
-            model.ub[j] = v
-    try:
-        std = _StandardLP(model)
-        sx = _Simplex(std.A, std.b, std.c, std.lb, std.ub)
-        status, obj, xs = sx.solve()
-        if status == "optimal":
-            x = std.recover(xs)
-            return "optimal", std.min_sign * obj + model.obj_const, x, sx.iterations
-        return status, None, None, sx.iterations
-    finally:
-        if saved is not None:
-            model.lb, model.ub = saved
 
 
 def solve(model: LinearModel, limits: dict | None = None,
@@ -507,16 +500,13 @@ def solve(model: LinearModel, limits: dict | None = None,
     time_limit = limits.get("time")
     node_limit = limits.get("nodes")
 
+    std = _StandardLP(model)
     binaries = [j for j in range(model.num_vars) if model.kind[j] == BINARY]
-    stats = SolveStats()
-
     if not binaries:
-        status, obj, x, iters = _solve_relaxation(model)
-        stats.simplex_iterations = iters
-        stats.wall_time = time.perf_counter() - t0
-        if status != "optimal":
-            return Solution(status, float("nan"), None, stats)
-        return Solution("optimal", obj, x, stats)
+        sol, _ = std.solve(std.b, std.lb, std.ub)
+        sol.stats.wall_time = time.perf_counter() - t0
+        return sol
+    stats = SolveStats()
 
     maximize = model.obj_sense == "max"
 
@@ -597,9 +587,18 @@ def solve(model: LinearModel, limits: dict | None = None,
             out.append(child)
         return out
 
-    status, obj, x, iters = _solve_relaxation(model)
-    stats.simplex_iterations += iters
-    stats.nodes += 1
+    def relaxation(fixings):
+        # binaries sit unsplit and unnegated at std.pos, so a fixing is a
+        # change of column bounds only
+        lb, ub = std.lb.copy(), std.ub.copy()
+        for j, (lo, hi) in fixings.items():
+            lb[std.pos[j]], ub[std.pos[j]] = lo, hi
+        sol, _ = std.solve(std.b, lb, ub)
+        stats.simplex_iterations += sol.stats.simplex_iterations
+        stats.nodes += 1
+        return sol.status, sol.objective, sol.x
+
+    status, obj, x = relaxation({})
     if status == "infeasible":
         stats.wall_time = time.perf_counter() - t0
         if best_x is not None:
@@ -633,11 +632,7 @@ def solve(model: LinearModel, limits: dict | None = None,
         _, _, fixings, bound = heapq.heappop(heap)
         if best_obj is not None and not better(bound, prune_target()):
             continue
-        lb_over = {j: b[0] for j, b in fixings.items()}
-        ub_over = {j: b[1] for j, b in fixings.items()}
-        status, obj, x, iters = _solve_relaxation(model, lb_over, ub_over)
-        stats.simplex_iterations += iters
-        stats.nodes += 1
+        status, obj, x = relaxation(fixings)
         if status != "optimal":
             continue
         if best_obj is not None and not better(obj, prune_target()):
@@ -688,23 +683,10 @@ def solve_family(model: LinearModel, rows, rhs, cols, ub) -> list[Solution]:
     for k in range(rhs.shape[1]):
         key = rhs[:, k].tobytes() + ub[:, k].tobytes()
         if key not in seen:
-            t0 = time.perf_counter()
             b[rows], u[scols] = rhs[:, k], ub[:, k]
-            if last is not None and last.reoptimize(b, std.lb, u):
-                sx, status = last, "optimal"
-            else:
-                sx = _Simplex(std.A, b, std.c, std.lb, u)
-                status = sx.solve()[0]
-                if status == "optimal":
-                    last = sx
-            stats = SolveStats(simplex_iterations=sx.iterations)
-            if status == "optimal":
-                obj, xs = sx._optimum()
-                sol = Solution("optimal", std.min_sign * obj + model.obj_const,
-                               std.recover(xs), stats)
-            else:
-                sol = Solution(status, float("nan"), None, stats)
-            stats.wall_time = time.perf_counter() - t0
+            sol, sx = std.solve(b, std.lb, u, last)
+            if sol.status == "optimal":
+                last = sx
             seen[key] = sol
         out.append(seen[key])
     return out

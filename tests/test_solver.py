@@ -5,7 +5,11 @@ import pytest
 from itertools import product
 
 from bioinv import solver
+from bioinv.ccg import seed_scenario
+from bioinv.formulations import BioConfig, build_master, build_subproblem, extract_allocation
+from bioinv.reference import synthetic_instance
 from bioinv.solver import INF, LinearModel, SolverError, solve, solve_family
+from bioinv.uncertainty import quantile_bounds_from_means, sample_scenarios
 
 
 def test_single_variable_lp():
@@ -204,6 +208,117 @@ def test_node_limit_returns_limit_status():
     m.set_objective({cols[j]: v[j] for j in range(n)})
     s = solve(m, limits={"nodes": 2})
     assert s.status in ("limit", "optimal")
+
+
+def test_solve_leaves_model_bounds_untouched():
+    # a solve that branches must not write its node fixings into the model
+    rng = np.random.default_rng(3)
+    m = LinearModel(sense="max")
+    n = 10
+    w = rng.uniform(1, 5, n)
+    v = rng.uniform(1, 5, n)
+    cols = [m.add_var(f"w{j}", 0, 1, "binary") for j in range(n)]
+    m.add_constr({cols[j]: w[j] for j in range(n)}, "<=", float(w.sum()) / 2)
+    m.set_objective({cols[j]: v[j] for j in range(n)})
+    lb, ub = m.lb, m.ub
+    s = solve(m)
+    assert s.status == "optimal" and s.stats.nodes > 1
+    assert m.lb is lb and m.ub is ub
+    assert lb == [0.0] * n and ub == [1.0] * n
+
+
+def _highs_mip(model):
+    """Status and objective of `model` under scipy's HiGHS `milp`."""
+    opt = pytest.importorskip("scipy.optimize")
+    n, rows = model.num_vars, model.num_constraints
+    c = np.zeros(n)
+    for j, v in model.obj.items():
+        c[j] = v
+    sign = 1.0 if model.obj_sense == "min" else -1.0
+    A = np.zeros((rows, n))
+    lo, hi = np.full(rows, -np.inf), np.full(rows, np.inf)
+    for i, con in enumerate(model.constraints):
+        A[i, con.cols] = con.vals
+        if con.sense != ">=":
+            hi[i] = con.rhs
+        if con.sense != "<=":
+            lo[i] = con.rhs
+    res = opt.milp(sign * c, constraints=opt.LinearConstraint(A, lo, hi),
+                   bounds=opt.Bounds(model.lb, model.ub),
+                   integrality=[int(k == solver.BINARY) for k in model.kind],
+                   options={"mip_rel_gap": 1e-9})
+    status = {0: "optimal", 2: "infeasible"}[res.status]
+    return status, sign * res.fun + model.obj_const if status == "optimal" else None
+
+
+def _assert_matches_highs(model, sol):
+    status, ref = _highs_mip(model)
+    assert sol.status == status, model.name
+    if status == "optimal":
+        assert sol.objective == pytest.approx(ref, rel=1e-6, abs=1e-9), model.name
+        bins = np.array(model.kind) == solver.BINARY
+        assert np.all(np.isin(sol.x[bins], (0.0, 1.0)))
+        value = sum(v * sol.x[j] for j, v in model.obj.items()) + model.obj_const
+        assert value == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
+
+
+def test_mixed_binary_models_match_highs_milp():
+    # binaries next to free, upper-bounded-only (mirrored) and boxed
+    # continuous columns; rows keep every unbounded column within +-8
+    rng = np.random.default_rng(13)
+    statuses, branched = [], 0
+    for trial in range(80):
+        nb, nc = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+        m = LinearModel(f"trial{trial}", sense=str(rng.choice(["min", "max"])))
+        for j, shape in enumerate(rng.permutation(
+                ["binary"] * nb + list(rng.choice(["free", "upper", "boxed"], size=nc)))):
+            if shape == "binary":
+                m.add_var(f"v{j}", 0, 1, "binary")
+                continue
+            lo = -INF if shape != "boxed" else float(rng.integers(-4, 2))
+            hi = {"free": INF, "upper": float(rng.integers(-2, 6)),
+                  "boxed": lo + float(rng.integers(0, 6))}[shape]
+            col = m.add_var(f"v{j}", lo, hi)
+            m.add_constr({col: 1.0}, ">=", -8.0)
+            if hi == INF:
+                m.add_constr({col: 1.0}, "<=", 8.0)
+        for i in range(int(rng.integers(1, 5))):
+            coeffs = rng.integers(-4, 5, size=nb + nc)
+            m.add_constr({j: float(a) for j, a in enumerate(coeffs)},
+                         str(rng.choice(["<=", ">=", "=="], p=[0.6, 0.25, 0.15])),
+                         float(rng.integers(-4, 10)))
+        m.set_objective({j: float(v) for j, v in enumerate(rng.integers(-5, 6, size=nb + nc))},
+                        const=float(rng.integers(-3, 4)))
+        s = solve(m)
+        _assert_matches_highs(m, s)
+        statuses.append(s.status)
+        branched += s.stats.nodes > 1
+    assert statuses.count("infeasible") >= 5 and statuses.count("optimal") >= 40
+    assert branched >= 10
+
+
+def test_subproblem_and_integer_master_mips_match_highs_milp():
+    nodes = {"subproblem": [], "master": []}
+    for stores, dcs, zones, horizon, seed in ((2, 0, 1, 1, 1), (2, 1, 1, 1, 2), (2, 0, 1, 2, 1)):
+        inst, means = synthetic_instance(stores, dcs, zones, seed=seed, horizon=horizon)
+        uset = quantile_bounds_from_means(means)
+        pool = [seed_scenario(uset), *sample_scenarios(means, 2, seed)]
+        for lam in (0.0, 0.5, 1.0):
+            cfg = BioConfig(lam=lam)
+            master = build_master(inst, uset, pool[:1], cfg)
+            alloc = extract_allocation(master, solve(master), inst, cfg)[0]
+            sub = build_subproblem(inst, uset, alloc, lam)
+            assert sub.sos1
+            s = solve(sub)
+            _assert_matches_highs(sub, s)
+            nodes["subproblem"].append(s.stats.nodes)
+        master = build_master(inst, uset, pool, BioConfig(lam=0.5, integer_allocations=True))
+        assert solver.BINARY in master.kind
+        s = solve(master)
+        _assert_matches_highs(master, s)
+        nodes["master"].append(s.stats.nodes)
+    # both model classes reached branch-and-bound nodes below the root
+    assert max(nodes["subproblem"]) > 1 and max(nodes["master"]) > 1
 
 
 def test_lp_text_dump_roundtrippable_tokens():
