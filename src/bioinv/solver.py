@@ -348,7 +348,9 @@ class _Simplex:
         self.T[row] = self.T[row] / self.T[row, col]
         colvals = self.T[:, col].copy()
         colvals[row] = 0.0
-        self.T -= np.outer(colvals, self.T[row])
+        # rows with a zero in the pivot column are unchanged
+        nz = np.nonzero(colvals)[0]
+        self.T[nz] -= np.outer(colvals[nz], self.T[row])
         self.T[:, col] = 0.0
         self.T[row, col] = 1.0
         self.basis[row] = col

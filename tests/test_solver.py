@@ -347,6 +347,48 @@ def test_ratio_test_never_overflows():
     assert s.x[0] == 1.0 and s.x[1] == pytest.approx(1e300)
 
 
+def _dense_pivot(T, row, col):
+    """The pivot step's tableau update as a dense rank-1 update."""
+    T = T.copy()
+    T[row] = T[row] / T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= np.outer(colvals, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    return T
+
+
+def test_row_sparse_pivot_matches_dense_update():
+    # the pivot column holds zeros (both signs) outside the pivot row, one
+    # nonzero, or nonzeros only; the tableau has signed zeros elsewhere
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        sx = solver._Simplex(np.ones((m, n)), np.ones(m), np.ones(n), np.zeros(n), np.ones(n))
+        T = rng.normal(size=(m, n + m)) * (rng.random((m, n + m)) < 0.6)
+        T[rng.random((m, n + m)) < 0.1] = -0.0
+        row, col = int(rng.integers(m)), int(rng.integers(n + m))
+        others = np.arange(m) != row
+        kind = trial % 3
+        if kind == 0:
+            T[others, col] = rng.choice([0.0, -0.0], size=m - 1)
+        elif kind == 1:
+            T[others, col] = 0.0
+            T[int(rng.choice(np.nonzero(others)[0])), col] = rng.normal()
+        else:
+            T[others, col] = rng.uniform(0.5, 2.0, size=m - 1) * rng.choice([-1, 1], size=m - 1)
+        T[row, col] = rng.uniform(0.5, 2.0)
+        sx.T = T.copy()
+        sx._pivot(row, col, solver._AT_LOWER)
+        ref = _dense_pivot(T, row, col)
+        # equal values; bit patterns differ at most in the sign of a zero
+        assert np.array_equal(sx.T, ref), f"trial {trial}"
+        differ = sx.T.view(np.int64) != ref.view(np.int64)
+        assert np.all(ref[differ] == 0.0), f"trial {trial}"
+        assert sx.basis[row] == col and sx.status[col] == solver._BASIC
+
+
 def _random_family(rng, n, rows, k):
     """A random LP with finite bounds, plus right-hand sides of its first
     rows and upper bounds of its first columns for k members (some repeated,
