@@ -11,10 +11,17 @@ model's standard form (`_StandardLP`) once; every LP of the call (the model
 itself, a branch-and-bound node, a family member) is that form with its own
 right-hand side and column bounds, solved by `_StandardLP.solve`.
 Branch-and-bound nodes fix binaries through column bounds (binaries are never
-split or negated) and are solved cold.  Family members are re-optimized by
-dual simplex from the last optimal basis, accepted only within 1e-12 of their
-bounds, and solved cold otherwise; a cold member gives the same result as
-`solve`.  The primal and the dual simplex share one pivot step.
+split or negated).  The root is solved cold; every other node is re-optimized
+by dual simplex from its parent's optimal basis.  An open node keeps only that
+basis, the column statuses and the phase-1 row flips, shared with its sibling;
+its tableau is rebuilt from that basis by Gauss-Jordan elimination when it is
+popped.  Family members are re-optimized by dual simplex from the last optimal
+basis.  A re-optimization is accepted only within 1e-12 of the bounds.  An LP
+is solved cold when its basis matrix is singular or the dual simplex gives
+up, and reported infeasible without a cold solve when a row stays infeasible
+with no column to enter.  A cold member gives the same result as `solve`.
+The primal and the dual simplex share one pivot step, which updates only the
+rows with a nonzero in the pivot column.
 
 Conventions:
   - variables carry individual bounds; free variables are split internally,
@@ -282,14 +289,15 @@ class _StandardLP:
     def solve(self, b, lb, ub, warm: _Simplex | None = None):
         """The LP of this standard form with right-hand side `b` and column
         bounds `lb`, `ub`: re-optimized from `warm` when given and when that
-        succeeds, else solved cold.  Returns the `Solution` and the simplex
-        that holds its final basis."""
+        ends optimal or proves the LP infeasible, else solved cold.  Returns
+        the `Solution` and the simplex that holds its final basis."""
         t0 = time.perf_counter()
-        if warm is not None and warm.reoptimize(b, lb, ub):
-            sx, status = warm, "optimal"
-        else:
+        status = None if warm is None else warm.reoptimize(b, lb, ub)
+        if status is None:
             sx = _Simplex(self.A, b, self.c, lb, ub)
             status = sx.solve()
+        else:
+            sx = warm
         stats = SolveStats(simplex_iterations=sx.iterations)
         if status == "optimal":
             xs = sx._assemble()[: sx.n]
@@ -316,7 +324,9 @@ class _Simplex:
     def __init__(self, A, b, c, lb, ub):
         self.m, self.n = A.shape
         self.ntot = self.n + self.m
-        self.T = np.hstack([A.astype(float), np.eye(self.m)])
+        self.T = np.zeros((self.m, self.ntot))  # [A | I], built in place
+        self.T[:, : self.n] = A
+        self.T[np.arange(self.m), np.arange(self.n, self.ntot)] = 1.0
         self.b = b.astype(float)
         self.cost = np.concatenate([c, np.zeros(self.m)])  # phase 2: artificials cost 0
         self.lb = np.concatenate([lb, np.zeros(self.m)])
@@ -324,6 +334,40 @@ class _Simplex:
         self.status = np.full(self.ntot, _AT_LOWER, dtype=np.int8)
         self.basis = np.arange(self.n, self.ntot)
         self.iterations = 0
+
+    @classmethod
+    def from_basis(cls, A, b, c, lb, ub, basis, status, flip):
+        """A phase-2 simplex on the basis `basis` of [D A | I], with D the
+        phase-1 row flips `flip` and the column statuses `status` of an
+        earlier solve, ready for `reoptimize`; None when the basis matrix B
+        is singular.  The tableau [B^-1 D A | B^-1] is formed from [D A | I]
+        by Gauss-Jordan elimination: a basic column with one nonzero enters
+        at its row by a row scaling, every other one by a pivot on its
+        largest entry in a row not yet taken."""
+        sx = cls(A, b, c, lb, ub)
+        m, n, T = sx.m, sx.n, sx.T
+        sx.flip = flip
+        T[flip, :n] *= -1.0
+        taken = np.zeros(m, dtype=bool)
+        taken[basis[basis >= n] - n] = True  # artificials that stay basic
+        cols = basis[basis < n]
+        nonzero = (A != 0)[:, cols]
+        single = np.count_nonzero(nonzero, axis=0) == 1
+        rows = np.argmax(nonzero[:, single], axis=0)
+        if taken[rows].any() or np.unique(rows).size < rows.size:
+            return None  # two basic columns on one unit vector
+        T[rows] /= T[rows, cols[single]][:, None]
+        sx.basis[rows] = cols[single]
+        taken[rows] = True
+        for col in cols[~single]:
+            cand = np.where(taken, 0.0, np.abs(T[:, col]))
+            r = int(np.argmax(cand))
+            if not cand[r] > _PIVOT_TOL:
+                return None
+            sx._pivot(r, col, _AT_LOWER)
+            taken[r] = True
+        sx.status[:] = status
+        return sx
 
     def _nonbasic_values(self) -> np.ndarray:
         v = np.where(self.status == _AT_UPPER, self.ub, self.lb)
@@ -337,7 +381,6 @@ class _Simplex:
         self.flip = flip = resid < 0
         self.T[flip, : self.n] *= -1.0
         resid[flip] *= -1.0
-        self.T[:, self.n:] = np.eye(self.m)
         self.bhat = resid.copy()  # values of the basic (artificial) variables
         self.ub[self.n:] = INF
 
@@ -435,14 +478,16 @@ class _Simplex:
         allow[self.n:] = False
         return self._run(self.cost, allow)
 
-    def reoptimize(self, b, lb, ub) -> bool:
+    def reoptimize(self, b, lb, ub) -> str | None:
         """Bounded dual simplex from the optimal basis of the last solve
         after the right-hand side and the column bounds changed to `b`,
         `lb`, `ub`.  Such a change keeps the basis dual feasible, so a few
-        pivots restore primal feasibility.  Returns False when it gives up: a
-        nonbasic column needs an infinite bound, no column can enter, or the
-        pivot cap is reached.  The tableau then still holds a dual feasible
-        basis."""
+        pivots restore primal feasibility.  Returns "optimal", or
+        "infeasible" when a row is infeasible and no column can enter (the
+        dual is unbounded), or None when it gives up: a nonbasic column
+        needs an infinite bound, the infeasible row is within tolerance of
+        what its columns can reach, or the pivot cap is reached.  The
+        tableau then still holds a dual feasible basis."""
         n, m = self.n, self.m
         self.lb[:n], self.ub[:n] = lb, ub
         db = np.where(self.flip, -b, b)
@@ -456,7 +501,7 @@ class _Simplex:
                 # sit at the bound its reduced cost does not favour
                 to_upper = nonbasic & (z[:n] < -REDUCED_COST_TOL)
                 if np.any(self.ub[:n][to_upper] == INF):
-                    return False
+                    return None
                 st = self.status[:n]
                 st[to_upper] = _AT_UPPER
                 st[nonbasic & (z[:n] > REDUCED_COST_TOL)] = _AT_LOWER
@@ -468,19 +513,26 @@ class _Simplex:
             infeas = np.maximum(below, above)
             r = int(np.argmax(infeas)) if m else -1
             if m == 0 or infeas[r] <= _REOPT_TOL:
-                return True
+                return "optimal"
             if self.iterations >= 50 + 2 * m:
-                return False
+                return None
             # the basic value of row r must rise (below its lower bound) or
             # fall; moving nonbasic j by dx moves it by -T[r, j] * dx
             rise = below[r] > above[r]
             alpha = self.T[r, :n] if rise else -self.T[r, :n]
             st = self.status[:n]
-            elig = nonbasic & (self.ub[:n] > self.lb[:n]) & (
+            span = self.ub[:n] - self.lb[:n]
+            elig = nonbasic & (span > 0) & (
                 ((st == _AT_LOWER) & (alpha < -_PIVOT_TOL))
                 | ((st == _AT_UPPER) & (alpha > _PIVOT_TOL)))
             if not elig.any():
-                return False
+                # entries below the pivot tolerance move row r by at most
+                # `reach`; a row infeasible beyond that proves the LP
+                # infeasible
+                fav = nonbasic & (span > 0) & (
+                    ((st == _AT_LOWER) & (alpha < 0)) | ((st == _AT_UPPER) & (alpha > 0)))
+                reach = float(np.sum(np.abs(alpha[fav]) * span[fav]))
+                return "infeasible" if infeas[r] > FEAS_TOL + reach else None
             ratio = np.divide(np.abs(z[:n]), np.abs(alpha), out=np.full(n, INF), where=elig)
             self._pivot(r, int(np.argmin(ratio)), _AT_LOWER if rise else _AT_UPPER)
             self.iterations += 1
@@ -589,18 +641,24 @@ def solve(model: LinearModel, limits: dict | None = None,
             out.append(child)
         return out
 
-    def relaxation(fixings):
+    def relaxation(fixings, parent=None):
+        """The node LP, re-optimized from the `parent` state (basis,
+        statuses, row flips) when given, else cold; returns its status,
+        objective, x and state."""
         # binaries sit unsplit and unnegated at std.pos, so a fixing is a
         # change of column bounds only
         lb, ub = std.lb.copy(), std.ub.copy()
         for j, (lo, hi) in fixings.items():
             lb[std.pos[j]], ub[std.pos[j]] = lo, hi
-        sol, _ = std.solve(std.b, lb, ub)
+        warm = None if parent is None else _Simplex.from_basis(
+            std.A, std.b, std.c, lb, ub, *parent)
+        sol, sx = std.solve(std.b, lb, ub, warm)
         stats.simplex_iterations += sol.stats.simplex_iterations
         stats.nodes += 1
-        return sol.status, sol.objective, sol.x
+        # the state holds no tableau, so the node's simplex is freed here
+        return sol.status, sol.objective, sol.x, (sx.basis, sx.status, sx.flip)
 
-    status, obj, x = relaxation({})
+    status, obj, x, state = relaxation({})
     if status == "infeasible":
         stats.wall_time = time.perf_counter() - t0
         if best_x is not None:
@@ -613,15 +671,15 @@ def solve(model: LinearModel, limits: dict | None = None,
     heap: list = []
     counter = 0
 
-    def push(bound, fixings):
+    def push(bound, fixings, parent):
         nonlocal counter
-        heapq.heappush(heap, (-bound if maximize else bound, counter, fixings, bound))
+        heapq.heappush(heap, (-bound if maximize else bound, counter, fixings, bound, parent))
         counter += 1
 
     if frac_binary(x) < 0:
         accept(x, obj)
     else:
-        push(obj, {})
+        push(obj, {}, state)
 
     hit_limit = False
     while heap:
@@ -631,10 +689,10 @@ def solve(model: LinearModel, limits: dict | None = None,
         if node_limit is not None and stats.nodes >= node_limit:
             hit_limit = True
             break
-        _, _, fixings, bound = heapq.heappop(heap)
+        _, _, fixings, bound, parent = heapq.heappop(heap)
         if best_obj is not None and not better(bound, prune_target()):
             continue
-        status, obj, x = relaxation(fixings)
+        status, obj, x, state = relaxation(fixings, parent)
         if status != "optimal":
             continue
         if best_obj is not None and not better(obj, prune_target()):
@@ -643,8 +701,9 @@ def solve(model: LinearModel, limits: dict | None = None,
         if children is None:
             accept(x, obj)
             continue
+        # both children re-optimize from this node's basis
         for child in children:
-            push(obj, child)
+            push(obj, child, state)
 
     stats.wall_time = time.perf_counter() - t0
     if best_x is None:

@@ -1,3 +1,5 @@
+import json
+import os
 import warnings
 
 import numpy as np
@@ -5,11 +7,15 @@ import pytest
 from itertools import product
 
 from bioinv import solver
-from bioinv.ccg import seed_scenario
-from bioinv.formulations import BioConfig, build_master, build_subproblem, extract_allocation
+from bioinv.ccg import ALTERNATING, CcgOptions, seed_scenario, solve_two_stage
+from bioinv.formulations import (Allocation, BioConfig, build_master, build_subproblem,
+                                 extract_allocation)
+from bioinv.instance import load_instance
 from bioinv.reference import synthetic_instance
 from bioinv.solver import INF, LinearModel, SolverError, solve, solve_family
-from bioinv.uncertainty import quantile_bounds_from_means, sample_scenarios
+from bioinv.uncertainty import DemandMeans, quantile_bounds_from_means, sample_scenarios
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 def test_single_variable_lp():
@@ -262,33 +268,38 @@ def _assert_matches_highs(model, sol):
         assert value == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
 
 
+def _random_mixed_binary(rng, trial):
+    """Binaries next to free, upper-bounded-only (mirrored) and boxed
+    continuous columns; rows keep every unbounded column within +-8."""
+    nb, nc = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+    m = LinearModel(f"trial{trial}", sense=str(rng.choice(["min", "max"])))
+    for j, shape in enumerate(rng.permutation(
+            ["binary"] * nb + list(rng.choice(["free", "upper", "boxed"], size=nc)))):
+        if shape == "binary":
+            m.add_var(f"v{j}", 0, 1, "binary")
+            continue
+        lo = -INF if shape != "boxed" else float(rng.integers(-4, 2))
+        hi = {"free": INF, "upper": float(rng.integers(-2, 6)),
+              "boxed": lo + float(rng.integers(0, 6))}[shape]
+        col = m.add_var(f"v{j}", lo, hi)
+        m.add_constr({col: 1.0}, ">=", -8.0)
+        if hi == INF:
+            m.add_constr({col: 1.0}, "<=", 8.0)
+    for i in range(int(rng.integers(1, 5))):
+        coeffs = rng.integers(-4, 5, size=nb + nc)
+        m.add_constr({j: float(a) for j, a in enumerate(coeffs)},
+                     str(rng.choice(["<=", ">=", "=="], p=[0.6, 0.25, 0.15])),
+                     float(rng.integers(-4, 10)))
+    m.set_objective({j: float(v) for j, v in enumerate(rng.integers(-5, 6, size=nb + nc))},
+                    const=float(rng.integers(-3, 4)))
+    return m
+
+
 def test_mixed_binary_models_match_highs_milp():
-    # binaries next to free, upper-bounded-only (mirrored) and boxed
-    # continuous columns; rows keep every unbounded column within +-8
     rng = np.random.default_rng(13)
     statuses, branched = [], 0
     for trial in range(80):
-        nb, nc = int(rng.integers(2, 8)), int(rng.integers(1, 5))
-        m = LinearModel(f"trial{trial}", sense=str(rng.choice(["min", "max"])))
-        for j, shape in enumerate(rng.permutation(
-                ["binary"] * nb + list(rng.choice(["free", "upper", "boxed"], size=nc)))):
-            if shape == "binary":
-                m.add_var(f"v{j}", 0, 1, "binary")
-                continue
-            lo = -INF if shape != "boxed" else float(rng.integers(-4, 2))
-            hi = {"free": INF, "upper": float(rng.integers(-2, 6)),
-                  "boxed": lo + float(rng.integers(0, 6))}[shape]
-            col = m.add_var(f"v{j}", lo, hi)
-            m.add_constr({col: 1.0}, ">=", -8.0)
-            if hi == INF:
-                m.add_constr({col: 1.0}, "<=", 8.0)
-        for i in range(int(rng.integers(1, 5))):
-            coeffs = rng.integers(-4, 5, size=nb + nc)
-            m.add_constr({j: float(a) for j, a in enumerate(coeffs)},
-                         str(rng.choice(["<=", ">=", "=="], p=[0.6, 0.25, 0.15])),
-                         float(rng.integers(-4, 10)))
-        m.set_objective({j: float(v) for j, v in enumerate(rng.integers(-5, 6, size=nb + nc))},
-                        const=float(rng.integers(-3, 4)))
+        m = _random_mixed_binary(rng, trial)
         s = solve(m)
         _assert_matches_highs(m, s)
         statuses.append(s.status)
@@ -319,6 +330,102 @@ def test_subproblem_and_integer_master_mips_match_highs_milp():
         nodes["master"].append(s.stats.nodes)
     # both model classes reached branch-and-bound nodes below the root
     assert max(nodes["subproblem"]) > 1 and max(nodes["master"]) > 1
+
+
+def _reference_plan():
+    """The shipped 7-node reference instance and its week-0 plan means."""
+    inst = load_instance(os.path.join(DATA, "reference_sim_instance.json"))
+    with open(os.path.join(DATA, "reference_sim_means.json")) as fh:
+        doc = json.load(fh)
+    return inst, DemandMeans(np.array(doc["walkin"][:2]), np.array(doc["online"][:2]))
+
+
+def test_reference_rescore_mip_matches_highs_milp():
+    # the worst-case rescore MIP of the alternating-heuristic plan of the
+    # reference plan on its 35%/65% quantile set
+    inst, means = _reference_plan()
+    uset = quantile_bounds_from_means(means, 0.35, 0.65)
+    rep = solve_two_stage(inst, uset, BioConfig(lam=0.1), CcgOptions(
+        subproblem_mode=ALTERNATING, rescore_worst_case=False))
+    model = build_subproblem(inst, uset, Allocation(rep.allocation.x), 0.0)
+    assert sum(k == solver.BINARY for k in model.kind) == 36
+    s = solve(model)
+    assert s.stats.nodes > 1
+    _assert_matches_highs(model, s)
+
+
+def _degenerate_mixed_binary(rng, trial):
+    """0/1 objective and small nonnegative rows: many optimal vertices."""
+    nb, nc = int(rng.integers(4, 9)), int(rng.integers(1, 4))
+    m = LinearModel(f"degenerate{trial}", sense="max")
+    for j in range(nb):
+        m.add_var(f"w{j}", 0, 1, "binary")
+    for j in range(nc):
+        m.add_var(f"y{j}", 0.0, float(rng.integers(1, 4)))
+    for i in range(int(rng.integers(2, 5))):
+        m.add_constr({j: float(a) for j, a in enumerate(rng.integers(0, 3, size=nb + nc))},
+                     "<=", float(rng.integers(2, 6)))
+    m.set_objective({j: float(v) for j, v in enumerate(rng.integers(0, 2, size=nb + nc))})
+    return m
+
+
+def test_warm_and_cold_nodes_reach_different_optima_of_equal_value(monkeypatch):
+    rng = np.random.default_rng(23)
+    models = [_degenerate_mixed_binary(rng, trial) for trial in range(40)]
+    warm = [solve(m) for m in models]
+    # every node solved cold, as when no parent basis can be rebuilt
+    monkeypatch.setattr(solver._Simplex, "from_basis", classmethod(lambda cls, *a: None))
+    cold = [solve(m) for m in models]
+    differ = 0
+    for m, w, c in zip(models, warm, cold):
+        _assert_matches_highs(m, w)
+        _assert_matches_highs(m, c)
+        differ += not np.array_equal(w.x, c.x)
+    assert differ >= 3
+
+
+def test_warm_infeasible_reports_agree_with_cold_and_highs(monkeypatch):
+    # every LP that a re-optimization reports infeasible, in branch-and-bound
+    # nodes and in family members, is infeasible for a cold solve and HiGHS
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    reported = []
+    std_solve = solver._StandardLP.solve
+
+    def recording(std, b, lb, ub, warm=None):
+        sol, sx = std_solve(std, b, lb, ub, warm)
+        if sol.status == "infeasible" and sx is warm:
+            reported.append((std, b.copy(), lb.copy(), ub.copy()))
+        return sol, sx
+
+    monkeypatch.setattr(solver._StandardLP, "solve", recording)
+    rng = np.random.default_rng(29)
+    for trial in range(150):
+        solve(_random_mixed_binary(rng, trial))
+    from_nodes = len(reported)
+    for trial in range(60):
+        n, rows, k = int(rng.integers(2, 8)), int(rng.integers(1, 7)), 12
+        m, _A, _senses, frows, rhs, fcols, ub = _random_family(rng, n, rows, k)
+        solve_family(m, frows, rhs, fcols, ub)
+    assert from_nodes >= 15 and len(reported) - from_nodes >= 40
+    for std, b, lb, ub in reported:
+        assert solver._Simplex(std.A, b, std.c, lb, ub).solve() == "infeasible"
+        ref = linprog(std.c, A_eq=std.A, b_eq=b, method="highs",
+                      bounds=[(lo, None if hi == INF else hi) for lo, hi in zip(lb, ub)])
+        assert ref.status == 2
+
+
+def test_warm_infeasibility_needs_a_row_beyond_reach_of_small_entries():
+    # the second member violates x <= ub by 5e-7 at the warm basis; only y
+    # can repair that, through a coefficient below the pivot tolerance over
+    # a span of 1e4, so the member is feasible and must not be reported
+    # infeasible (HiGHS: optimal)
+    m = LinearModel(sense="min")
+    x, y = m.add_var("x", 0.0, 10.0), m.add_var("y", 0.0, 1e4)
+    m.add_constr({x: 1.0, y: 1e-10}, "==", 5.0)
+    m.set_objective({x: 1.0})
+    sols = solve_family(m, [], np.zeros((0, 2)), [x], np.array([[10.0, 5.0 - 5e-7]]))
+    assert [s.status for s in sols] == ["optimal", "optimal"]
+    assert sols[1].objective == pytest.approx(5.0 - 5e-7, abs=1e-9)
 
 
 def test_lp_text_dump_roundtrippable_tokens():
@@ -387,6 +494,37 @@ def test_row_sparse_pivot_matches_dense_update():
         differ = sx.T.view(np.int64) != ref.view(np.int64)
         assert np.all(ref[differ] == 0.0), f"trial {trial}"
         assert sx.basis[row] == col and sx.status[col] == solver._BASIC
+
+
+def test_tableau_rebuilt_from_basis_matches_pivoted_tableau():
+    # the optimal tableau of a cold solve, rebuilt from its basis alone; a
+    # rebuilt row may sit elsewhere, so rows are matched by their basic column
+    rng = np.random.default_rng(19)
+    rebuilt = 0
+    for trial in range(80):
+        std = solver._StandardLP(_random_mixed_binary(rng, trial))
+        sx = solver._Simplex(std.A, std.b, std.c, std.lb, std.ub)
+        if sx.solve() != "optimal":
+            continue
+        wx = solver._Simplex.from_basis(std.A, std.b, std.c, std.lb, std.ub,
+                                        sx.basis, sx.status, sx.flip)
+        assert wx is not None, f"trial {trial}"
+        assert sorted(wx.basis) == sorted(sx.basis)
+        row_of = {col: i for i, col in enumerate(wx.basis)}
+        order = [row_of[col] for col in sx.basis]
+        assert np.allclose(wx.T[order], sx.T, rtol=1e-9, atol=1e-9), f"trial {trial}"
+        assert np.array_equal(wx.status, sx.status)
+        assert wx.reoptimize(std.b, std.lb, std.ub) == "optimal"
+        assert np.allclose(wx._assemble(), sx._assemble(), rtol=1e-9, atol=1e-9)
+        rebuilt += 1
+    assert rebuilt >= 40
+    # singular bases: two basic columns on one unit vector (a column of A or
+    # an artificial), and two parallel columns with two nonzeros each
+    A = np.array([[1.0, 2.0, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0, 2.0]])
+    for basis in ([0, 1], [0, 5], [3, 4]):
+        assert solver._Simplex.from_basis(
+            A, np.zeros(2), np.zeros(5), np.zeros(5), np.ones(5), np.array(basis),
+            np.zeros(7, dtype=np.int8), np.zeros(2, dtype=bool)) is None
 
 
 def _random_family(rng, n, rows, k):
