@@ -322,7 +322,9 @@ def sample_scenarios(means: DemandMeans | None, count: int, seed: int,
     """Draw `count` scenarios.
 
     poisson: independent Poisson draws per cell from `means`; unbounded, so
-    samples may fall outside any uncertainty set.
+    samples may fall outside any uncertainty set.  One draw covers the whole
+    batch, scenario by scenario, walk-in cells before online cells: the
+    stream of a draw per scenario and channel.
     uniform: independent integer-uniform draws on each local box of `uset`,
     re-drawn per channel-period until the budget holds.
     """
@@ -333,11 +335,11 @@ def sample_scenarios(means: DemandMeans | None, count: int, seed: int,
     if family == "poisson":
         if means is None:
             raise UncertaintyError("poisson sampling requires means")
-        for _ in range(count):
-            w = rng.poisson(means.walkin).astype(float)
-            o = rng.poisson(means.online).astype(float)
-            out.append(DemandScenario(w, o))
-        return out
+        lam = np.concatenate([means.walkin.ravel(), means.online.ravel()])
+        draws = rng.poisson(np.tile(lam, count)).astype(float).reshape(count, lam.size)
+        nw = means.walkin.size
+        return [DemandScenario(d[:nw].reshape(means.walkin.shape),
+                               d[nw:].reshape(means.online.shape)) for d in draws]
     if family == "uniform":
         if uset is None:
             raise UncertaintyError("uniform sampling requires an uncertainty set")

@@ -163,6 +163,24 @@ class TestSampling:
             assert np.array_equal(sa.walkin, sb.walkin)
             assert np.array_equal(sa.online, sb.online)
 
+    def test_poisson_batch_draw_matches_per_scenario_loop(self):
+        # one draw for the batch gives the stream of one draw per scenario
+        # and channel, walk-in first; zero means, an empty online channel and
+        # several periods included
+        cases = (DemandMeans(np.array([[1.5, 0.0, 7.0], [2.0, 0.3, 12.5]]),
+                             np.array([[4.0, 0.0], [9.5, 1.0]])),
+                 DemandMeans(np.full((1, 3), 1.0), np.zeros((1, 0))))
+        for means in cases:
+            for seed in (7, 2024):
+                rng = np.random.default_rng(seed)
+                loop = [(rng.poisson(means.walkin).astype(float),
+                         rng.poisson(means.online).astype(float)) for _ in range(1000)]
+                batch = sample_scenarios(means, 1000, seed)
+                assert len(batch) == 1000
+                for s, (w, o) in zip(batch, loop):
+                    assert s.walkin.shape == w.shape and s.online.shape == o.shape
+                    assert np.array_equal(s.walkin, w) and np.array_equal(s.online, o)
+
     def test_uniform_support_equals_enumeration(self):
         s = THREE_LOC
         draws = sample_scenarios(None, 30000, seed=5, family="uniform", uset=s)
