@@ -72,7 +72,11 @@ class SolveReport:
     scenario_pool: list = field(default_factory=list)
     iterations: int = 0
     wall_time: float = 0.0
-    termination: str = ""          # converged | iteration_limit | time_limit
+    # converged (bounds met, every subproblem exact) | iteration_limit |
+    # time_limit | stalled (the subproblem returned a pool scenario, or the
+    # bounds met on an uncertified subproblem value: the loop cannot move
+    # and nothing certifies the result)
+    termination: str = ""
     certified: bool = True         # exact subproblem solves throughout
     d_plus: np.ndarray | None = None
     worst_case_scenario: DemandScenario | None = None
@@ -314,11 +318,11 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
         lbs.append(lb)
 
         gap = (ub - lb) / (abs(lb) + options.delta) if np.isfinite(lb) else np.inf
-        if gap <= options.epsilon:
-            termination = "converged" if certified_run else "iteration_limit"
+        if gap <= options.epsilon and certified_run:
+            termination = "converged"
             break
-        if scen.key() in pool_keys:
-            termination = "iteration_limit"  # stalled: subproblem repeated a scenario
+        if gap <= options.epsilon or scen.key() in pool_keys:
+            termination = "stalled"
             break
         pool.append(scen)
         pool_keys.add(scen.key())

@@ -1,7 +1,11 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from itertools import product
 
+from bioinv import ccg
 from bioinv.ccg import (
     ALTERNATING,
     CcgOptions,
@@ -21,10 +25,13 @@ from bioinv.formulations import (
     solve_subproblem_for_scenario,
     stage_one_value,
 )
-from bioinv.instance import build_instance
+from bioinv.instance import build_instance, load_instance
 from bioinv.reference import example_walkin_instance, example_walkin_uncertainty
 from bioinv.solver import solve
-from bioinv.uncertainty import DemandScenario, UncertaintySet
+from bioinv.uncertainty import (DemandMeans, DemandScenario, UncertaintySet,
+                                quantile_bounds_from_means)
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 def walkin_set(lo, hi, bl, bu):
@@ -152,8 +159,30 @@ class TestAlternatingHeuristic:
         uset = example_walkin_uncertainty()
         rep = solve_two_stage(inst, uset, BioConfig(lam=0.0),
                               CcgOptions(subproblem_mode=ALTERNATING))
-        assert rep.termination in ("iteration_limit", "time_limit")
+        assert rep.termination in ("iteration_limit", "time_limit", "stalled")
         assert not rep.certified
+
+    def test_heuristic_mode_on_reference_plan_reports_stalled(self, monkeypatch):
+        # the last subproblem hands back a scenario already in the pool
+        inst = load_instance(os.path.join(DATA, "reference_sim_instance.json"))
+        with open(os.path.join(DATA, "reference_sim_means.json")) as fh:
+            doc = json.load(fh)
+        uset = quantile_bounds_from_means(
+            DemandMeans(np.array(doc["walkin"][:2]), np.array(doc["online"][:2])))
+        repeats = []
+
+        def recording(inst, uset, alloc, cfg, options, deadline, pool=()):
+            out = subproblem(inst, uset, alloc, cfg, options, deadline, pool)
+            repeats.append(out[0].key() in {p.key() for p in pool})
+            return out
+
+        subproblem = ccg._solve_subproblem
+        monkeypatch.setattr(ccg, "_solve_subproblem", recording)
+        rep = solve_two_stage(inst, uset, BioConfig(lam=0.1), CcgOptions(
+            subproblem_mode=ALTERNATING, rescore_worst_case=False))
+        assert rep.termination == "stalled" and not rep.certified
+        assert repeats[-1] and not any(repeats[:-1])
+        assert rep.iterations == len(repeats) < CcgOptions().max_iterations
 
     def test_heuristic_scenario_is_integral_and_contained(self):
         inst = example_walkin_instance(80.0, 80.0)
