@@ -602,7 +602,6 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
 
     m = LinearModel("subproblem", sense="min")
     obj: dict[int, float] = {}
-    const = 0.0
 
     gamma = _columns(m, "g", (T, L), -INF)
     dual = {ch: _columns(m, f"dual_{ch}", (T, n)) for ch, n in (("b", L), ("o", Z))}
@@ -653,17 +652,16 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
             obj[int(gamma[t, l])] = obj.get(int(gamma[t, l]), 0.0) + coeff
 
     # demand terms: (1 - lam) * (dual - penalty) * demand per cell, with the
-    # demand fixed or picked by selectors
+    # demand fixed (set_fixed_scenario) or picked by selectors
     winfo = {ch: {} for ch in CHANNELS}
+    m.info = {"gamma": gamma, "dual": dual, "w": winfo}
+    if fixed_scenario is not None:
+        m.info["fixed"] = (obj, keep, penalty)
+        set_fixed_scenario(m, fixed_scenario)
+        return m
     for t in range(T):
         for ch in CHANNELS:
             n = dual[ch].shape[1]
-            if fixed_scenario is not None:
-                for i in range(n):
-                    v = float(fixed_scenario.channel(ch)[t, i])
-                    obj[int(dual[ch][t, i])] = keep[ch] * v
-                    const -= keep[ch] * float(penalty[ch][t, i]) * v
-                continue
             for i in range(n):
                 vals = list(range(int(uset.local_lower[ch][t, i]),
                                   int(uset.local_upper[ch][t, i]) + 1))
@@ -676,9 +674,23 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
                 m.add_constr(row, ">=", float(uset.budget_lower[ch][t]), name=f"bud_{ch}l[{t}]")
                 m.add_constr(row, "<=", float(uset.budget_upper[ch][t]), name=f"bud_{ch}u[{t}]")
 
-    m.set_objective(obj, const=const)
-    m.info = {"gamma": gamma, "dual": dual, "w": winfo}
+    m.set_objective(obj)
     return m
+
+
+def set_fixed_scenario(m: LinearModel, scenario: DemandScenario):
+    """Point a fixed-demand `build_subproblem` model at the demand `scenario`;
+    only the demand terms of its objective and its constant change."""
+    base, keep, penalty = m.info["fixed"]
+    dual, const = m.info["dual"], 0.0
+    obj = dict(base)
+    for t in range(dual["b"].shape[0]):
+        for ch in CHANNELS:
+            for i in range(dual[ch].shape[1]):
+                v = float(scenario.channel(ch)[t, i])
+                obj[int(dual[ch][t, i])] = keep[ch] * v
+                const -= keep[ch] * float(penalty[ch][t, i]) * v
+    m.set_objective(obj, const=const)
 
 
 def _add_selectors(m: LinearModel, obj: dict, cell: str, dual: int, vals: list,
@@ -726,20 +738,6 @@ def _selected_value(sol: Solution, wcols, vals, where: str) -> float:
     if picked is None:
         raise FormulationError(f"no selector chosen at {where}")
     return float(picked)
-
-
-def solve_subproblem_for_scenario(inst: Instance, alloc: Allocation, lam: float,
-                                  scenario: DemandScenario,
-                                  allied: str = WALKIN_ONLY,
-                                  uset: UncertaintySet | None = None):
-    """Dual LP value and walk-in and online demand duals at a fixed demand
-    (strong-duality twin of the inner fulfillment problem)."""
-    m = build_subproblem(inst, uset, alloc, lam, allied, fixed_scenario=scenario)
-    sol = solve(m)
-    if sol.status != "optimal":
-        raise FormulationError(f"scenario dual LP status {sol.status}")
-    dual = m.info["dual"]
-    return float(sol.objective), sol.x[dual["b"]], sol.x[dual["o"]]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ with no column to enter.  A cold member gives the same result as `solve`.
 The primal and the dual simplex share one pivot step, which updates only the
 rows with a nonzero in the pivot column.
 
+Phase 1 never reads the objective.  So an LP model keeps its simplex after
+phase 1 from its second `solve` on, and a later `solve` with the same
+constraints and bounds runs phase 2 only, from a copy of it.  The result is
+the cold solve's, bit for bit; `simplex_iterations` still counts the reused
+phase-1 pivots.
+
 Conventions:
   - variables carry individual bounds; free variables are split internally,
   - constraints are dense-ified at solve time (desk-scale models only),
@@ -36,6 +42,7 @@ Tolerances: feasibility 1e-7, relative optimality 1e-6, binary integrality
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -97,6 +104,7 @@ class LinearModel:
         self.sos1: list[tuple[list[int], list[float]]] = []
         # builder metadata (variable index maps etc.), free-form
         self.info: dict = {}
+        self._phase1 = None  # kept by _solve_lp
 
     def add_sos1(self, cols: list[int], weights: list[float]):
         self.sos1.append((list(cols), [float(w) for w in weights]))
@@ -266,7 +274,11 @@ class _StandardLP:
         self.lb = np.array(lbs)
         self.ub = np.array(ubs)
 
-        c = np.zeros(ncols + nslack)
+        self.set_cost(model)
+
+    def set_cost(self, model: LinearModel):
+        """The objective of `model`, whose columns and bounds this form holds."""
+        c = np.zeros(self.A.shape[1])
         sgn = 1.0 if model.obj_sense == "min" else -1.0
         for j, v in model.obj.items():
             vv = sgn * (-v if self.negated[j] else v)
@@ -275,11 +287,11 @@ class _StandardLP:
                 c[self.neg[j]] -= vv
         self.c = c
         self.min_sign = sgn  # user objective = min_sign * standard objective
-        self.model = model
+        self.const = model.obj_const
 
     def recover(self, xs: np.ndarray) -> np.ndarray:
-        x = np.empty(self.model.num_vars)
-        for j in range(self.model.num_vars):
+        x = np.empty(len(self.pos))
+        for j in range(len(self.pos)):
             v = xs[self.pos[j]]
             if self.neg[j] is not None:
                 v -= xs[self.neg[j]]
@@ -298,15 +310,18 @@ class _StandardLP:
             status = sx.solve()
         else:
             sx = warm
+        return self.solution(sx, status, t0), sx
+
+    def solution(self, sx: _Simplex, status: str, t0: float) -> Solution:
         stats = SolveStats(simplex_iterations=sx.iterations)
         if status == "optimal":
             xs = sx._assemble()[: sx.n]
-            sol = Solution("optimal", self.min_sign * float(self.c @ xs) + self.model.obj_const,
+            sol = Solution("optimal", self.min_sign * float(self.c @ xs) + self.const,
                            self.recover(xs), stats)
         else:
             sol = Solution(status, float("nan"), None, stats)
         stats.wall_time = time.perf_counter() - t0
-        return sol, sx
+        return sol
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +480,23 @@ class _Simplex:
 
     def solve(self) -> str:
         """Cold two-phase solve; returns optimal, infeasible or unbounded."""
+        return self.phase1() or self.phase2()
+
+    def phase1(self) -> str | None:
+        """Phase 1, which never reads the cost: "infeasible", or None with
+        the artificials pinned at zero, ready for `phase2`."""
         self._setup_phase1()
         phase1 = np.zeros(self.ntot)
         phase1[self.n:] = 1.0
-        allow = np.ones(self.ntot, dtype=bool)
-        if self._run(phase1, allow) != "optimal":
+        if self._run(phase1, np.ones(self.ntot, dtype=bool)) != "optimal":
             raise SolverError("phase-1 simplex did not terminate optimally")
         if float(np.sum(self._assemble()[self.n:])) > 1e-6:
             return "infeasible"
         # artificials pinned at zero; they may linger in the basis at value 0
         self.ub[self.n:] = 0.0
-        allow[self.n:] = False
-        return self._run(self.cost, allow)
+
+    def phase2(self) -> str:
+        return self._run(self.cost, np.arange(self.ntot) < self.n)
 
     def reoptimize(self, b, lb, ub) -> str | None:
         """Bounded dual simplex from the optimal basis of the last solve
@@ -538,6 +558,30 @@ class _Simplex:
             self.iterations += 1
 
 
+def _solve_lp(model: LinearModel) -> Solution:
+    """An LP solve that keeps the model's standard form and its simplex after
+    phase 1 from the second solve on, under a key of all that phase 1 reads:
+    the column bounds and the constraint rows (see the module docstring)."""
+    t0 = time.perf_counter()
+    cons = model.constraints
+    key = (np.array([*model.lb, *model.ub, *(c.rhs for c in cons),
+                     *(v for c in cons for v in c.vals)]).tobytes(),
+           tuple((c.sense, tuple(c.cols)) for c in cons))
+    state = model._phase1
+    if state and state[0] == key:
+        _, std, sx, status = state
+        std.set_cost(model)
+    else:
+        std = _StandardLP(model)
+        sx = _Simplex(std.A, std.b, std.c, std.lb, std.ub)
+        status = sx.phase1()
+        model._phase1 = () if state is None else (key, std, sx, status)
+    if model._phase1:  # the kept simplex is copied, never run
+        sx = copy.deepcopy(sx)
+        sx.cost = np.concatenate([std.c, np.zeros(sx.m)])
+    return std.solution(sx, status or sx.phase2(), t0)
+
+
 def solve(model: LinearModel, limits: dict | None = None,
           incumbent: tuple[float, np.ndarray] | None = None) -> Solution:
     """Solve an LP or mixed-binary model.
@@ -554,12 +598,12 @@ def solve(model: LinearModel, limits: dict | None = None,
     time_limit = limits.get("time")
     node_limit = limits.get("nodes")
 
-    std = _StandardLP(model)
     binaries = [j for j in range(model.num_vars) if model.kind[j] == BINARY]
     if not binaries:
-        sol, _ = std.solve(std.b, std.lb, std.ub)
+        sol = _solve_lp(model)
         sol.stats.wall_time = time.perf_counter() - t0
         return sol
+    std = _StandardLP(model)
     stats = SolveStats()
 
     maximize = model.obj_sense == "max"

@@ -22,7 +22,7 @@ from bioinv.formulations import (
     FormulationError,
     build_subproblem,
     evaluate_profit,
-    solve_subproblem_for_scenario,
+    set_fixed_scenario,
     stage_one_value,
 )
 from bioinv.instance import build_instance, load_instance
@@ -126,7 +126,7 @@ class TestAlternatingHeuristic:
         inst = build_instance(["A"], [], 1, walkin_price=0.0, walkin_penalty=160.0,
                               purchase_cost=40.0)
         uset = walkin_set([0], [3], 0, 3)
-        scen, val = alternating_heuristic_subproblem(inst, uset, Allocation([[1.0]]), 0.0)
+        scen, val, _ = alternating_heuristic_subproblem(inst, uset, Allocation([[1.0]]), 0.0)
         assert scen.walkin[0, 0] == 3.0
         assert val == pytest.approx(-320.0)
 
@@ -134,7 +134,7 @@ class TestAlternatingHeuristic:
         inst = build_instance(["A", "B"], [], 1, walkin_price=10.0,
                               walkin_penalty=5.0, purchase_cost=3.0)
         uset = walkin_set([1, 2], [1, 2], 3, 3)
-        scen, val = alternating_heuristic_subproblem(
+        scen, val, _ = alternating_heuristic_subproblem(
             inst, uset, Allocation([[1.0, 1.0]]), 0.0, rounds=1)
         assert np.array_equal(scen.walkin, [[1.0, 2.0]])
 
@@ -150,7 +150,7 @@ class TestAlternatingHeuristic:
             hi = lo + rng.integers(1, 3, size=2)
             uset = walkin_set(list(lo), list(hi), int(lo.sum()), int(hi.sum()))
             alloc = Allocation(rng.integers(0, 3, size=(1, 2)).astype(float))
-            _scen, val = alternating_heuristic_subproblem(inst, uset, alloc, 0.0)
+            _scen, val, _ = alternating_heuristic_subproblem(inst, uset, alloc, 0.0)
             exact = solve(build_subproblem(inst, uset, alloc, 0.0)).objective
             assert val >= exact - 1e-9
 
@@ -187,7 +187,7 @@ class TestAlternatingHeuristic:
     def test_heuristic_scenario_is_integral_and_contained(self):
         inst = example_walkin_instance(80.0, 80.0)
         uset = example_walkin_uncertainty()
-        scen, _ = alternating_heuristic_subproblem(
+        scen, _, _ = alternating_heuristic_subproblem(
             inst, uset, Allocation([[1.5, 2.0, 0.5]]), 0.0)
         assert uset.contains(scen)
         assert np.allclose(scen.walkin, np.round(scen.walkin))
@@ -265,15 +265,16 @@ class TestMipIncumbent:
         alloc = Allocation([[2.0, 1.0]], s_plus=[[0.5, 0.0]])
         for lam, allied in ((0.0, "walkin"), (0.5, "walkin"), (0.5, "both")):
             model = build_subproblem(inst, uset, alloc, lam, allied)
+            dual_lp = build_subproblem(inst, uset, alloc, lam, allied,
+                                       fixed_scenario=seed_scenario(uset))
             lb, ub = np.array(model.lb), np.array(model.ub)
             for b in uset.enumerate_discrete_points("b", 0):
                 for o in uset.enumerate_discrete_points("o", 0):
                     scen = DemandScenario([list(b)], [list(o)])
-                    val, x = _mip_incumbent_from_scenario(inst, model, alloc, lam, scen,
-                                                          allied, uset)
-                    dual_val, _a, _b = solve_subproblem_for_scenario(
-                        inst, alloc, lam, scen, allied, uset)
-                    assert val == dual_val
+                    set_fixed_scenario(dual_lp, scen)
+                    fixed = solve(dual_lp)
+                    val, x = _mip_incumbent_from_scenario(model, scen, fixed)
+                    assert val == fixed.objective
                     assert (x >= lb - 1e-7).all() and (x <= ub + 1e-7).all()
                     for con in model.constraints:
                         lhs = float(np.dot(con.vals, x[con.cols]))
@@ -282,6 +283,27 @@ class TestMipIncumbent:
                         assert gap <= 1e-7, (lam, allied, b, o, con.name)
                     obj = sum(c * x[j] for j, c in model.obj.items()) + model.obj_const
                     assert obj == pytest.approx(val, abs=1e-7)
+
+
+    def test_heuristic_builds_one_dual_model_and_hands_on_its_solution(self, monkeypatch):
+        # the multi-start re-solves one fixed-demand model; the winner's dual
+        # LP solution is what a freshly built model gives at its scenario
+        builds = []
+        real = ccg.build_subproblem
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs.get("fixed_scenario") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ccg, "build_subproblem", counting)
+        inst, uset = example_walkin_instance(80.0, 80.0), example_walkin_uncertainty()
+        alloc = Allocation([[1.5, 2.0, 0.5]])
+        scen, val, sol = ccg._best_heuristic_scenario(inst, uset, alloc, 0.0, CcgOptions(),
+                                                      "walkin")
+        assert builds == [True]
+        ref = solve(real(inst, uset, alloc, 0.0, "walkin", fixed_scenario=scen))
+        assert (ref.objective, ref.stats.simplex_iterations) == (val, sol.stats.simplex_iterations)
+        assert ref.x.tobytes() == sol.x.tobytes()
 
 
 class TestSubproblemErrors:
@@ -352,6 +374,25 @@ class TestRescore:
         assert rep.worst_case_profit is not None
         assert rep.rescore_error is None
         assert rep.to_dict()["rescore_error"] is None
+
+
+    def test_wall_time_covers_the_rescore(self, monkeypatch):
+        import time
+        real = ccg.evaluate_profit
+
+        def slow(*args):
+            time.sleep(0.3)
+            return real(*args)
+
+        monkeypatch.setattr(ccg, "evaluate_profit", slow)
+        inst = example_walkin_instance(0.0, 160.0)
+        t0 = time.perf_counter()
+        rep = solve_two_stage(inst, example_walkin_uncertainty(), BioConfig(lam=0.0),
+                              CcgOptions(subproblem_mode=ALTERNATING))
+        elapsed = time.perf_counter() - t0
+        assert rep.worst_case_profit is not None
+        assert 0.3 <= rep.rescore_s <= rep.wall_time <= elapsed
+        assert rep.to_dict()["rescore_s"] == rep.rescore_s
 
 
 class TestOptions:

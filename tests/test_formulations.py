@@ -19,7 +19,6 @@ from bioinv.formulations import (
     extract_worst_scenario,
     first_stage_cost,
     pwl_allocation,
-    solve_subproblem_for_scenario,
 )
 from bioinv.instance import BusinessRules, build_instance
 from bioinv.reference import (
@@ -270,7 +269,7 @@ class TestSubproblem:
         inst = ONE_ZONE
         alloc = Allocation([[2.0]])
         scen = DemandScenario([[2.0]], [[1.0]])
-        val, _a, _b = solve_subproblem_for_scenario(inst, alloc, 0.0, scen)
+        val = solve(build_subproblem(inst, None, alloc, 0.0, fixed_scenario=scen)).objective
         primal = evaluate_profit(inst, alloc, scen) + first_stage_cost(inst, alloc)
         assert val == pytest.approx(primal, abs=1e-7)
 
@@ -288,7 +287,7 @@ class TestSubproblem:
         )
         alloc = Allocation([[2.0, 2.0]])
         scen = DemandScenario([[1.0, 0.0]], [[2.0, 1.0]])
-        val, _a, _b = solve_subproblem_for_scenario(inst, alloc, 0.0, scen)
+        val = solve(build_subproblem(inst, None, alloc, 0.0, fixed_scenario=scen)).objective
         primal = evaluate_profit(inst, alloc, scen) + first_stage_cost(inst, alloc)
         assert val == pytest.approx(primal, abs=1e-6)
 

@@ -619,3 +619,135 @@ def test_solve_family_rejects_bad_input():
     m.lb[x] = 1.0
     with pytest.raises(SolverError):
         solve_family(m, [0], np.ones((1, 2)), [x], np.zeros((1, 2)))
+
+
+def _random_lp_data(rng):
+    """Rows, senses, right-hand sides and column bounds of a random LP; some
+    columns are free or bounded above only, and some LPs are infeasible or
+    unbounded under some objectives."""
+    n, rows = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+    A = rng.integers(-4, 5, size=(rows, n)).astype(float)
+    b = rng.integers(-3, 12, size=rows).astype(float)
+    senses = rng.choice(["<=", ">=", "=="], size=rows, p=[0.6, 0.25, 0.15])
+    kinds = rng.choice(["box", "lower", "free", "upper"], size=n, p=[0.4, 0.3, 0.15, 0.15])
+    bounds = [{"box": (0.0, float(rng.integers(1, 8))), "lower": (0.0, INF),
+               "free": (-INF, INF), "upper": (-INF, float(rng.integers(0, 5)))}[k]
+              for k in kinds]
+    return A, b, senses, bounds
+
+
+def _lp_from(data, coeffs, sense, const):
+    A, b, senses, bounds = data
+    m = LinearModel(sense=sense)
+    for j, (lo, hi) in enumerate(bounds):
+        m.add_var(f"x{j}", lo, hi)
+    for i in range(len(b)):
+        m.add_constr({j: A[i, j] for j in range(A.shape[1])}, senses[i], b[i])
+    m.set_objective(coeffs, const=const)
+    return m
+
+
+def _same_solution(a, b):
+    return (a.status == b.status and repr(a.objective) == repr(b.objective)
+            and a.stats.simplex_iterations == b.stats.simplex_iterations
+            and a.stats.nodes == b.stats.nodes
+            and (a.x is None and b.x is None
+                 or a.x is not None and b.x is not None
+                 and a.x.tobytes() == b.x.tobytes()))
+
+
+def _count_phase1(monkeypatch):
+    runs = []
+    phase1 = solver._Simplex.phase1
+
+    def counting(sx):
+        runs.append(sx)
+        return phase1(sx)
+
+    monkeypatch.setattr(solver._Simplex, "phase1", counting)
+    return runs
+
+
+def test_objective_only_resolves_repeat_cold_solves(monkeypatch):
+    # one model re-solved under several objectives, senses and constants
+    # gives field for field what a freshly built model gives, phase-1 pivots
+    # included, and runs phase 1 on its first two solves only
+    runs = _count_phase1(monkeypatch)
+    rng = np.random.default_rng(41)
+    statuses = []
+    for trial in range(80):
+        data = _random_lp_data(rng)
+        n = data[0].shape[1]
+        m = None
+        for k in range(5):
+            coeffs = {j: float(rng.integers(-5, 6)) for j in range(n)}
+            sense, const = str(rng.choice(["min", "max"])), float(rng.integers(-3, 4))
+            if m is None:
+                m = _lp_from(data, coeffs, sense, const)
+            else:
+                m.set_objective(coeffs, sense=sense, const=const)
+            before = len(runs)
+            sol = solve(m)
+            reused = len(runs) == before
+            ref = solve(_lp_from(data, coeffs, sense, const))
+            assert _same_solution(sol, ref), (trial, k)
+            assert reused == (k >= 2), (trial, k)
+            statuses.append(sol.status)
+    assert {statuses.count(s) >= 20 for s in ("optimal", "infeasible", "unbounded")} == {True}
+
+
+def test_structure_edits_force_a_fresh_phase1(monkeypatch):
+    runs = _count_phase1(monkeypatch)
+    data = (np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([8.0, 6.0]),
+            np.array(["<=", ">="]), [(0.0, 5.0), (0.0, INF)])
+    edits = [
+        lambda m: m.add_constr({0: 1.0, 1: 1.0}, "<=", 4.5),
+        lambda m: m.add_var("z", 0.0, 2.0),
+        lambda m: m.add_constr({1: 1.0, 2: -1.0}, ">=", 0.5),
+        lambda m: m.ub.__setitem__(0, 1.5),
+        lambda m: m.lb.__setitem__(2, 1.0),
+        lambda m: setattr(m.constraints[0], "rhs", 7.0),
+        lambda m: m.constraints[1].vals.__setitem__(0, 2.5),
+        lambda m: setattr(m.constraints[2], "sense", "=="),
+    ]
+    coeffs = {0: -1.0, 1: -2.0}
+    m = _lp_from(data, coeffs, "min", 0.0)
+    solve(m)
+    solve(m)
+    for k, edit in enumerate(edits):
+        edit(m)
+        fresh = _lp_from(data, coeffs, "min", 0.0)
+        for e in edits[: k + 1]:
+            e(fresh)
+        before = len(runs)
+        sol = solve(m)
+        assert len(runs) == before + 1, k
+        assert _same_solution(sol, solve(fresh)), k
+        # the same structure again reuses the new phase 1
+        m.set_objective({0: -1.0, 1: -1.0})
+        before = len(runs)
+        solve(m)
+        assert len(runs) == before, k
+        m.set_objective(coeffs)
+
+
+def test_solved_models_are_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+    inst, means = synthetic_instance(2, 1, 1, seed=1, horizon=2)
+    uset = quantile_bounds_from_means(means)
+    alloc = Allocation(np.ones((inst.horizon, inst.num_nodes)))
+    lp = _lp_from((np.array([[1.0, 1.0]]), np.array([4.0]), np.array(["<="]),
+                   [(0.0, 3.0), (0.0, 3.0)]), {0: 1.0}, "max", 0.0)
+    dual = build_subproblem(inst, uset, alloc, 0.1, fixed_scenario=seed_scenario(uset))
+    gc.disable()
+    try:
+        for m in (lp, dual):
+            for _ in range(3):
+                assert solve(m).status == "optimal"
+            assert m._phase1   # phase-1 state held
+        refs = [weakref.ref(lp), weakref.ref(dual)]
+        del m, lp, dual
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
