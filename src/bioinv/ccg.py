@@ -18,6 +18,7 @@ from .formulations import (
     Allocation,
     BioConfig,
     FormulationError,
+    add_master_scenario,
     build_master,
     build_subproblem,
     channel_weights,
@@ -275,6 +276,7 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
     deadline = t0 + options.max_seconds
     pool = [seed_scenario(uset)]
     pool_keys = {pool[0].key()}
+    master = build_master(inst, uset, pool, cfg, fixed_x)
     lb = -np.inf
     ub = np.inf
     lbs, ubs = [], []
@@ -286,7 +288,6 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
 
     for _ in range(options.max_iterations):
         iterations += 1
-        master = build_master(inst, uset, pool, cfg, fixed_x)
         remaining = max(1e-3, deadline - time.perf_counter())
         msol = solve(master, limits={"time": remaining})
         if msol.status not in ("optimal", "limit") or msol.x is None:
@@ -321,6 +322,7 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
             break
         pool.append(scen)
         pool_keys.add(scen.key())
+        add_master_scenario(master, inst, scen, cfg)
         if time.perf_counter() > deadline:
             termination = "time_limit"
             break

@@ -439,36 +439,40 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
 
 def build_master(inst: Instance, uset: UncertaintySet, scenarios: list[DemandScenario],
                  cfg: BioConfig, fixed_x: np.ndarray | None = None) -> LinearModel:
-    """CCG master over the scenario pool.  With lam = 0 the optimistic block
-    is omitted (pure-robust master); with an empty pool the epigraph variable
-    is omitted so the first iteration stays bounded."""
+    """CCG master over the scenario pool, by `add_master_scenario`.  With lam = 0
+    the optimistic block is omitted (pure-robust master); with an empty pool
+    the epigraph variable is omitted so the first iteration stays bounded."""
     m = LinearModel("master", sense="max")
-    obj: dict[int, float] = {}
-    x_idx, repo_idx, terms = _add_first_stage(m, inst, uset, cfg, fixed_x)
-    obj.update(terms)
+    x_idx, repo_idx, obj = _add_first_stage(m, inst, uset, cfg, fixed_x)
     dplus_idx = splus_idx = doplus_idx = yplus_idx = None
     if cfg.lam > 0.0:
         dplus_idx, splus_idx, doplus_idx, yplus_idx, terms = _add_optimism(m, inst, uset, cfg)
         for k, v in terms.items():
             obj[k] = obj.get(k, 0.0) + v
-    eta = None
-    if scenarios:
-        eta = m.add_var("eta", -INF, INF)
-        obj[eta] = 1.0
-        online_frac = 1.0 - cfg.lam if cfg.allied_channels == BOTH_CHANNELS else 1.0
-        for i, scen in enumerate(scenarios):
-            terms, const, _ = _add_recourse_block(
-                m, inst, scen.walkin, scen.online, walkin_frac=1.0 - cfg.lam,
-                online_frac=online_frac, cols=(x_idx, repo_idx),
-                extra_s=splus_idx, extra_y=yplus_idx, tag=f"_{i}")
-            row = {eta: 1.0}
-            for col, coeff in terms.items():
-                row[col] = row.get(col, 0.0) - coeff
-            m.add_constr(row, "<=", const, name=f"cut[{i}]")
     m.set_objective(obj)
-    m.info = {"x": x_idx, "repo": repo_idx, "eta": eta, "dplus": dplus_idx,
+    m.info = {"x": x_idx, "repo": repo_idx, "eta": None, "scenarios": 0, "dplus": dplus_idx,
               "splus": splus_idx, "doplus": doplus_idx, "yplus": yplus_idx}
+    for scen in scenarios:
+        add_master_scenario(m, inst, scen, cfg)
     return m
+
+
+def add_master_scenario(m: LinearModel, inst: Instance, scen: DemandScenario,
+                        cfg: BioConfig):
+    """Grow a `build_master` model of `cfg` by the recourse block of `scen` and
+    its cut on eta, the epigraph variable that the first scenario adds."""
+    if m.info["eta"] is None:
+        m.info["eta"] = m.add_var("eta", -INF, INF)
+        m.set_objective({**m.obj, m.info["eta"]: 1.0}, const=m.obj_const)
+    i = m.info["scenarios"]
+    online_frac = 1.0 - cfg.lam if cfg.allied_channels == BOTH_CHANNELS else 1.0
+    terms, const, _ = _add_recourse_block(
+        m, inst, scen.walkin, scen.online, walkin_frac=1.0 - cfg.lam,
+        online_frac=online_frac, cols=(m.info["x"], m.info["repo"]),
+        extra_s=m.info["splus"], extra_y=m.info["yplus"], tag=f"_{i}")
+    row = {m.info["eta"]: 1.0, **{col: -coeff for col, coeff in terms.items()}}
+    m.add_constr(row, "<=", const, name=f"cut[{i}]")
+    m.info["scenarios"] = i + 1
 
 
 def first_stage_x(model: LinearModel, sol: Solution) -> np.ndarray:

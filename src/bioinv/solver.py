@@ -24,10 +24,10 @@ The primal and the dual simplex share one pivot step, which updates only the
 rows with a nonzero in the pivot column.
 
 Phase 1 never reads the objective.  So an LP model keeps its simplex after
-phase 1 from its second `solve` on, and a later `solve` with the same
+phase 1 from its first `solve` on, and a later `solve` with the same
 constraints and bounds runs phase 2 only, from a copy of it.  The result is
 the cold solve's, bit for bit; `simplex_iterations` still counts the reused
-phase-1 pivots.
+phase-1 pivots.  `add_var` and `add_constr` drop the kept simplex.
 
 Conventions:
   - variables carry individual bounds; free variables are split internally,
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -125,6 +126,7 @@ class LinearModel:
             raise SolverError(f"binary variable {name!r} must have bounds within [0,1]")
         if lb > ub:
             raise SolverError(f"variable {name!r} has lb {lb} > ub {ub}")
+        self._phase1 = None
         self.var_names.append(name)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
@@ -147,6 +149,7 @@ class LinearModel:
                 raise SolverError(f"constraint {name!r} references unknown column {j}")
             cols.append(j)
             vals.append(acc[j])
+        self._phase1 = None
         self.constraints.append(_Constraint(cols, vals, sense, float(rhs), name))
         return len(self.constraints) - 1
 
@@ -384,6 +387,13 @@ class _Simplex:
         sx.status[:] = status
         return sx
 
+    def copy(self) -> _Simplex:
+        """An independent copy; b, flip and cost are never written in place."""
+        sx = copy.copy(self)
+        for name in ("T", "lb", "ub", "status", "basis", "bhat"):
+            setattr(sx, name, getattr(self, name).copy())
+        return sx
+
     def _nonbasic_values(self) -> np.ndarray:
         v = np.where(self.status == _AT_UPPER, self.ub, self.lb)
         v[self.basis] = 0.0
@@ -403,12 +413,13 @@ class _Simplex:
         """Column `col` enters the basis at `row`; the column basic there
         leaves at bound `leave_at` (_AT_LOWER or _AT_UPPER)."""
         self.status[self.basis[row]] = leave_at
-        self.T[row] = self.T[row] / self.T[row, col]
+        prow = self.T[row]
+        prow /= prow[col]
         colvals = self.T[:, col].copy()
         colvals[row] = 0.0
         # rows with a zero in the pivot column are unchanged
-        nz = np.nonzero(colvals)[0]
-        self.T[nz] -= np.outer(colvals[nz], self.T[row])
+        nz = colvals.nonzero()[0]
+        self.T[nz] -= colvals[nz, None] * prow
         self.T[:, col] = 0.0
         self.T[row, col] = 1.0
         self.basis[row] = col
@@ -417,45 +428,45 @@ class _Simplex:
     def _run(self, cost: np.ndarray, allow: np.ndarray) -> str:
         degenerate = 0
         max_iter = 50000 + 200 * (self.m + self.n)
+        T, lb, ub, status, basis = self.T, self.lb, self.ub, self.status, self.basis
+        # the bounds hold still within a run; bl and bu follow the basis
+        span = ub - lb
+        movable = allow & (span > 0)
+        bl, bu = lb[basis], ub[basis]
+        bl_fin, bu_fin = np.isfinite(bl), np.isfinite(bu)
+        no_ratio = np.full(self.m, INF)
         while True:
             self.iterations += 1
             if self.iterations > max_iter:
                 raise SolverError("simplex iteration safety cap reached")
-            z = cost - cost[self.basis] @ self.T
-            span = self.ub - self.lb
-            cand = allow & (span > 0) & (
-                ((self.status == _AT_LOWER) & (z < -REDUCED_COST_TOL))
-                | ((self.status == _AT_UPPER) & (z > REDUCED_COST_TOL))
-            )
-            cand[self.basis] = False
-            idx = np.nonzero(cand)[0]
+            z = cost - cost[basis] @ T
+            # improving: up from a lower bound or down from an upper one
+            cand = movable & (np.where(status == _AT_LOWER, -z, z) > REDUCED_COST_TOL)
+            cand[basis] = False
+            idx = cand.nonzero()[0]
             if idx.size == 0:
                 return "optimal"
             if degenerate >= _BLAND_TRIGGER:
                 enter = int(idx[0])
             else:
-                enter = int(idx[int(np.argmax(np.abs(z[idx])))])
-            increasing = self.status[enter] == _AT_LOWER
+                enter = int(idx[np.abs(z[idx]).argmax()])
+            increasing = status[enter] == _AT_LOWER
             # movement of basics: x_B = bhat - theta * d
-            d = self.T[:, enter].copy()
-            if not increasing:
-                d = -d
-            bl = self.lb[self.basis]
-            bu = self.ub[self.basis]
-            drop = np.divide(self.bhat - bl, d, out=np.full(self.m, INF),
-                             where=(d > _PIVOT_TOL) & np.isfinite(bl))
-            rise = np.divide(bu - self.bhat, -d, out=np.full(self.m, INF),
-                             where=(d < -_PIVOT_TOL) & np.isfinite(bu))
+            d = T[:, enter].copy() if increasing else -T[:, enter]
+            drop = np.divide(self.bhat - bl, d, out=no_ratio.copy(),
+                             where=(d > _PIVOT_TOL) & bl_fin)
+            rise = np.divide(bu - self.bhat, -d, out=no_ratio.copy(),
+                             where=(d < -_PIVOT_TOL) & bu_fin)
             row_ratio = np.minimum(drop, rise)
-            row_ratio = np.maximum(row_ratio, 0.0)  # degenerate guard
+            np.maximum(row_ratio, 0.0, out=row_ratio)  # degenerate guard
             if self.m:
-                r = int(np.argmin(row_ratio))
+                r = int(row_ratio.argmin())
                 theta_rows = float(row_ratio[r])
                 if degenerate >= _BLAND_TRIGGER and theta_rows < INF:
                     # Bland's leaving rule: smallest basic variable index
                     # among the rows tied at the minimum ratio
                     ties = np.nonzero(row_ratio <= theta_rows + 1e-12)[0]
-                    r = int(ties[int(np.argmin(self.basis[ties]))])
+                    r = int(ties[int(np.argmin(basis[ties]))])
                     theta_rows = float(row_ratio[r])
             else:
                 r, theta_rows = -1, INF
@@ -467,11 +478,13 @@ class _Simplex:
             if theta_enter <= theta_rows:
                 # bound flip, no basis change
                 self.bhat -= d * theta_enter
-                self.status[enter] = _AT_UPPER if increasing else _AT_LOWER
+                status[enter] = _AT_UPPER if increasing else _AT_LOWER
                 continue
-            self.bhat = self.bhat - d * theta
-            self.bhat[r] = (self.lb[enter] + theta) if increasing else (self.ub[enter] - theta)
+            self.bhat -= d * theta
+            self.bhat[r] = (lb[enter] + theta) if increasing else (ub[enter] - theta)
             self._pivot(r, enter, _AT_LOWER if drop[r] <= rise[r] else _AT_UPPER)
+            bl[r], bu[r] = lb[enter], ub[enter]
+            bl_fin[r], bu_fin[r] = math.isfinite(bl[r]), math.isfinite(bu[r])
 
     def _assemble(self) -> np.ndarray:
         xs = self._nonbasic_values()
@@ -560,26 +573,27 @@ class _Simplex:
 
 def _solve_lp(model: LinearModel) -> Solution:
     """An LP solve that keeps the model's standard form and its simplex after
-    phase 1 from the second solve on, under a key of all that phase 1 reads:
-    the column bounds and the constraint rows (see the module docstring)."""
+    phase 1 under a key of all that phase 1 reads, the column bounds and the
+    constraint rows, for later solves by phase 2 (see the module docstring)."""
     t0 = time.perf_counter()
     cons = model.constraints
     key = (np.array([*model.lb, *model.ub, *(c.rhs for c in cons),
                      *(v for c in cons for v in c.vals)]).tobytes(),
            tuple((c.sense, tuple(c.cols)) for c in cons))
     state = model._phase1
-    if state and state[0] == key:
-        _, std, sx, status = state
+    if state is not None and state[0] == key:
+        _, std, kept, status = state
         std.set_cost(model)
     else:
         std = _StandardLP(model)
-        sx = _Simplex(std.A, std.b, std.c, std.lb, std.ub)
-        status = sx.phase1()
-        model._phase1 = () if state is None else (key, std, sx, status)
-    if model._phase1:  # the kept simplex is copied, never run
-        sx = copy.deepcopy(sx)
-        sx.cost = np.concatenate([std.c, np.zeros(sx.m)])
-    return std.solution(sx, status or sx.phase2(), t0)
+        kept = _Simplex(std.A, std.b, std.c, std.lb, std.ub)
+        status = kept.phase1()
+        model._phase1 = (key, std, kept, status)
+    if status:  # infeasible for every cost
+        return std.solution(kept, status, t0)
+    sx = kept.copy()  # the kept simplex is never run
+    sx.cost = np.concatenate([std.c, np.zeros(sx.m)])
+    return std.solution(sx, sx.phase2(), t0)
 
 
 def solve(model: LinearModel, limits: dict | None = None,

@@ -6,6 +6,7 @@ from bioinv.formulations import (
     Allocation,
     BioConfig,
     FormulationError,
+    add_master_scenario,
     allowed_edges,
     basestock_policy,
     pipeline_arrival,
@@ -342,6 +343,51 @@ class TestMaster:
         m = build_master(inst, uset, pool, BioConfig(lam=0.0))
         sol = solve(m)
         assert sol.objective == pytest.approx(-360.0)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 1, 1), (3, 1, 2, 2), (2, 1, 1, 3)])
+    def test_master_grown_in_place_equals_a_fresh_build(self, shape):
+        # the CCG loop solves its master, then grows it by one scenario; each
+        # grown master equals build_master of the pool so far, and so do
+        # their solves, bit for bit
+        import dataclasses
+        from bioinv.ccg import seed_scenario
+        from bioinv.uncertainty import quantile_bounds_from_means
+        stores, dcs, zones, seed = shape
+        inst, means = synthetic_instance(stores, dcs, zones, seed=seed)
+        L = inst.num_nodes
+        rng = np.random.default_rng(seed)
+        repo_cost = rng.uniform(1.0, 5.0, size=(L, L)) * (1.0 - np.eye(L))
+        inst = dataclasses.replace(
+            inst, econ=dataclasses.replace(inst.econ, reposition_cost=repo_cost))
+        uset = quantile_bounds_from_means(means)
+        pool = [seed_scenario(uset)] + sample_scenarios(means, 2, seed=seed)
+        fixed = rng.integers(0, 4, size=(inst.horizon, L)).astype(float)
+        for lam, allied, repositioning, fixed_x in product(
+                (0.0, 0.3), ("walkin", "both"), (False, True), (None, fixed)):
+            cfg = BioConfig(lam=lam, allied_channels=allied, repositioning=repositioning)
+            grown = build_master(inst, uset, [], cfg, fixed_x)
+            for k in range(len(pool) + 1):
+                if k:
+                    add_master_scenario(grown, inst, pool[k - 1], cfg)
+                fresh = build_master(inst, uset, pool[:k], cfg, fixed_x)
+                case = (lam, allied, repositioning, fixed_x is not None, k)
+                assert _model_fields(grown) == _model_fields(fresh), case
+                assert grown.info.keys() == fresh.info.keys(), case
+                for key, v in grown.info.items():
+                    w = fresh.info[key]
+                    assert (np.array_equal(v, w) if isinstance(v, np.ndarray)
+                            else v == w), (case, key)
+                a, b = solve(grown), solve(fresh)
+                assert a.status == b.status == "optimal", case
+                assert repr(a.objective) == repr(b.objective), case
+                assert a.stats.simplex_iterations == b.stats.simplex_iterations, case
+                assert a.x.tobytes() == b.x.tobytes(), case
+
+
+def _model_fields(m):
+    return (m.obj_sense, m.var_names, m.lb, m.ub, m.kind,
+            [(c.cols, c.vals, c.sense, c.rhs, c.name) for c in m.constraints],
+            list(m.obj.items()), m.obj_const)
 
 
 class TestRepositioning:
