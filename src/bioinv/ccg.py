@@ -63,8 +63,8 @@ class CcgOptions:
 
 @dataclass
 class SolveReport:
-    allocation: Allocation
-    objective: float
+    allocation: Allocation | None
+    objective: float               # the best lower bound
     lam: float
     lower_bounds: list = field(default_factory=list)
     upper_bounds: list = field(default_factory=list)
@@ -75,7 +75,8 @@ class SolveReport:
     # converged (bounds met, every subproblem exact) | iteration_limit |
     # time_limit | stalled (the subproblem returned a pool scenario, or the
     # bounds met on an uncertified subproblem value: the loop cannot move
-    # and nothing certifies the result)
+    # and nothing certifies the result) | master_failed (a master solve
+    # ended infeasible or unbounded; the report rides on the CcgError)
     termination: str = ""
     certified: bool = True         # exact subproblem solves throughout
     d_plus: np.ndarray | None = None
@@ -274,84 +275,57 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
     options = options or CcgOptions()
     t0 = time.perf_counter()
     deadline = t0 + options.max_seconds
-    pool = [seed_scenario(uset)]
-    pool_keys = {pool[0].key()}
-    master = build_master(inst, uset, pool, cfg, fixed_x)
-    lb = -np.inf
+    report = SolveReport(allocation=None, objective=-np.inf, lam=cfg.lam,
+                         scenario_pool=[seed_scenario(uset)], termination="iteration_limit")
+    master = build_master(inst, uset, report.scenario_pool, cfg, fixed_x)
     ub = np.inf
-    lbs, ubs = [], []
-    best_alloc = None
-    best_dplus = None
-    certified_run = True
-    termination = "iteration_limit"
-    iterations = 0
 
     for _ in range(options.max_iterations):
-        iterations += 1
-        remaining = max(1e-3, deadline - time.perf_counter())
-        msol = solve(master, limits={"time": remaining})
+        report.iterations += 1
+        msol = solve(master, limits={"time": max(1e-3, deadline - time.perf_counter())})
         if msol.status not in ("optimal", "limit") or msol.x is None:
-            report = _finish(inst, uset, cfg, options, best_alloc, best_dplus, lb,
-                             lbs, ubs, pool, iterations, t0, "iteration_limit",
-                             certified_run)
-            raise CcgError(f"master solve failed with status {msol.status}", report)
-        if msol.status == "limit":
-            certified_run = False
+            report.termination = "master_failed"
+            break
         alloc, d_plus, _eta = extract_allocation(master, msol, inst, cfg)
         ub = min(ub, float(msol.objective))
-        ubs.append(ub)
+        report.upper_bounds.append(ub)
 
-        scen, sp_val, certified = _solve_subproblem(inst, uset, alloc, cfg, options,
-                                                    deadline, pool)
-        if not certified:
-            certified_run = False
-        stage1 = stage_one_value(inst, cfg, alloc, d_plus,
-                                 None if d_plus is None else _online_dplus(master, msol))
-        cand = sp_val + stage1
-        if cand > lb + 1e-12:
-            lb = cand
-            best_alloc, best_dplus = alloc, d_plus
-        lbs.append(lb)
+        scen, sp_val, exact = _solve_subproblem(inst, uset, alloc, cfg, options,
+                                                deadline, report.scenario_pool)
+        report.certified &= exact and msol.status == "optimal"  # not at a time limit
+        doplus = master.info["doplus"]
+        cand = sp_val + stage_one_value(inst, cfg, alloc, d_plus,
+                                        None if doplus is None else msol.x[doplus])
+        if cand > report.objective + 1e-12:
+            report.objective, report.allocation, report.d_plus = cand, alloc, d_plus
+        report.lower_bounds.append(report.objective)
 
-        gap = (ub - lb) / (abs(lb) + options.delta) if np.isfinite(lb) else np.inf
-        if gap <= options.epsilon and certified_run:
-            termination = "converged"
+        gap = ((ub - report.objective) / (abs(report.objective) + options.delta)
+               if np.isfinite(report.objective) else np.inf)
+        if gap <= options.epsilon and report.certified:
+            report.termination = "converged"
             break
-        if gap <= options.epsilon or scen.key() in pool_keys:
-            termination = "stalled"
+        if gap <= options.epsilon or scen.key() in {s.key() for s in report.scenario_pool}:
+            report.termination = "stalled"
             break
-        pool.append(scen)
-        pool_keys.add(scen.key())
+        report.scenario_pool.append(scen)
         add_master_scenario(master, inst, scen, cfg)
         if time.perf_counter() > deadline:
-            termination = "time_limit"
+            report.termination = "time_limit"
             break
-    if best_alloc is None:
-        best_alloc, best_dplus = alloc, d_plus
-
-    return _finish(inst, uset, cfg, options, best_alloc, best_dplus, lb, lbs, ubs,
-                   pool, iterations, t0, termination, certified_run)
-
-
-def _online_dplus(master, msol):
-    doplus = master.info["doplus"]
-    return None if doplus is None else msol.x[doplus]
+    del master  # frees its kept simplex before the rescore
+    if report.termination == "master_failed":
+        raise CcgError(f"master solve failed with status {msol.status}",
+                       _finish(report, inst, uset, options, t0))
+    if report.allocation is None:
+        report.allocation, report.d_plus = alloc, d_plus
+    return _finish(report, inst, uset, options, t0)
 
 
-def _finish(inst, uset, cfg, options, alloc, d_plus, lb, lbs, ubs, pool,
-            iterations, t0, termination, certified):
-    report = SolveReport(
-        allocation=alloc,
-        objective=float(lb) if np.isfinite(lb) else float("nan"),
-        lam=cfg.lam,
-        lower_bounds=list(lbs),
-        upper_bounds=list(ubs),
-        scenario_pool=list(pool),
-        iterations=iterations,
-        termination=termination,
-        certified=certified,
-        d_plus=d_plus,
-    )
+def _finish(report, inst, uset, options, t0):
+    """Worst-case rescore and timings of the filled `report`."""
+    obj, alloc = report.objective, report.allocation
+    report.objective = float(obj) if np.isfinite(obj) else float("nan")
     t_rescore = time.perf_counter()
     if options.rescore_worst_case and alloc is not None:
         try:

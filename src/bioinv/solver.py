@@ -24,10 +24,11 @@ The primal and the dual simplex share one pivot step, which updates only the
 rows with a nonzero in the pivot column.
 
 Phase 1 never reads the objective.  So an LP model keeps its simplex after
-phase 1 from its first `solve` on, and a later `solve` with the same
-constraints and bounds runs phase 2 only, from a copy of it.  The result is
-the cold solve's, bit for bit; `simplex_iterations` still counts the reused
-phase-1 pivots.  `add_var` and `add_constr` drop the kept simplex.
+phase 1 from its first `solve` on (with its standard form's column maps, not
+its matrix), and a later `solve` with the same constraints and bounds runs
+phase 2 only, from a copy of it.  The result is the cold solve's, bit for bit;
+`simplex_iterations` still counts the reused phase-1 pivots.  `add_var` and
+`add_constr` drop the kept simplex.
 
 Conventions:
   - variables carry individual bounds; free variables are split internally,
@@ -281,7 +282,7 @@ class _StandardLP:
 
     def set_cost(self, model: LinearModel):
         """The objective of `model`, whose columns and bounds this form holds."""
-        c = np.zeros(self.A.shape[1])
+        c = np.zeros(self.lb.size)
         sgn = 1.0 if model.obj_sense == "min" else -1.0
         for j, v in model.obj.items():
             vv = sgn * (-v if self.negated[j] else v)
@@ -587,6 +588,7 @@ def _solve_lp(model: LinearModel) -> Solution:
     else:
         std = _StandardLP(model)
         kept = _Simplex(std.A, std.b, std.c, std.lb, std.ub)
+        del std.A  # no phase-2 re-solve reads it; the tableau holds the rows
         status = kept.phase1()
         model._phase1 = (key, std, kept, status)
     if status:  # infeasible for every cost

@@ -395,6 +395,95 @@ class TestRescore:
         assert rep.to_dict()["rescore_s"] == rep.rescore_s
 
 
+class TestLoopExits:
+    """The exits of the CCG loop that the shipped inputs do not reach."""
+
+    @staticmethod
+    def patch_master(monkeypatch, change):
+        # `change(k, sol)` edits or replaces the solution of master solve k
+        real, calls = ccg.solve, []
+
+        def patched(model, *args, **kwargs):
+            sol = real(model, *args, **kwargs)
+            if model.name != "master":
+                return sol
+            calls.append(model)
+            return change(len(calls), sol)
+
+        monkeypatch.setattr(ccg, "solve", patched)
+        return calls
+
+    def test_failed_master_raises_with_the_report_so_far(self, monkeypatch):
+        from bioinv.ccg import CcgError
+        from bioinv.solver import Solution
+        inst, uset = example_walkin_instance(80.0, 80.0), example_walkin_uncertainty()
+        first = solve_two_stage(inst, uset, BioConfig(lam=0.0), CcgOptions(max_iterations=1))
+        self.patch_master(monkeypatch, lambda k, sol: (
+            sol if k == 1 else Solution("infeasible", float("nan"), None)))
+        with pytest.raises(CcgError, match="infeasible") as info:
+            solve_two_stage(inst, uset, BioConfig(lam=0.0))
+        rep = info.value.report
+        assert rep.termination == "master_failed" and rep.iterations == 2
+        assert rep.lower_bounds == first.lower_bounds and len(rep.lower_bounds) == 1
+        assert rep.upper_bounds == first.upper_bounds
+        assert rep.objective == first.objective
+        assert np.array_equal(rep.allocation.x, first.allocation.x)
+        assert [s.key() for s in rep.scenario_pool] == [s.key() for s in first.scenario_pool]
+        assert rep.worst_case_profit == first.worst_case_profit
+        assert rep.certified
+
+    def test_master_at_its_limit_clears_certified(self, monkeypatch):
+        inst, uset = example_walkin_instance(0.0, 160.0), example_walkin_uncertainty()
+        exact = solve_two_stage(inst, uset, BioConfig(lam=0.0))
+        assert exact.termination == "converged" and exact.certified
+
+        def at_limit(k, sol):
+            sol.status = "limit"
+            return sol
+
+        calls = self.patch_master(monkeypatch, at_limit)
+        rep = solve_two_stage(inst, uset, BioConfig(lam=0.0))
+        assert len(calls) == rep.iterations == exact.iterations
+        assert rep.termination == "stalled" and not rep.certified
+        assert rep.lower_bounds == exact.lower_bounds
+        assert rep.upper_bounds == exact.upper_bounds
+
+    def test_run_past_its_deadline_ends_time_limit(self):
+        # the first iteration grows the pool; the deadline has passed by then
+        rep = solve_two_stage(example_walkin_instance(80.0, 80.0),
+                              example_walkin_uncertainty(), BioConfig(lam=0.0),
+                              CcgOptions(subproblem_mode=ALTERNATING, max_seconds=1e-6))
+        assert rep.termination == "time_limit" and not rep.certified
+        assert rep.iterations == 1 and len(rep.scenario_pool) == 2
+        assert rep.allocation is not None and np.isfinite(rep.objective)
+
+    def test_master_is_freed_before_the_rescore(self, monkeypatch):
+        import gc
+        import weakref
+        masters, alive = [], []
+        build, evaluate = ccg.build_master, ccg.evaluate_profit
+
+        def building(*args, **kwargs):
+            master = build(*args, **kwargs)
+            masters.append(weakref.ref(master))
+            return master
+
+        def evaluating(*args, **kwargs):
+            alive.append([ref() is not None for ref in masters])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(ccg, "build_master", building)
+        monkeypatch.setattr(ccg, "evaluate_profit", evaluating)
+        gc.disable()
+        try:
+            rep = solve_two_stage(example_walkin_instance(0.0, 160.0),
+                                  example_walkin_uncertainty(), BioConfig(lam=0.0))
+        finally:
+            gc.enable()
+        assert rep.worst_case_profit is not None
+        assert alive == [[False]]
+
+
 class TestOptions:
     def test_bad_options_rejected(self):
         from bioinv.ccg import CcgError

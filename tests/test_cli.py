@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -165,6 +166,34 @@ class TestSimulate:
         summary = json.load(open(out / "kpi_summary.json"))
         assert "basestock" in summary
         assert "realized_profit" in summary["basestock"]
+
+    def test_simulate_bio_policy(self, tmp_path, monkeypatch):
+        # bio10 reads as lambda 0.1, and the CCG flags reach solve_two_stage
+        from bioinv import simulate
+        from bioinv.ccg import CcgError
+        args = ["simulate", os.path.join(DATA, "reference_sim_instance.json"),
+                "--means", os.path.join(DATA, "reference_sim_means.json"),
+                "--policy", "bio10", "--weeks", "3", "--replications", "1", "--seed", "7"]
+
+        def ledger(out):
+            rows = list(csv.reader(open(out / "kpi_ledger.csv")))
+            assert [r[:2] for r in rows[1:]] == [["bio10", "0"], ["bio10", "aggregate"]]
+            return dict(zip(rows[0], rows[1]))
+
+        assert run_cli(args + ["--out", str(tmp_path / "run")]) == 0
+        row = ledger(tmp_path / "run")
+        assert row["solver_failures"] == "0" and float(row["replenish_qty"]) > 0
+        seen = []
+
+        def recording(inst, uset, cfg, options=None, fixed_x=None):
+            seen.append((cfg.lam, options.max_iterations, options.subproblem_mode))
+            raise CcgError("recorded")
+
+        monkeypatch.setattr(simulate, "solve_two_stage", recording)
+        assert run_cli(args + ["--max-iterations", "3", "--subproblem-mode", "exact_mip",
+                               "--out", str(tmp_path / "recorded")]) == 0
+        assert seen and set(seen) == {(0.1, 3, "exact_mip")}
+        assert ledger(tmp_path / "recorded")["solver_failures"] == str(len(seen))
 
 
 class TestEntrypoint:

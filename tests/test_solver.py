@@ -878,6 +878,7 @@ def test_solved_models_are_freed_without_the_cycle_collector():
             for _ in range(solves):
                 assert solve(m).status == "optimal"
             assert m._phase1   # phase-1 state held
+            assert not hasattr(m._phase1[1], "A")   # without the dense matrix
         refs = [weakref.ref(m) for m in (lp, once, dual, master)]
         del m, lp, once, dual, master
         assert [r() for r in refs] == [None] * 4
