@@ -25,6 +25,7 @@ from .formulations import (
     evaluate_profit,
     extract_allocation,
     extract_worst_scenario,
+    set_allocation,
     set_fixed_scenario,
     stage_one_value,
 )
@@ -97,7 +98,7 @@ class SolveReport:
             "rescore_s": self.rescore_s,
             "lower_bounds": [clean(v) for v in self.lower_bounds],
             "upper_bounds": [clean(v) for v in self.upper_bounds],
-            "allocation": self.allocation.to_dict(),
+            "allocation": None if self.allocation is None else self.allocation.to_dict(),
             "scenario_pool": [s.to_dict() for s in self.scenario_pool],
             "worst_case_profit": clean(self.worst_case_profit),
             "rescore_error": self.rescore_error,
@@ -123,25 +124,15 @@ def minimize_linear_over_cell(coeffs, lo, hi, bl, bu):
     d = np.where(c > 0, lo, hi).astype(float)
     d = np.where(c == 0, lo, d)
     s = d.sum()
-    if s < bl:
-        need = bl - s
-        order = sorted(range(len(c)), key=lambda i: (c[i], i))
-        for i in order:
-            room = hi[i] - d[i]
-            step = min(room, need)
-            d[i] += step
+    # raise the cheapest cells onto bl, or lower the dearest onto bu
+    sign, need = (1.0, bl - s) if s < bl else (-1.0, s - bu)
+    if need > 0:
+        room = hi - d if sign > 0 else d - lo
+        for i in sorted(range(len(c)), key=lambda i: (sign * c[i], i)):
+            step = min(room[i], need)
+            d[i] += sign * step
             need -= step
             if need <= 1e-12:
-                break
-    elif s > bu:
-        excess = s - bu
-        order = sorted(range(len(c)), key=lambda i: (-c[i], i))
-        for i in order:
-            room = d[i] - lo[i]
-            step = min(room, excess)
-            d[i] -= step
-            excess -= step
-            if excess <= 1e-12:
                 break
     return d
 
@@ -221,12 +212,23 @@ def _mip_incumbent_from_scenario(model, scenario: DemandScenario, fixed):
     return float(fixed.objective), x
 
 
+def _adversary(models, kind, inst, uset, alloc, lam, allied, **build):
+    """The run's `kind` subproblem model pointed at `alloc`, `lam` and
+    `allied`: built on first use, its objective rewritten after that."""
+    if kind in models:
+        set_allocation(models[kind], inst, alloc, lam, allied)
+    else:
+        models[kind] = build_subproblem(inst, uset, alloc, lam, allied, **build)
+    return models[kind]
+
+
 def _best_heuristic_scenario(inst, uset, alloc, lam, options, allied,
-                             extra_starts=()):
-    """Multi-start alternating heuristic on one dual model; the lowest value
-    wins."""
+                             extra_starts=(), models=None):
+    """Multi-start alternating heuristic on one dual model, the run's in
+    `models` (a fresh one when None); the lowest value wins."""
     starts = [upper_seed_scenario(uset), seed_scenario(uset), *extra_starts]
-    model = build_subproblem(inst, uset, alloc, lam, allied, fixed_scenario=starts[0])
+    model = _adversary({} if models is None else models, "dual", inst, uset, alloc, lam,
+                       allied, fixed_scenario=starts[0])
     best = None
     seen = set()
     for st in starts:
@@ -240,17 +242,17 @@ def _best_heuristic_scenario(inst, uset, alloc, lam, options, allied,
     return best
 
 
-def _solve_subproblem(inst, uset, alloc, cfg, options, deadline, pool=()):
-    """One adversarial solve per the configured mode.  Returns
-    (scenario, value, certified)."""
+def _solve_subproblem(inst, uset, alloc, cfg, options, deadline, pool, models):
+    """One adversarial solve per the configured mode, on the run's models in
+    `models`.  Returns (scenario, value, certified)."""
     lam, allied = cfg.lam, cfg.allied_channels
     mode = options.subproblem_mode
     extra = list(pool)[-2:] if mode == ALTERNATING else ()
     ah_scen, ah_val, ah_sol = _best_heuristic_scenario(inst, uset, alloc, lam, options,
-                                                       allied, extra)
+                                                       allied, extra, models)
     if mode == ALTERNATING:
         return ah_scen, ah_val, False
-    model = build_subproblem(inst, uset, alloc, lam, allied)
+    model = _adversary(models, "mip", inst, uset, alloc, lam, allied)
     incumbent = _mip_incumbent_from_scenario(model, ah_scen, ah_sol)
     remaining = None if deadline is None else max(1e-3, deadline - time.perf_counter())
     sol = solve(model, limits={"time": remaining}, incumbent=incumbent)
@@ -278,6 +280,7 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
     report = SolveReport(allocation=None, objective=-np.inf, lam=cfg.lam,
                          scenario_pool=[seed_scenario(uset)], termination="iteration_limit")
     master = build_master(inst, uset, report.scenario_pool, cfg, fixed_x)
+    models = {}  # the run's adversary: dual LP and MIP, re-pointed each iteration
     ub = np.inf
 
     for _ in range(options.max_iterations):
@@ -291,7 +294,7 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
         report.upper_bounds.append(ub)
 
         scen, sp_val, exact = _solve_subproblem(inst, uset, alloc, cfg, options,
-                                                deadline, report.scenario_pool)
+                                                deadline, report.scenario_pool, models)
         report.certified &= exact and msol.status == "optimal"  # not at a time limit
         doplus = master.info["doplus"]
         cand = sp_val + stage_one_value(inst, cfg, alloc, d_plus,
@@ -313,24 +316,27 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
         if time.perf_counter() > deadline:
             report.termination = "time_limit"
             break
-    del master  # frees its kept simplex before the rescore
+    # the master's and the dual model's kept simplexes are freed before the rescore
+    del master
+    models.pop("dual", None)
     if report.termination == "master_failed":
         raise CcgError(f"master solve failed with status {msol.status}",
-                       _finish(report, inst, uset, options, t0))
+                       _finish(report, inst, uset, options, t0, models))
     if report.allocation is None:
         report.allocation, report.d_plus = alloc, d_plus
-    return _finish(report, inst, uset, options, t0)
+    return _finish(report, inst, uset, options, t0, models)
 
 
-def _finish(report, inst, uset, options, t0):
-    """Worst-case rescore and timings of the filled `report`."""
+def _finish(report, inst, uset, options, t0, models):
+    """Worst-case rescore, on the run's MIP when it has one, and timings of
+    the filled `report`."""
     obj, alloc = report.objective, report.allocation
     report.objective = float(obj) if np.isfinite(obj) else float("nan")
     t_rescore = time.perf_counter()
     if options.rescore_worst_case and alloc is not None:
         try:
             plain = Allocation(alloc.x, alloc.x_repo)
-            model = build_subproblem(inst, uset, plain, 0.0)
+            model = _adversary(models, "mip", inst, uset, plain, 0.0, "walkin")
             sol = solve(model, limits={"time": 60.0})
             if sol.status == "optimal":
                 scen = extract_worst_scenario(model, sol)

@@ -595,29 +595,18 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
     the leading columns of the mixed-binary model, in the same order.
     `info["dual"][ch]` holds the demand-dual columns of channel ch, (T, n),
     and `info["w"][ch]` maps each cell to (selectors, values,
-    dual-times-selector columns).
+    dual-times-selector columns).  Rows, bounds and big-Ms do not depend on
+    `alloc`, `lam` or `allied`; `set_allocation` writes the objective.
     """
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
     e = inst.econ
     br = inst.business_rules
-    keep, penalty = channel_weights(inst, lam, allied)
-    s_plus = alloc.s_plus if alloc.s_plus is not None else np.zeros((T, L))
-    y_plus = alloc.y_plus
 
     m = LinearModel("subproblem", sense="min")
-    obj: dict[int, float] = {}
-
     gamma = _columns(m, "g", (T, L), -INF)
     dual = {ch: _columns(m, f"dual_{ch}", (T, n)) for ch, n in (("b", L), ("o", Z))}
-    kappa = None
-    if br.fulfill_capacity is not None:
-        kappa = _columns(m, "k", (T, L))
-        for t in range(T):
-            for l in range(L):
-                obj[int(kappa[t, l])] = float(br.fulfill_capacity[t, l])
-    sigma = None
-    if br.service_window_fraction is not None:
-        sigma = _columns(m, "sg", (T,))
+    kappa = None if br.fulfill_capacity is None else _columns(m, "k", (T, L))
+    sigma = None if br.service_window_fraction is None else _columns(m, "sg", (T,))
 
     # dual feasibility
     edge_days = {(l, z): d for l, z, d in allowed_edges(inst)}
@@ -643,49 +632,70 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
                 row[int(gamma[t + 1, l])] = -1.0
             m.add_constr(row, ">=", -float(e.holding[l]), name=f"dual_I[{t},{l}]")
 
-    # gamma objective terms: initial stock plus lead-shifted arrivals net of
-    # committed optimistic sales
-    for l in range(L):
-        obj[int(gamma[0, l])] = obj.get(int(gamma[0, l]), 0.0) + inst.inventory.on_hand(l)
+    # demand fixed (set_fixed_scenario) or picked by selectors
+    winfo = {ch: {} for ch in CHANNELS}
+    m.info = {"gamma": gamma, "kappa": kappa, "dual": dual, "w": winfo}
+    if fixed_scenario is not None:
+        m.info["scenario"] = fixed_scenario
+    else:
+        for t in range(T):
+            for ch in CHANNELS:
+                n = dual[ch].shape[1]
+                for i in range(n):
+                    vals = list(range(int(uset.local_lower[ch][t, i]),
+                                      int(uset.local_upper[ch][t, i]) + 1))
+                    winfo[ch][t, i] = _add_selectors(m, f"{ch}[{t},{i}]", int(dual[ch][t, i]),
+                                                     vals, _big_m(inst, ch, t, i))
+                if n:
+                    row = {wc: float(val) for i in range(n)
+                           for wc, val in zip(*winfo[ch][t, i][:2]) if val}
+                    m.add_constr(row, ">=", float(uset.budget_lower[ch][t]), name=f"bud_{ch}l[{t}]")
+                    m.add_constr(row, "<=", float(uset.budget_upper[ch][t]), name=f"bud_{ch}u[{t}]")
+    set_allocation(m, inst, alloc, lam, allied)
+    return m
+
+
+def set_allocation(m: LinearModel, inst: Instance, alloc: Allocation, lam: float,
+                   allied: str = WALKIN_ONLY):
+    """Point a `build_subproblem` model at `alloc`, `lam` and `allied`: only
+    its objective changes.  That is the gamma terms (initial stock, arrivals,
+    committed optimistic sales) and the (1 - lam) * (dual - penalty) * demand
+    terms, with the kept fixed demand or the selectors' demand."""
+    T, L = inst.horizon, inst.num_nodes
+    info = m.info
+    gamma, kappa = info["gamma"], info["kappa"]
+    keep, penalty = channel_weights(inst, lam, allied)
+    s_plus = alloc.s_plus if alloc.s_plus is not None else np.zeros((T, L))
+    obj: dict[int, float] = {}
+    if kappa is not None:
+        cap = inst.business_rules.fulfill_capacity
+        obj.update((int(kappa[t, l]), float(cap[t, l])) for t in range(T) for l in range(L))
     for t in range(T):
         for l in range(L):
             coeff = pipeline_arrival(inst, t, l) + _x_arrival_const(inst, t, l, alloc)
             coeff -= float(s_plus[t, l])
-            if y_plus is not None:
-                coeff -= float(y_plus[t, l, :].sum())
-            obj[int(gamma[t, l])] = obj.get(int(gamma[t, l]), 0.0) + coeff
-
-    # demand terms: (1 - lam) * (dual - penalty) * demand per cell, with the
-    # demand fixed (set_fixed_scenario) or picked by selectors
-    winfo = {ch: {} for ch in CHANNELS}
-    m.info = {"gamma": gamma, "dual": dual, "w": winfo}
-    if fixed_scenario is not None:
-        m.info["fixed"] = (obj, keep, penalty)
-        set_fixed_scenario(m, fixed_scenario)
-        return m
+            if alloc.y_plus is not None:
+                coeff -= float(alloc.y_plus[t, l, :].sum())
+            obj[int(gamma[t, l])] = (inst.inventory.on_hand(l) if t == 0 else 0.0) + coeff
+    if "scenario" in info:
+        info["fixed"] = (obj, keep, penalty)
+        set_fixed_scenario(m, info["scenario"])
+        return
     for t in range(T):
         for ch in CHANNELS:
-            n = dual[ch].shape[1]
-            for i in range(n):
-                vals = list(range(int(uset.local_lower[ch][t, i]),
-                                  int(uset.local_upper[ch][t, i]) + 1))
-                winfo[ch][t, i] = _add_selectors(
-                    m, obj, f"{ch}[{t},{i}]", int(dual[ch][t, i]), vals, keep[ch],
-                    float(penalty[ch][t, i]), _big_m(inst, ch, t, i))
-            if n:
-                row = {wc: float(val) for i in range(n)
-                       for wc, val in zip(*winfo[ch][t, i][:2]) if val}
-                m.add_constr(row, ">=", float(uset.budget_lower[ch][t]), name=f"bud_{ch}l[{t}]")
-                m.add_constr(row, "<=", float(uset.budget_upper[ch][t]), name=f"bud_{ch}u[{t}]")
-
+            for i in range(info["dual"][ch].shape[1]):
+                pen = float(penalty[ch][t, i])
+                for wc, val, pc in zip(*info["w"][ch][t, i]):
+                    obj[pc] = keep[ch] * val
+                    obj[wc] = -keep[ch] * val * pen
     m.set_objective(obj)
-    return m
 
 
 def set_fixed_scenario(m: LinearModel, scenario: DemandScenario):
     """Point a fixed-demand `build_subproblem` model at the demand `scenario`;
     only the demand terms of its objective and its constant change."""
     base, keep, penalty = m.info["fixed"]
+    m.info["scenario"] = scenario
     dual, const = m.info["dual"], 0.0
     obj = dict(base)
     for t in range(dual["b"].shape[0]):
@@ -697,19 +707,16 @@ def set_fixed_scenario(m: LinearModel, scenario: DemandScenario):
     m.set_objective(obj, const=const)
 
 
-def _add_selectors(m: LinearModel, obj: dict, cell: str, dual: int, vals: list,
-                   keep: float, pen: float, M: float) -> tuple:
+def _add_selectors(m: LinearModel, cell: str, dual: int, vals: list, M: float) -> tuple:
     """One binary selector per discrete demand value of a cell, each with a
     dual-times-selector column tied to the cell's `dual` by big-M links;
     returns (selectors, values, dual-times-selector columns)."""
     wcols, pcols = [], []
-    for k, val in enumerate(vals):
+    for k in range(len(vals)):
         wc = m.add_var(f"w{cell}[{k}]", 0.0, 1.0, BINARY)
         pc = m.add_var(f"p{cell}[{k}]", 0.0, INF)
         wcols.append(wc)
         pcols.append(pc)
-        obj[pc] = keep * val
-        obj[wc] = -keep * val * pen
         m.add_constr({pc: 1.0, wc: -M}, "<=", 0.0, name=f"link{cell}[{k}]")
         # lower RLT link keeps the relaxation tight
         m.add_constr({pc: 1.0, dual: -1.0, wc: -M}, ">=", -M, name=f"linklo{cell}[{k}]")

@@ -6,29 +6,30 @@ package goes through `LinearModel` and `solve` (or `solve_family` for a
 batch of LPs), so an external backend could be swapped in behind the same
 interface.
 
-One engine serves every solve.  A `solve` or `solve_family` call builds the
-model's standard form (`_StandardLP`) once; every LP of the call (the model
+One engine serves every solve.  A `solve` or `solve_family` call works on
+the model's standard form (`_StandardLP`); every LP of the call (the model
 itself, a branch-and-bound node, a family member) is that form with its own
 right-hand side and column bounds, solved by `_StandardLP.solve`.
 Branch-and-bound nodes fix binaries through column bounds (binaries are never
-split or negated).  The root is solved cold; every other node is re-optimized
-by dual simplex from its parent's optimal basis.  An open node keeps only that
-basis, the column statuses and the phase-1 row flips, shared with its sibling;
-its tableau is rebuilt from that basis by Gauss-Jordan elimination when it is
-popped.  Family members are re-optimized by dual simplex from the last optimal
-basis.  A re-optimization is accepted only within 1e-12 of the bounds.  An LP
-is solved cold when its basis matrix is singular or the dual simplex gives
-up, and reported infeasible without a cold solve when a row stays infeasible
-with no column to enter.  A cold member gives the same result as `solve`.
-The primal and the dual simplex share one pivot step, which updates only the
-rows with a nonzero in the pivot column.
+split or negated).  Every node after the root is re-optimized by dual simplex
+from its parent's optimal basis.  An open node keeps only that basis, the
+column statuses and the phase-1 row flips, shared with its sibling; its
+tableau is rebuilt from that basis by Gauss-Jordan elimination when it is
+popped.  Family members are re-optimized by dual simplex from the last
+optimal basis.  A re-optimization is accepted only within 1e-12 of the
+bounds.  An LP is solved cold when its basis matrix is singular or the dual
+simplex gives up, and reported infeasible without a cold solve when a row
+stays infeasible with no column to enter.  The primal and the dual simplex
+share one pivot step, which updates only the rows with a nonzero in the pivot
+column.
 
-Phase 1 never reads the objective.  So an LP model keeps its simplex after
-phase 1 from its first `solve` on (with its standard form's column maps, not
-its matrix), and a later `solve` with the same constraints and bounds runs
-phase 2 only, from a copy of it.  The result is the cold solve's, bit for bit;
-`simplex_iterations` still counts the reused phase-1 pivots.  `add_var` and
-`add_constr` drop the kept simplex.
+Phase 1 never reads the objective.  So a model keeps its standard form and
+its simplex after phase 1 from its first `solve` on, and a later `solve` with
+the same constraints and bounds runs phase 2 only, from a copy of it: the
+whole solve of an LP, the root of branch-and-bound.  The result is the cold
+solve's, bit for bit; `simplex_iterations` still counts the reused phase-1
+pivots.  `add_var` and `add_constr` drop the kept state.  An LP's kept
+standard form drops its dense matrix, which only node rebuilds read.
 
 Conventions:
   - variables carry individual bounds; free variables are split internally,
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -106,7 +108,7 @@ class LinearModel:
         self.sos1: list[tuple[list[int], list[float]]] = []
         # builder metadata (variable index maps etc.), free-form
         self.info: dict = {}
-        self._phase1 = None  # kept by _solve_lp
+        self._phase1 = None  # kept by _solve_from_phase1
 
     def add_sos1(self, cols: list[int], weights: list[float]):
         self.sos1.append((list(cols), [float(w) for w in weights]))
@@ -572,11 +574,13 @@ class _Simplex:
             self.iterations += 1
 
 
-def _solve_lp(model: LinearModel) -> Solution:
-    """An LP solve that keeps the model's standard form and its simplex after
-    phase 1 under a key of all that phase 1 reads, the column bounds and the
-    constraint rows, for later solves by phase 2 (see the module docstring)."""
-    t0 = time.perf_counter()
+def _solve_from_phase1(model: LinearModel, t0: float):
+    """The model's LP by phase 2 on a copy of its kept simplex after phase 1,
+    which is never run; returns its standard form, the `Solution` and the
+    simplex that holds its final basis.  The standard form (with the model's
+    cost) and the post-phase-1 simplex are kept on the model and reused while
+    all that phase 1 reads, the column bounds and the constraint rows, is
+    unchanged; they are built, and phase 1 is run, when it changed."""
     cons = model.constraints
     key = (np.array([*model.lb, *model.ub, *(c.rhs for c in cons),
                      *(v for c in cons for v in c.vals)]).tobytes(),
@@ -588,14 +592,15 @@ def _solve_lp(model: LinearModel) -> Solution:
     else:
         std = _StandardLP(model)
         kept = _Simplex(std.A, std.b, std.c, std.lb, std.ub)
-        del std.A  # no phase-2 re-solve reads it; the tableau holds the rows
+        if BINARY not in model.kind:
+            del std.A
         status = kept.phase1()
         model._phase1 = (key, std, kept, status)
     if status:  # infeasible for every cost
-        return std.solution(kept, status, t0)
-    sx = kept.copy()  # the kept simplex is never run
+        return std, std.solution(kept, status, t0), kept
+    sx = kept.copy()
     sx.cost = np.concatenate([std.c, np.zeros(sx.m)])
-    return std.solution(sx, sx.phase2(), t0)
+    return std, std.solution(sx, sx.phase2(), t0), sx
 
 
 def solve(model: LinearModel, limits: dict | None = None,
@@ -615,12 +620,11 @@ def solve(model: LinearModel, limits: dict | None = None,
     node_limit = limits.get("nodes")
 
     binaries = [j for j in range(model.num_vars) if model.kind[j] == BINARY]
+    std, sol, root = _solve_from_phase1(model, t0)
     if not binaries:
-        sol = _solve_lp(model)
         sol.stats.wall_time = time.perf_counter() - t0
         return sol
-    std = _StandardLP(model)
-    stats = SolveStats()
+    stats = SolveStats(simplex_iterations=sol.stats.simplex_iterations, nodes=1)  # the root
 
     maximize = model.obj_sense == "max"
 
@@ -643,8 +647,7 @@ def solve(model: LinearModel, limits: dict | None = None,
         for j in binaries:
             f = abs(xv[j] - round(xv[j]))
             if f > worst_f:
-                worst_f = f
-                worst_j = j
+                worst_f, worst_j = f, j
         return worst_j
 
     def accept(xv, ob):
@@ -684,69 +687,51 @@ def solve(model: LinearModel, limits: dict | None = None,
             high = [c for c, _ in support[cut:]]
             low_mass = sum(xv[c] for c in low)
             halves = (low, high) if low_mass >= 0.5 else (high, low)
-            out = []
-            for keep, drop in ((halves[0], halves[1]), (halves[1], halves[0])):
-                child = dict(fixings)
-                for c in drop:
-                    child[c] = (0.0, 0.0)
-                out.append(child)
-            return out
+            # the first child keeps the heavier half and fixes the other to 0
+            return [{**fixings, **dict.fromkeys(drop, (0.0, 0.0))}
+                    for drop in (halves[1], halves[0])]
         j = frac_binary(xv)
         if j < 0:
             return None
-        out = []
-        for v in ((1.0, 0.0) if xv[j] >= 0.5 else (0.0, 1.0)):
-            child = dict(fixings)
-            child[j] = (v, v)
-            out.append(child)
-        return out
+        return [{**fixings, j: (v, v)} for v in ((1.0, 0.0) if xv[j] >= 0.5 else (0.0, 1.0))]
 
-    def relaxation(fixings, parent=None):
+    def relaxation(fixings, parent):
         """The node LP, re-optimized from the `parent` state (basis,
-        statuses, row flips) when given, else cold; returns its status,
-        objective, x and state."""
+        statuses, row flips); returns its status, objective, x and state."""
         # binaries sit unsplit and unnegated at std.pos, so a fixing is a
         # change of column bounds only
         lb, ub = std.lb.copy(), std.ub.copy()
         for j, (lo, hi) in fixings.items():
             lb[std.pos[j]], ub[std.pos[j]] = lo, hi
-        warm = None if parent is None else _Simplex.from_basis(
-            std.A, std.b, std.c, lb, ub, *parent)
-        sol, sx = std.solve(std.b, lb, ub, warm)
+        sol, sx = std.solve(std.b, lb, ub, _Simplex.from_basis(
+            std.A, std.b, std.c, lb, ub, *parent))
         stats.simplex_iterations += sol.stats.simplex_iterations
         stats.nodes += 1
         # the state holds no tableau, so the node's simplex is freed here
         return sol.status, sol.objective, sol.x, (sx.basis, sx.status, sx.flip)
 
-    status, obj, x, state = relaxation({})
-    if status == "infeasible":
-        stats.wall_time = time.perf_counter() - t0
-        if best_x is not None:
-            return Solution("optimal", best_obj, best_x, stats)
-        return Solution("infeasible", float("nan"), None, stats)
+    status, obj, x, state = sol.status, sol.objective, sol.x, (root.basis, root.status, root.flip)
+    del root  # the state holds no tableau, so the root's simplex is freed here
     if status == "unbounded":
         stats.wall_time = time.perf_counter() - t0
         return Solution("unbounded", float("nan"), None, stats)
 
     heap: list = []
-    counter = 0
+    tick = itertools.count()  # first in, first out among equal bounds
 
     def push(bound, fixings, parent):
-        nonlocal counter
-        heapq.heappush(heap, (-bound if maximize else bound, counter, fixings, bound, parent))
-        counter += 1
+        heapq.heappush(heap, (-bound if maximize else bound, next(tick), fixings, bound, parent))
 
-    if frac_binary(x) < 0:
-        accept(x, obj)
-    else:
-        push(obj, {}, state)
+    if status == "optimal":  # else the incumbent, if any, is optimal
+        if frac_binary(x) < 0:
+            accept(x, obj)
+        else:
+            push(obj, {}, state)
 
     hit_limit = False
     while heap:
-        if time_limit is not None and time.perf_counter() - t0 > time_limit:
-            hit_limit = True
-            break
-        if node_limit is not None and stats.nodes >= node_limit:
+        if (time_limit is not None and time.perf_counter() - t0 > time_limit
+                or node_limit is not None and stats.nodes >= node_limit):
             hit_limit = True
             break
         _, _, fixings, bound, parent = heapq.heappop(heap)

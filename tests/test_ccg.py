@@ -171,8 +171,8 @@ class TestAlternatingHeuristic:
             DemandMeans(np.array(doc["walkin"][:2]), np.array(doc["online"][:2])))
         repeats = []
 
-        def recording(inst, uset, alloc, cfg, options, deadline, pool=()):
-            out = subproblem(inst, uset, alloc, cfg, options, deadline, pool)
+        def recording(inst, uset, alloc, cfg, options, deadline, pool, models):
+            out = subproblem(inst, uset, alloc, cfg, options, deadline, pool, models)
             repeats.append(out[0].key() in {p.key() for p in pool})
             return out
 
@@ -306,6 +306,45 @@ class TestMipIncumbent:
         assert ref.x.tobytes() == sol.x.tobytes()
 
 
+class TestRunAdversary:
+    def test_one_dual_model_and_one_mip_per_run(self, monkeypatch):
+        # the run builds the fixed-demand dual model and the MIP once and
+        # re-points them each iteration (the exact MIP serves the rescore as
+        # well); the reports equal those of runs that build every model afresh
+        builds = []
+        real_build, real_adversary = ccg.build_subproblem, ccg._adversary
+
+        def counting(*args, **kwargs):
+            builds.append("dual" if kwargs.get("fixed_scenario") is not None else "mip")
+            return real_build(*args, **kwargs)
+
+        def fresh(models, *args, **kwargs):
+            return real_adversary({}, *args, **kwargs)
+
+        def timeless(rep):
+            d = rep.to_dict()
+            del d["wall_time"], d["rescore_s"]
+            return d
+
+        monkeypatch.setattr(ccg, "build_subproblem", counting)
+        uset = example_walkin_uncertainty()
+        iterations = set()
+        for (p, b), lam, mode in product(((0.0, 160.0), (160.0, 0.0), (80.0, 80.0)),
+                                         (0.0, 0.5), (ccg.EXACT_MIP, ALTERNATING)):
+            inst, options = example_walkin_instance(p, b), CcgOptions(subproblem_mode=mode)
+            builds.clear()
+            rep = solve_two_stage(inst, uset, BioConfig(lam=lam), options)
+            assert builds == ["dual", "mip"], (p, b, lam, mode)
+            iterations.add(rep.iterations)
+            with monkeypatch.context() as patched:
+                patched.setattr(ccg, "_adversary", fresh)
+                builds.clear()
+                ref = solve_two_stage(inst, uset, BioConfig(lam=lam), options)
+            assert len(builds) > 2
+            assert timeless(rep) == timeless(ref), (p, b, lam, mode)
+        assert len(iterations) >= 2 and max(iterations) >= 3
+
+
 class TestSubproblemErrors:
     def test_extraction_failure_surfaces(self, monkeypatch):
         # a selector read that fails must stop the solve, not fall back to the
@@ -431,6 +470,21 @@ class TestLoopExits:
         assert [s.key() for s in rep.scenario_pool] == [s.key() for s in first.scenario_pool]
         assert rep.worst_case_profit == first.worst_case_profit
         assert rep.certified
+
+    def test_first_master_failure_report_serializes(self, monkeypatch):
+        # no allocation exists yet; the report still converts to JSON
+        from bioinv.ccg import CcgError
+        from bioinv.solver import Solution
+        self.patch_master(monkeypatch, lambda k, sol: Solution("infeasible", float("nan"), None))
+        with pytest.raises(CcgError, match="infeasible") as info:
+            solve_two_stage(example_walkin_instance(80.0, 80.0), example_walkin_uncertainty(),
+                            BioConfig(lam=0.0))
+        rep = info.value.report
+        assert rep.termination == "master_failed" and rep.allocation is None
+        d = rep.to_dict()
+        assert d["allocation"] is None and d["objective"] is None
+        assert d["lower_bounds"] == d["upper_bounds"] == [] and d["worst_case_profit"] is None
+        json.dumps(d)
 
     def test_master_at_its_limit_clears_certified(self, monkeypatch):
         inst, uset = example_walkin_instance(0.0, 160.0), example_walkin_uncertainty()

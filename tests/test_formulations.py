@@ -20,6 +20,8 @@ from bioinv.formulations import (
     extract_worst_scenario,
     first_stage_cost,
     pwl_allocation,
+    set_allocation,
+    set_fixed_scenario,
 )
 from bioinv.instance import BusinessRules, build_instance
 from bioinv.reference import (
@@ -388,6 +390,92 @@ def _model_fields(m):
     return (m.obj_sense, m.var_names, m.lb, m.ub, m.kind,
             [(c.cols, c.vals, c.sense, c.rhs, c.name) for c in m.constraints],
             list(m.obj.items()), m.obj_const)
+
+
+def _same_info(a, b):
+    """Field-for-field equality of `info` maps: arrays by dtype, shape and
+    bytes, scenarios by their arrays, numbers by type and repr."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(_same_info(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_info, a, b))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, DemandScenario):
+        return _same_info((a.walkin, a.online), (b.walkin, b.online))
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def _random_commitments(rng, inst, allied):
+    T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
+    repo = rng.integers(0, 3, size=(T, L, L)).astype(float)
+    repo[:, np.arange(L), np.arange(L)] = 0.0
+    return Allocation(rng.integers(0, 6, size=(T, L)).astype(float), repo,
+                      rng.uniform(0.0, 2.0, size=(T, L)),
+                      rng.uniform(0.0, 1.0, size=(T, L, Z)) if allied == "both" else None)
+
+
+class TestSetAllocation:
+    def test_repointed_models_equal_fresh_builds(self):
+        # a model built for one allocation, lambda and channel setting and
+        # re-pointed to another (and then to the rescore's lambda = 0 and
+        # plain orders) is field for field the model built for it
+        rules = BusinessRules(fulfill_capacity=np.full((2, 2), 3.0),
+                              service_window_fraction=0.6, service_window_days=2)
+        cases = [synthetic_instance(s, d, z, seed=seed, horizon=h)[0]
+                 for s, d, z, h, seed in ((2, 0, 1, 1, 11), (3, 1, 2, 1, 12), (2, 1, 1, 2, 14))]
+        cases.append(build_instance(
+            ["A", "B"], ["Z1"], 2, walkin_price=50.0, walkin_penalty=20.0,
+            online_price=40.0, online_penalty=10.0, fulfill_cost=[[2.0], [5.0]],
+            purchase_cost=10.0, reposition_cost=[[0.0, 1.0], [1.0, 0.0]],
+            reposition_lead=[[0, 1], [1, 0]], pipeline=[[3.0, 1.0], [0.0]], lead_time=[1, 0],
+            ship_edges=[("A", "Z1", 1), ("B", "Z1", 4)], business_rules=rules))
+        rng = np.random.default_rng(5)
+        checked = 0
+        for inst in cases:
+            uset = UncertaintySet(
+                local_lower={"b": np.zeros((inst.horizon, inst.num_nodes)),
+                             "o": np.zeros((inst.horizon, inst.num_zones))},
+                local_upper={"b": np.full((inst.horizon, inst.num_nodes), 2.0),
+                             "o": np.full((inst.horizon, inst.num_zones), 3.0)},
+                budget_lower={"b": np.ones(inst.horizon), "o": np.ones(inst.horizon)},
+                budget_upper={"b": np.full(inst.horizon, 3.0), "o": np.full(inst.horizon, 4.0)})
+            scen = sample_scenarios(None, 1, 3, "uniform", uset=uset)[0]
+            for lam, allied, fixed in product((0.0, 0.1, 0.3, 1.0), ("walkin", "both"),
+                                              (None, scen)):
+                a = _random_commitments(rng, inst, allied)
+                b = _random_commitments(rng, inst, allied)
+                other = "both" if allied == "walkin" else "walkin"
+                m = build_subproblem(inst, uset, a, float(rng.uniform()), other,
+                                     fixed_scenario=fixed)
+                for alloc, lam_b, allied_b in ((b, lam, allied),
+                                               (Allocation(b.x, b.x_repo), 0.0, "walkin")):
+                    set_allocation(m, inst, alloc, lam_b, allied_b)
+                    ref = build_subproblem(inst, uset, alloc, lam_b, allied_b,
+                                           fixed_scenario=fixed)
+                    case = (inst.num_nodes, lam, allied, fixed is None, lam_b)
+                    assert _model_fields(m) == _model_fields(ref), case
+                    assert repr(sorted(m.obj.items())) == repr(sorted(ref.obj.items())), case
+                    assert repr(m.obj_const) == repr(ref.obj_const), case
+                    assert m.sos1 == ref.sos1, case
+                    assert _same_info(m.info, ref.info), case
+                    checked += 1
+        assert checked == 4 * 4 * 2 * 2 * 2
+
+    def test_fixed_demand_follows_the_allocation_and_the_scenario(self):
+        # set_allocation keeps a fixed-demand model's scenario, and a later
+        # set_fixed_scenario keeps its allocation
+        inst, means = synthetic_instance(3, 1, 2, seed=12, horizon=1)
+        scens = sample_scenarios(means, 2, 4)
+        rng = np.random.default_rng(8)
+        a, b = (_random_commitments(rng, inst, "both") for _ in range(2))
+        m = build_subproblem(inst, None, a, 0.3, "both", fixed_scenario=scens[0])
+        set_allocation(m, inst, b, 0.3, "both")
+        set_fixed_scenario(m, scens[1])
+        ref = build_subproblem(inst, None, b, 0.3, "both", fixed_scenario=scens[1])
+        assert _model_fields(m) == _model_fields(ref)
+        assert _same_info(m.info, ref.info)
 
 
 class TestRepositioning:

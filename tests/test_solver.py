@@ -804,6 +804,43 @@ def test_objective_only_resolves_repeat_cold_solves(monkeypatch):
     assert {statuses.count(s) >= 20 for s in ("optimal", "infeasible", "unbounded")} == {True}
 
 
+def test_objective_only_mip_resolves_repeat_cold_solves(monkeypatch):
+    # a mixed-binary model re-solved under new objectives, senses and
+    # constants, with and without an incumbent and limits, gives field for
+    # field what a freshly built model gives, nodes included: its root runs
+    # phase 2 from the kept phase 1, which only its first solve runs
+    runs = _count_phase1(monkeypatch)
+    statuses, branched = [], 0
+    for trial in range(60):
+        m = _random_mixed_binary(np.random.default_rng([47, trial]), trial)
+        rng = np.random.default_rng([48, trial])
+        prev = None
+        for k in range(4):
+            if k:
+                m.set_objective({j: float(v) for j, v in enumerate(
+                    rng.integers(-5, 6, size=m.num_vars))},
+                    sense=str(rng.choice(["min", "max"])), const=float(rng.integers(-3, 4)))
+            fresh = _random_mixed_binary(np.random.default_rng([47, trial]), trial)
+            fresh.set_objective(m.obj, sense=m.obj_sense, const=m.obj_const)
+            kw = [{}, {"limits": {"nodes": 2}}, {"limits": {"time": 60.0}}, {}][k]
+            if k == 3 and prev is not None and prev.x is not None:
+                kw["incumbent"] = (sum(v * prev.x[j] for j, v in m.obj.items()) + m.obj_const,
+                                   prev.x)
+            before = len(runs)
+            ref = solve(fresh, **kw)
+            cold_runs, kept, before = len(runs) - before, m._phase1, len(runs)
+            sol = solve(m, **kw)
+            assert _same_solution(sol, ref), (trial, k)
+            # phase 1 of the root only; cold nodes run their own
+            assert len(runs) - before == cold_runs - (k >= 1), (trial, k)
+            assert k == 0 or m._phase1 is kept, (trial, k)
+            statuses.append(sol.status)
+            branched += sol.stats.nodes > 1
+            prev = ref
+    assert statuses.count("infeasible") >= 10 and statuses.count("limit") >= 10
+    assert statuses.count("optimal") >= 200 and branched >= 30
+
+
 def test_structure_edits_force_a_fresh_phase1(monkeypatch):
     runs = _count_phase1(monkeypatch)
     data = (np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([8.0, 6.0]),
@@ -867,6 +904,7 @@ def test_solved_models_are_freed_without_the_cycle_collector():
             [(0.0, 3.0), (0.0, 3.0)])
     lp, once = _lp_from(data, {0: 1.0}, "max", 0.0), _lp_from(data, {1: 1.0}, "max", 0.0)
     dual = build_subproblem(inst, uset, alloc, 0.1, fixed_scenario=seed_scenario(uset))
+    mip = build_subproblem(inst, uset, alloc, 0.1)
     # a CCG master, solved, grown by a scenario and solved again
     cfg = BioConfig(lam=0.1)
     master = build_master(inst, uset, [seed_scenario(uset)], cfg)
@@ -874,13 +912,14 @@ def test_solved_models_are_freed_without_the_cycle_collector():
     add_master_scenario(master, inst, sample_scenarios(means, 1, seed=1)[0], cfg)
     gc.disable()
     try:
-        for m, solves in ((lp, 3), (once, 1), (dual, 3), (master, 1)):
+        for m, solves in ((lp, 3), (once, 1), (dual, 3), (master, 1), (mip, 2)):
             for _ in range(solves):
                 assert solve(m).status == "optimal"
             assert m._phase1   # phase-1 state held
-            assert not hasattr(m._phase1[1], "A")   # without the dense matrix
-        refs = [weakref.ref(m) for m in (lp, once, dual, master)]
-        del m, lp, once, dual, master
-        assert [r() for r in refs] == [None] * 4
+            # with the dense matrix only for branch-and-bound's node rebuilds
+            assert hasattr(m._phase1[1], "A") == (m is mip)
+        refs = [weakref.ref(m) for m in (lp, once, dual, master, mip)]
+        del m, lp, once, dual, master, mip
+        assert [r() for r in refs] == [None] * 5
     finally:
         gc.enable()
