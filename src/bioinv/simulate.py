@@ -172,6 +172,15 @@ POLICY_LOWER_Q, POLICY_UPPER_Q = 0.05, 0.95
 # a policy solve that fails with one of these counts as a solver failure and
 # orders nothing that week; any other exception is a bug and propagates
 POLICY_ERRORS = (SolverError, FormulationError, CcgError, UncertaintyError)
+# a planned order this close below a half unit rounds up with the half
+ORDER_ROUND_TOL = 1e-9
+
+
+def whole_units(orders: np.ndarray) -> np.ndarray:
+    """Planned orders in the whole units that move through the transaction
+    simulator: halves round up, and so does anything within ORDER_ROUND_TOL
+    below one, where LP round-off puts a plan that sits on a half."""
+    return np.maximum(0.0, np.floor(np.asarray(orders, dtype=float) + (0.5 + ORDER_ROUND_TOL)))
 
 
 @dataclass
@@ -325,8 +334,7 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
                 try:
                     alloc = _solve_policy(plan_inst, policy,
                                           DemandMeans(mw[list(rows)], mo[list(rows)]))
-                    # whole units move through the transaction simulator
-                    orders_now = planned[key] = np.maximum(0.0, np.floor(alloc.x[0] + 0.5))
+                    orders_now = planned[key] = whole_units(alloc.x[0])
                 except POLICY_ERRORS:
                     kpi.solver_failures += 1
                     orders_now = np.zeros(L)

@@ -20,6 +20,7 @@ from bioinv.simulate import (
     lower_quantile,
     run_rolling_horizon,
     spread_down,
+    whole_units,
 )
 from bioinv.uncertainty import DemandMeans, DemandScenario, sample_scenarios
 
@@ -132,6 +133,13 @@ class TestFulfillOrderStream:
         # the e-com order arrived first and took the unit
         assert events[0]["type"] == "ecom_ship"
         assert events[1]["type"] == "walkin_lost"
+
+
+def test_whole_units_round_halves_up_within_tolerance():
+    # LP round-off leaves plans a few ULPs below a half; they round with it
+    got = whole_units(np.array([5.499999999999999, 5.5, 3.4999999999999822, 2.4999, 0.0]))
+    assert got.tolist() == [6.0, 6.0, 4.0, 2.0, 0.0]
+    assert whole_units(np.array([-0.7, 7.0, 1e-10])).tolist() == [0.0, 7.0, 0.0]
 
 
 class TestRollingHorizon:
