@@ -28,7 +28,12 @@ its simplex after phase 1 from its first `solve` on, and a later `solve` with
 the same constraints and bounds runs phase 2 only, from a copy of it: the
 whole solve of an LP, the root of branch-and-bound.  The result is the cold
 solve's, bit for bit; `simplex_iterations` still counts the reused phase-1
-pivots.  `add_var` and `add_constr` drop the kept state.  An LP's kept
+pivots.  `add_var` and `add_constr` drop that simplex.  An LP also keeps the
+simplex of its last optimal solve, which growth does not drop: an LP that has
+only grown since, its old rows and bounds unchanged, is re-optimized by dual
+simplex from that tableau, extended by the new columns and rows (a CCG master
+after each scenario block).  `simplex_iterations` then counts the dual pivots.
+When that ends other than optimal, the LP is solved cold.  An LP's kept
 standard form drops its dense matrix, which only node rebuilds read.
 
 Conventions:
@@ -50,6 +55,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,7 +114,7 @@ class LinearModel:
         self.sos1: list[tuple[list[int], list[float]]] = []
         # builder metadata (variable index maps etc.), free-form
         self.info: dict = {}
-        self._phase1 = None  # kept by _solve_from_phase1
+        self._phase1: _Kept | None = None  # kept by solve
 
     def add_sos1(self, cols: list[int], weights: list[float]):
         self.sos1.append((list(cols), [float(w) for w in weights]))
@@ -129,7 +135,7 @@ class LinearModel:
             raise SolverError(f"binary variable {name!r} must have bounds within [0,1]")
         if lb > ub:
             raise SolverError(f"variable {name!r} has lb {lb} > ub {ub}")
-        self._phase1 = None
+        self._grow()
         self.var_names.append(name)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
@@ -152,9 +158,16 @@ class LinearModel:
                 raise SolverError(f"constraint {name!r} references unknown column {j}")
             cols.append(j)
             vals.append(acc[j])
-        self._phase1 = None
+        self._grow()
         self.constraints.append(_Constraint(cols, vals, sense, float(rhs), name))
         return len(self.constraints) - 1
+
+    def _grow(self):
+        """A new column or row makes the kept phase 1 stale; an LP's last
+        optimal simplex stays, for `solve` to carry over."""
+        kept = self._phase1
+        if kept is not None and kept.phase1 is not None:
+            self._phase1 = None if kept.optimal is None else kept._replace(phase1=None)
 
     def set_objective(self, coeffs, sense: str | None = None, const: float = 0.0):
         if sense is not None:
@@ -228,10 +241,11 @@ class _StandardLP:
     """min c'x, A x = b, l <= x <= u, with a map back to user variables.
 
     Free variables are split into a difference of nonnegative columns;
-    variables with only an upper bound are mirrored first.
+    variables with only an upper bound are mirrored first.  With `first`,
+    `A` holds only the rows from `first` on.
     """
 
-    def __init__(self, model: LinearModel):
+    def __init__(self, model: LinearModel, first: int = 0):
         ncols = 0
         self.pos: list[int] = []
         self.neg: list[int | None] = []
@@ -258,20 +272,24 @@ class _StandardLP:
                 ubs.append(hi)
                 ncols += 1
 
+        self.ncols = ncols
         m = model.num_constraints
         nslack = sum(1 for c in model.constraints if c.sense != EQUAL)
-        A = np.zeros((m, ncols + nslack))
+        A = np.zeros((m - first, ncols + nslack))
         b = np.empty(m)
         k = ncols
         for i, con in enumerate(model.constraints):
-            for j, v in zip(con.cols, con.vals):
-                sign = -v if self.negated[j] else v
-                A[i, self.pos[j]] += sign
-                if self.neg[j] is not None:
-                    A[i, self.neg[j]] -= sign
+            if i >= first:
+                row = A[i - first]
+                for j, v in zip(con.cols, con.vals):
+                    sign = -v if self.negated[j] else v
+                    row[self.pos[j]] += sign
+                    if self.neg[j] is not None:
+                        row[self.neg[j]] -= sign
+                if con.sense != EQUAL:
+                    row[k] = 1.0 if con.sense == LESS_EQUAL else -1.0
             b[i] = con.rhs
             if con.sense != EQUAL:
-                A[i, k] = 1.0 if con.sense == LESS_EQUAL else -1.0
                 lbs.append(0.0)
                 ubs.append(INF)
                 k += 1
@@ -388,6 +406,36 @@ class _Simplex:
             sx._pivot(r, col, _AT_LOWER)
             taken[r] = True
         sx.status[:] = status
+        return sx
+
+    def grown(self, rows, b, c, lb, ub, at: int, width: int) -> _Simplex:
+        """This optimal simplex carried over to the grown LP min c'x, A x = b,
+        lb <= x <= ub: its first rows are this LP's rows with `width` new
+        columns at `at`, ahead of the slacks, and the rest are `rows`.  The
+        old rows keep their tableau, its columns shifted.  A new row of
+        [A | I] enters less its entries in the old basic columns times their
+        tableau rows, not flipped, with its artificial basic and pinned at
+        [0, 0].  Ready for `reoptimize`."""
+        m0, n0 = self.m, self.n
+        m, n = m0 + rows.shape[0], rows.shape[1]
+        cols = np.arange(n0 + m0)  # where each old column sits now
+        cols[at:n0] += width
+        cols[n0:] += n - n0
+        sx = _Simplex.__new__(_Simplex)
+        sx.m, sx.n, sx.ntot = m, n, n + m
+        sx.T = T = np.zeros((m, n + m))
+        T[:m0, cols] = self.T
+        T[m0:, :n] = rows
+        T[np.arange(m0, m), np.arange(n + m0, n + m)] = 1.0
+        basis = cols[self.basis]
+        T[m0:] -= T[m0:, basis] @ T[:m0]
+        sx.basis = np.concatenate([basis, np.arange(n + m0, n + m)])
+        sx.status = np.full(n + m, _AT_LOWER, dtype=np.int8)
+        sx.status[cols] = self.status
+        sx.status[n + m0:] = _BASIC
+        sx.flip = np.concatenate([self.flip, np.zeros(m - m0, dtype=bool)])
+        sx.b, sx.cost = b.astype(float), np.concatenate([c, np.zeros(m)])
+        sx.lb, sx.ub = np.concatenate([lb, np.zeros(m)]), np.concatenate([ub, np.zeros(m)])
         return sx
 
     def copy(self) -> _Simplex:
@@ -574,20 +622,41 @@ class _Simplex:
             self.iterations += 1
 
 
-def _solve_from_phase1(model: LinearModel, t0: float):
+class _Kept(NamedTuple):
+    """What `solve` keeps on a model between solves, for the model its `key`
+    was taken of."""
+    key: tuple
+    std: _StandardLP      # with the model's cost; an LP's has no dense A
+    phase1: _Simplex | None  # after phase 1; dropped when the model grows
+    status: str | None    # of phase 1: "infeasible" or None
+    optimal: _Simplex | None  # an LP's, when its last solve ended optimal
+
+
+def _key(model: LinearModel) -> tuple:
+    """All that phase 1 reads: the column bounds, then each row's right-hand
+    side and coefficients, then each row's sense and columns.  The key of a
+    model grown by `add_var` and `add_constr` extends its old key."""
+    cons = model.constraints
+    return (np.column_stack((model.lb, model.ub)).tobytes(),
+            np.array([v for c in cons for v in (c.rhs, *c.vals)]).tobytes(),
+            tuple((c.sense, tuple(c.cols)) for c in cons))
+
+
+def _extends(key: tuple, old: tuple) -> bool:
+    return (key[0].startswith(old[0]) and key[1].startswith(old[1])
+            and key[2][: len(old[2])] == old[2])
+
+
+def _solve_from_phase1(model: LinearModel, key: tuple, t0: float):
     """The model's LP by phase 2 on a copy of its kept simplex after phase 1,
     which is never run; returns its standard form, the `Solution` and the
     simplex that holds its final basis.  The standard form (with the model's
     cost) and the post-phase-1 simplex are kept on the model and reused while
     all that phase 1 reads, the column bounds and the constraint rows, is
     unchanged; they are built, and phase 1 is run, when it changed."""
-    cons = model.constraints
-    key = (np.array([*model.lb, *model.ub, *(c.rhs for c in cons),
-                     *(v for c in cons for v in c.vals)]).tobytes(),
-           tuple((c.sense, tuple(c.cols)) for c in cons))
     state = model._phase1
-    if state is not None and state[0] == key:
-        _, std, kept, status = state
+    if state is not None and state.phase1 is not None and state.key == key:
+        std, kept, status = state.std, state.phase1, state.status
         std.set_cost(model)
     else:
         std = _StandardLP(model)
@@ -595,12 +664,33 @@ def _solve_from_phase1(model: LinearModel, t0: float):
         if BINARY not in model.kind:
             del std.A
         status = kept.phase1()
-        model._phase1 = (key, std, kept, status)
+        model._phase1 = _Kept(key, std, kept, status, None)
     if status:  # infeasible for every cost
         return std, std.solution(kept, status, t0), kept
     sx = kept.copy()
     sx.cost = np.concatenate([std.c, np.zeros(sx.m)])
     return std, std.solution(sx, sx.phase2(), t0), sx
+
+
+def _solve_lp(model: LinearModel, t0: float) -> Solution:
+    """The LP `model`, re-optimized by dual simplex from its last optimal
+    simplex when it has only grown since, else by `_solve_from_phase1`.  The
+    simplex of an optimal solve is kept on the model."""
+    key, kept = _key(model), model._phase1
+    if kept is not None and kept.optimal is not None and kept.phase1 is None \
+            and _extends(key, kept.key):
+        model._phase1 = None  # the old tableau is freed once the new one is built
+        std = _StandardLP(model, first=kept.optimal.m)  # A: the new rows only
+        sx = kept.optimal.grown(std.A, std.b, std.c, std.lb, std.ub,
+                                kept.std.ncols, std.ncols - kept.std.ncols)
+        del std.A, kept
+        if sx.reoptimize(std.b, std.lb, std.ub) == "optimal":
+            model._phase1 = _Kept(key, std, None, None, sx)
+            return std.solution(sx, "optimal", t0)
+        del sx  # freed before the cold solve
+    _, sol, sx = _solve_from_phase1(model, key, t0)
+    model._phase1 = model._phase1._replace(optimal=sx if sol.status == "optimal" else None)
+    return sol
 
 
 def solve(model: LinearModel, limits: dict | None = None,
@@ -620,10 +710,11 @@ def solve(model: LinearModel, limits: dict | None = None,
     node_limit = limits.get("nodes")
 
     binaries = [j for j in range(model.num_vars) if model.kind[j] == BINARY]
-    std, sol, root = _solve_from_phase1(model, t0)
     if not binaries:
+        sol = _solve_lp(model, t0)
         sol.stats.wall_time = time.perf_counter() - t0
         return sol
+    std, sol, root = _solve_from_phase1(model, _key(model), t0)
     stats = SolveStats(simplex_iterations=sol.stats.simplex_iterations, nodes=1)  # the root
 
     maximize = model.obj_sense == "max"

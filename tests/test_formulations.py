@@ -349,8 +349,10 @@ class TestMaster:
     @pytest.mark.parametrize("shape", [(2, 0, 1, 1), (3, 1, 2, 2), (2, 1, 1, 3)])
     def test_master_grown_in_place_equals_a_fresh_build(self, shape):
         # the CCG loop solves its master, then grows it by one scenario; each
-        # grown master equals build_master of the pool so far, and so do
-        # their solves, bit for bit
+        # grown master equals build_master of the pool so far; a cold solve
+        # of it equals the fresh build's bit for bit, and its warm solve,
+        # from the last optimum, equals it to 1e-9
+        import copy
         import dataclasses
         from bioinv.ccg import seed_scenario
         from bioinv.uncertainty import quantile_bounds_from_means
@@ -379,11 +381,79 @@ class TestMaster:
                     w = fresh.info[key]
                     assert (np.array_equal(v, w) if isinstance(v, np.ndarray)
                             else v == w), (case, key)
-                a, b = solve(grown), solve(fresh)
+                cold = copy.copy(grown)
+                cold._phase1 = None
+                a, b = solve(cold), solve(fresh)
                 assert a.status == b.status == "optimal", case
                 assert repr(a.objective) == repr(b.objective), case
                 assert a.stats.simplex_iterations == b.stats.simplex_iterations, case
                 assert a.x.tobytes() == b.x.tobytes(), case
+                warm = solve(grown)
+                assert warm.status == "optimal", case
+                assert warm.objective == pytest.approx(b.objective, rel=1e-9, abs=1e-9), case
+
+    @pytest.mark.parametrize("shape", [(2, 0, 1, 1), (3, 1, 2, 2), (2, 1, 1, 3)])
+    def test_grown_master_warm_solves_match_highs(self, shape):
+        # each solve after a scenario block is a dual simplex from the last
+        # optimum (or a cold solve where that gives up): its objective is
+        # HiGHS's, and its x meets every row and bound
+        import dataclasses
+        from bioinv.ccg import seed_scenario
+        from bioinv.uncertainty import quantile_bounds_from_means
+        stores, dcs, zones, seed = shape
+        inst, means = synthetic_instance(stores, dcs, zones, seed=seed)
+        L = inst.num_nodes
+        rng = np.random.default_rng(seed)
+        repo_cost = rng.uniform(1.0, 5.0, size=(L, L)) * (1.0 - np.eye(L))
+        inst = dataclasses.replace(
+            inst, econ=dataclasses.replace(inst.econ, reposition_cost=repo_cost))
+        uset = quantile_bounds_from_means(means)
+        pool = sample_scenarios(means, 3, seed=seed + 10)
+        fixed = rng.integers(0, 4, size=(inst.horizon, L)).astype(float)
+        warm = 0
+        for lam, allied, repositioning, fixed_x in product(
+                (0.0, 0.3), ("walkin", "both"), (False, True), (None, fixed)):
+            cfg = BioConfig(lam=lam, allied_channels=allied, repositioning=repositioning)
+            master = build_master(inst, uset, [seed_scenario(uset)], cfg, fixed_x)
+            assert solve(master).status == "optimal"
+            for k, scen in enumerate(pool):
+                add_master_scenario(master, inst, scen, cfg)
+                case = (lam, allied, repositioning, fixed_x is not None, k)
+                sol = solve(master)
+                assert sol.status == "optimal", case
+                assert sol.objective == pytest.approx(_highs_lp(master), rel=1e-9), case
+                _assert_meets_rows_and_bounds(master, sol.x, 1e-9)
+                warm += master._phase1.phase1 is None  # a cold solve keeps its phase 1
+        assert warm >= 40  # of 48
+
+
+def _highs_lp(model):
+    """The optimal objective of the LP `model` under scipy's HiGHS `linprog`."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    A = np.zeros((model.num_constraints, model.num_vars))
+    for i, con in enumerate(model.constraints):
+        A[i, con.cols] = con.vals
+    b = np.array([con.rhs for con in model.constraints])
+    senses = np.array([con.sense for con in model.constraints])
+    le, ge, eq = senses == "<=", senses == ">=", senses == "=="
+    c = np.zeros(model.num_vars)
+    c[list(model.obj)] = list(model.obj.values())
+    sign = 1.0 if model.obj_sense == "min" else -1.0
+    res = linprog(sign * c, A_ub=np.vstack([A[le], -A[ge]]),
+                  b_ub=np.concatenate([b[le], -b[ge]]), A_eq=A[eq], b_eq=b[eq],
+                  bounds=list(zip(model.lb, model.ub)), method="highs")
+    assert res.status == 0, res.message
+    return sign * res.fun + model.obj_const
+
+
+def _assert_meets_rows_and_bounds(model, x, tol):
+    """Bounds to `tol`, rows to `tol` of their scale, 1 + |rhs| + sum |a_j x_j|."""
+    assert np.all(x >= np.array(model.lb) - tol) and np.all(x <= np.array(model.ub) + tol)
+    for con in model.constraints:
+        terms = np.array(con.vals) * x[con.cols]
+        lhs, slack = float(terms.sum()), tol * (1.0 + abs(con.rhs) + float(np.abs(terms).sum()))
+        assert (con.sense == ">=" or lhs <= con.rhs + slack) and \
+            (con.sense == "<=" or lhs >= con.rhs - slack), con.name
 
 
 def _model_fields(m):

@@ -866,9 +866,16 @@ def test_structure_edits_force_a_fresh_phase1(monkeypatch):
             e(fresh)
         before = len(runs)
         sol = solve(m)
-        assert len(runs) == before + 1, k
-        assert _same_solution(sol, solve(fresh)), k
-        # the same structure again reuses the new phase 1
+        if k < 3:  # growth: a dual simplex from the last optimum, no phase 1
+            assert len(runs) == before, k
+            ref = solve(fresh)
+            assert sol.status == ref.status == "optimal", k
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9), k
+        else:
+            assert len(runs) == before + 1, k
+            assert _same_solution(sol, solve(fresh)), k
+        # the same structure again reuses the new phase 1 or, after growth,
+        # the last optimum
         m.set_objective({0: -1.0, 1: -1.0})
         before = len(runs)
         solve(m)
@@ -877,21 +884,110 @@ def test_structure_edits_force_a_fresh_phase1(monkeypatch):
 
 
 def test_extending_a_model_releases_its_phase1_state(monkeypatch):
-    # add_var and add_constr drop the kept simplex at once; the next solve
-    # runs a fresh phase 1 and keeps it
+    # add_var and add_constr drop the kept phase 1 at once but keep the last
+    # optimal simplex; the next solve re-optimizes from it and runs no phase
+    # 1, unless the re-optimization gives up
     runs = _count_phase1(monkeypatch)
     data = (np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([8.0, 6.0]),
             np.array(["<=", ">="]), [(0.0, 5.0), (0.0, INF)])
     m = _lp_from(data, {0: -1.0, 1: -2.0}, "min", 0.0)
     for extend in (lambda: m.add_var("z", 0.0, 2.0),
-                   lambda: m.add_constr({0: 1.0, 2: 1.0}, "<=", 4.5)):
-        solve(m)
-        assert m._phase1 is not None
+                   lambda: m.add_constr({0: 1.0, 2: 1.0}, "<=", 4.5),
+                   lambda: m.add_constr({1: 1.0}, "<=", 1.0)):
+        assert solve(m).status == "optimal"
+        optimal = m._phase1.optimal
+        assert optimal is not None
         extend()
-        assert m._phase1 is None
+        assert m._phase1.phase1 is None and m._phase1.optimal is optimal
+        assert not hasattr(m._phase1.std, "A")
         before = len(runs)
         assert solve(m).status == "optimal"
-        assert len(runs) == before + 1 and m._phase1 is not None
+        assert len(runs) == before and m._phase1.phase1 is None
+    # a re-optimization that gives up is solved cold, with a fresh phase 1
+    monkeypatch.setattr(solver._Simplex, "reoptimize", lambda sx, b, lb, ub: None)
+    m.add_var("w", 0.0, 1.0)
+    before = len(runs)
+    assert solve(m).status == "optimal"
+    assert len(runs) == before + 1 and m._phase1.phase1 is not None
+
+
+def _grown_lp(rng):
+    """A random LP as `_random_lp_data` gives, and the same LP with new
+    columns and rows: each new row reads old and new columns, and some make
+    the LP infeasible."""
+    data = _random_lp_data(rng)
+    A, b, senses, bounds = data
+    k, r = int(rng.integers(0, 3)), int(rng.integers(0, 4))
+    new_bounds = [(0.0, float(rng.integers(1, 6))) if rng.random() < 0.5 else (-INF, INF)
+                  for _ in range(k)]
+    n = A.shape[1] + k
+    A2 = np.vstack([np.hstack([A, np.zeros((A.shape[0], k))]),
+                    rng.integers(-4, 5, size=(r, n)) * (rng.random((r, n)) < 0.6)])
+    grown = (A2, np.concatenate([b, rng.integers(-3, 12, size=r)]).astype(float),
+             np.concatenate([senses, rng.choice(["<=", ">=", "=="], size=r, p=[0.6, 0.3, 0.1])]),
+             bounds + new_bounds)
+    return data, grown
+
+
+def test_grown_lps_reoptimize_to_the_cold_optimum(monkeypatch):
+    # an LP solved optimal, grown by columns and rows and solved again: the
+    # warm solve's status and objective are the cold solve's; a new free
+    # column with a cost may leave the old basis dual infeasible, and the
+    # solve then goes cold, as it does for an infeasible LP
+    runs = _count_phase1(monkeypatch)
+    rng = np.random.default_rng(53)
+    grown_solves = warm = 0
+    statuses = []
+    for trial in range(150):
+        data, grown = _grown_lp(rng)
+        n0, n = data[0].shape[1], grown[0].shape[1]
+        coeffs = {j: float(rng.integers(-5, 6)) for j in range(n0)}
+        sense = str(rng.choice(["min", "max"]))
+        m = _lp_from(data, coeffs, sense, 0.0)
+        if solve(m).status != "optimal":
+            continue
+        for j in range(n0, n):
+            m.add_var(f"x{j}", *grown[3][j])
+        A, b, senses = grown[0], grown[1], grown[2]
+        for i in range(data[0].shape[0], A.shape[0]):
+            m.add_constr({j: A[i, j] for j in range(n)}, senses[i], b[i])
+        m.set_objective({**coeffs, **{j: float(rng.integers(-1, 2)) for j in range(n0, n)}})
+        before = len(runs)
+        sol = solve(m)
+        warm += len(runs) == before
+        ref = solve(_lp_from(grown, m.obj, sense, 0.0))
+        assert sol.status == ref.status, trial
+        if ref.status == "optimal":
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9), trial
+        grown_solves += 1
+        statuses.append(sol.status)
+    assert grown_solves >= 60 and statuses.count("infeasible") >= 5
+    assert statuses.count("optimal") >= 40 and warm >= 25
+
+
+def test_grown_master_falls_back_to_the_cold_solve(monkeypatch):
+    # a grown master whose re-optimization gives up equals a cold solve of
+    # the same model bit for bit, and one that succeeds runs no phase 1
+    runs = _count_phase1(monkeypatch)
+    inst, means = synthetic_instance(3, 1, 2, seed=2)
+    uset = quantile_bounds_from_means(means)
+    cfg = BioConfig(lam=0.3)
+    pool = [seed_scenario(uset), *sample_scenarios(means, 2, seed=5)]
+    master = build_master(inst, uset, pool[:1], cfg)
+    assert solve(master).status == "optimal"
+    add_master_scenario(master, inst, pool[1], cfg)
+    reoptimize, ended = solver._Simplex.reoptimize, []
+    monkeypatch.setattr(solver._Simplex, "reoptimize",
+                        lambda sx, *a: ended.append(reoptimize(sx, *a)) or ended[-1])
+    before = len(runs)
+    warm = solve(master)
+    assert ended == ["optimal"] and len(runs) == before
+    assert warm.stats.simplex_iterations > 0
+    monkeypatch.setattr(solver._Simplex, "reoptimize", lambda sx, *a: None)
+    add_master_scenario(master, inst, pool[2], cfg)
+    sol = solve(master)
+    assert len(runs) == before + 1
+    assert _same_solution(sol, solve(build_master(inst, uset, pool, cfg)))
 
 
 def test_solved_models_are_freed_without_the_cycle_collector():
