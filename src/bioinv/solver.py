@@ -677,8 +677,9 @@ def _solve_lp(model: LinearModel, t0: float) -> Solution:
     simplex when it has only grown since, else by `_solve_from_phase1`.  The
     simplex of an optimal solve is kept on the model."""
     key, kept = _key(model), model._phase1
-    if kept is not None and kept.optimal is not None and kept.phase1 is None \
-            and _extends(key, kept.key):
+    grown = kept is not None and kept.optimal is not None and kept.phase1 is None \
+        and _extends(key, kept.key)
+    if grown:
         model._phase1 = None  # the old tableau is freed once the new one is built
         std = _StandardLP(model, first=kept.optimal.m)  # A: the new rows only
         sx = kept.optimal.grown(std.A, std.b, std.c, std.lb, std.ub,
@@ -689,7 +690,12 @@ def _solve_lp(model: LinearModel, t0: float) -> Solution:
             return std.solution(sx, "optimal", t0)
         del sx  # freed before the cold solve
     _, sol, sx = _solve_from_phase1(model, key, t0)
-    model._phase1 = model._phase1._replace(optimal=sx if sol.status == "optimal" else None)
+    if sol.status != "optimal":
+        model._phase1 = model._phase1._replace(optimal=None)
+    elif grown:  # a growing model re-solves from its optimum, not its phase 1
+        model._phase1 = model._phase1._replace(phase1=None, optimal=sx)
+    else:
+        model._phase1 = model._phase1._replace(optimal=sx)
     return sol
 
 

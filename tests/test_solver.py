@@ -903,12 +903,14 @@ def test_extending_a_model_releases_its_phase1_state(monkeypatch):
         before = len(runs)
         assert solve(m).status == "optimal"
         assert len(runs) == before and m._phase1.phase1 is None
-    # a re-optimization that gives up is solved cold, with a fresh phase 1
+    # a re-optimization that gives up is solved cold, with a fresh phase 1;
+    # the growing model keeps the optimum of that solve, not its phase 1
     monkeypatch.setattr(solver._Simplex, "reoptimize", lambda sx, b, lb, ub: None)
     m.add_var("w", 0.0, 1.0)
     before = len(runs)
     assert solve(m).status == "optimal"
-    assert len(runs) == before + 1 and m._phase1.phase1 is not None
+    assert len(runs) == before + 1
+    assert m._phase1.phase1 is None and m._phase1.optimal is not None
 
 
 def _grown_lp(rng):
