@@ -967,10 +967,9 @@ def test_grown_lps_reoptimize_to_the_cold_optimum(monkeypatch):
     assert statuses.count("optimal") >= 40 and warm >= 25
 
 
-def test_grown_master_falls_back_to_the_cold_solve(monkeypatch):
-    # a grown master whose re-optimization gives up equals a cold solve of
-    # the same model bit for bit, and one that succeeds runs no phase 1
-    runs = _count_phase1(monkeypatch)
+def _grown_reference_master():
+    """A CCG master solved once and grown by one scenario block, its config,
+    and a third scenario."""
     inst, means = synthetic_instance(3, 1, 2, seed=2)
     uset = quantile_bounds_from_means(means)
     cfg = BioConfig(lam=0.3)
@@ -978,15 +977,30 @@ def test_grown_master_falls_back_to_the_cold_solve(monkeypatch):
     master = build_master(inst, uset, pool[:1], cfg)
     assert solve(master).status == "optimal"
     add_master_scenario(master, inst, pool[1], cfg)
+    return master, inst, uset, cfg, pool
+
+
+def test_grown_master_reoptimizes_without_phase1(monkeypatch):
+    runs = _count_phase1(monkeypatch)
+    master = _grown_reference_master()[0]
     reoptimize, ended = solver._Simplex.reoptimize, []
     monkeypatch.setattr(solver._Simplex, "reoptimize",
                         lambda sx, *a: ended.append(reoptimize(sx, *a)) or ended[-1])
     before = len(runs)
-    warm = solve(master)
+    sol = solve(master)
     assert ended == ["optimal"] and len(runs) == before
-    assert warm.stats.simplex_iterations > 0
-    monkeypatch.setattr(solver._Simplex, "reoptimize", lambda sx, *a: None)
+    # simplex_iterations counts the dual pivots
+    assert sol.status == "optimal" and sol.stats.simplex_iterations > 0
+
+
+def test_grown_master_falls_back_to_the_cold_solve(monkeypatch):
+    # a grown master whose re-optimization gives up equals a cold solve of
+    # the same model bit for bit
+    runs = _count_phase1(monkeypatch)
+    master, inst, uset, cfg, pool = _grown_reference_master()
     add_master_scenario(master, inst, pool[2], cfg)
+    monkeypatch.setattr(solver._Simplex, "reoptimize", lambda sx, *a: None)
+    before = len(runs)
     sol = solve(master)
     assert len(runs) == before + 1
     assert _same_solution(sol, solve(build_master(inst, uset, pool, cfg)))
