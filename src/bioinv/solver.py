@@ -33,8 +33,10 @@ simplex of its last optimal solve, which growth does not drop: an LP that has
 only grown since, its old rows and bounds unchanged, is re-optimized by dual
 simplex from that tableau, extended by the new columns and rows (a CCG master
 after each scenario block).  `simplex_iterations` then counts the dual pivots.
-When that ends other than optimal, the LP is solved cold.  An LP's kept
-standard form drops its dense matrix, which only node rebuilds read.
+When that ends other than optimal, or its x misses a row of the model by more
+than 1e-9, the LP is solved cold.  A solve that reused the kept phase 1 (an
+objective-only change) keeps no optimum.  An LP's kept standard form drops
+its dense matrix, which only node rebuilds read.
 
 Conventions:
   - variables carry individual bounds; free variables are split internally,
@@ -70,6 +72,11 @@ _PIVOT_TOL = 1e-9
 # 1e-9 slack, scores of superposed allocations in bisection tuning moved by
 # up to 9e-8 from cold solves, enough to change the chosen lambda.
 _REOPT_TOL = 1e-12
+# A grown LP's warm solve must meet each of the model's rows this closely,
+# else it is solved cold.  Its tableau is carried over from solve to solve
+# and never refactorized; a CCG master grown by three scenario blocks missed
+# a row by 8e-9, where cold solves stay within 3e-11.
+_ROW_TOL = 1e-9
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -674,11 +681,14 @@ def _solve_from_phase1(model: LinearModel, key: tuple, t0: float):
 
 def _solve_lp(model: LinearModel, t0: float) -> Solution:
     """The LP `model`, re-optimized by dual simplex from its last optimal
-    simplex when it has only grown since, else by `_solve_from_phase1`.  The
-    simplex of an optimal solve is kept on the model."""
+    simplex when it has only grown since and that ends optimal with every
+    row met, else by `_solve_from_phase1`.  The simplex of an optimal solve
+    is kept on the model, unless the solve reused the kept phase 1: such a
+    model is re-solved under a new objective, not grown."""
     key, kept = _key(model), model._phase1
     grown = kept is not None and kept.optimal is not None and kept.phase1 is None \
         and _extends(key, kept.key)
+    reused = kept is not None and kept.phase1 is not None and kept.key == key
     if grown:
         model._phase1 = None  # the old tableau is freed once the new one is built
         std = _StandardLP(model, first=kept.optimal.m)  # A: the new rows only
@@ -686,17 +696,32 @@ def _solve_lp(model: LinearModel, t0: float) -> Solution:
                                 kept.std.ncols, std.ncols - kept.std.ncols)
         del std.A, kept
         if sx.reoptimize(std.b, std.lb, std.ub) == "optimal":
-            model._phase1 = _Kept(key, std, None, None, sx)
-            return std.solution(sx, "optimal", t0)
+            sol = std.solution(sx, "optimal", t0)
+            if _rows_met(model, sol.x):
+                model._phase1 = _Kept(key, std, None, None, sx)
+                sol.stats.wall_time = time.perf_counter() - t0
+                return sol
         del sx  # freed before the cold solve
     _, sol, sx = _solve_from_phase1(model, key, t0)
-    if sol.status != "optimal":
+    if sol.status != "optimal" or reused:
         model._phase1 = model._phase1._replace(optimal=None)
     elif grown:  # a growing model re-solves from its optimum, not its phase 1
         model._phase1 = model._phase1._replace(phase1=None, optimal=sx)
     else:
         model._phase1 = model._phase1._replace(optimal=sx)
     return sol
+
+
+def _rows_met(model: LinearModel, x: np.ndarray) -> bool:
+    """Whether `x` meets every row of `model` to `_ROW_TOL`."""
+    cons = model.constraints
+    cols = np.fromiter(itertools.chain.from_iterable(c.cols for c in cons), np.intp)
+    vals = np.fromiter(itertools.chain.from_iterable(c.vals for c in cons), float)
+    rows = np.repeat(np.arange(len(cons)), [len(c.cols) for c in cons])
+    over = np.bincount(rows, vals * x[cols], len(cons)) - [c.rhs for c in cons]
+    senses = np.array([c.sense for c in cons])
+    return not (np.any(over[senses != GREATER_EQUAL] > _ROW_TOL)
+                or np.any(over[senses != LESS_EQUAL] < -_ROW_TOL))
 
 
 def solve(model: LinearModel, limits: dict | None = None,

@@ -393,39 +393,68 @@ class TestMaster:
                 assert warm.objective == pytest.approx(b.objective, rel=1e-9, abs=1e-9), case
 
     @pytest.mark.parametrize("shape", [(2, 0, 1, 1), (3, 1, 2, 2), (2, 1, 1, 3)])
-    def test_grown_master_warm_solves_match_highs(self, shape):
+    def test_grown_master_warm_solves_match_highs(self, shape, monkeypatch):
         # each solve after a scenario block is a dual simplex from the last
         # optimum (or a cold solve where that gives up): its objective is
         # HiGHS's, and its x meets every row and bound
-        import dataclasses
-        from bioinv.ccg import seed_scenario
-        from bioinv.uncertainty import quantile_bounds_from_means
-        stores, dcs, zones, seed = shape
-        inst, means = synthetic_instance(stores, dcs, zones, seed=seed)
-        L = inst.num_nodes
-        rng = np.random.default_rng(seed)
-        repo_cost = rng.uniform(1.0, 5.0, size=(L, L)) * (1.0 - np.eye(L))
-        inst = dataclasses.replace(
-            inst, econ=dataclasses.replace(inst.econ, reposition_cost=repo_cost))
-        uset = quantile_bounds_from_means(means)
-        pool = sample_scenarios(means, 3, seed=seed + 10)
-        fixed = rng.integers(0, 4, size=(inst.horizon, L)).astype(float)
-        warm = 0
-        for lam, allied, repositioning, fixed_x in product(
-                (0.0, 0.3), ("walkin", "both"), (False, True), (None, fixed)):
+        runs, warm = _count_phase1(monkeypatch), 0
+        for lam, allied, repositioning, fixed in product(
+                (0.0, 0.3), ("walkin", "both"), (False, True), (False, True)):
             cfg = BioConfig(lam=lam, allied_channels=allied, repositioning=repositioning)
-            master = build_master(inst, uset, [seed_scenario(uset)], cfg, fixed_x)
-            assert solve(master).status == "optimal"
-            for k, scen in enumerate(pool):
-                add_master_scenario(master, inst, scen, cfg)
-                case = (lam, allied, repositioning, fixed_x is not None, k)
-                sol = solve(master)
-                assert sol.status == "optimal", case
-                assert sol.objective == pytest.approx(_highs_lp(master), rel=1e-9), case
-                _assert_meets_rows_and_bounds(master, sol.x, 1e-9)
-                warm += master._phase1.phase1 is None  # a cold solve keeps its phase 1
+            case = (lam, allied, repositioning, fixed)
+            warm += _check_grown_master(runs, shape, cfg, fixed, 3, case)
         assert warm >= 40  # of 48
 
+    @pytest.mark.parametrize("shape", [(2, 0, 1, 1), (3, 1, 2, 2), (2, 1, 1, 3)])
+    def test_master_grown_twenty_times_matches_highs(self, shape, monkeypatch):
+        # a CCG run grows its master up to 20 times (CcgOptions.max_iterations);
+        # the tableau carried through all of them stays accurate
+        runs = _count_phase1(monkeypatch)
+        cfg = BioConfig(lam=0.3, allied_channels="both", repositioning=True)
+        warm = sum(_check_grown_master(runs, shape, cfg, fixed, 20, fixed)
+                   for fixed in (False, True))
+        assert warm >= 30  # of 40
+
+
+def _count_phase1(monkeypatch):
+    """A list that gains one entry per simplex phase 1 run from now on."""
+    from bioinv import solver
+    runs, phase1 = [], solver._Simplex.phase1
+    monkeypatch.setattr(solver._Simplex, "phase1", lambda sx: runs.append(sx) or phase1(sx))
+    return runs
+
+
+def _check_grown_master(runs, shape, cfg, fixed, growths, case):
+    """Grows a master for `synthetic_instance(*shape)`, with a random
+    repositioning cost and, when `fixed`, fixed orders, by `growths` sampled
+    scenarios.  Each solve must equal HiGHS's objective to 1e-9 relative,
+    and its x must meet every row and bound to 1e-9.  Returns how many of
+    the solves were warm: ran no phase 1 (`runs`, from `_count_phase1`)."""
+    import dataclasses
+    from bioinv.ccg import seed_scenario
+    from bioinv.uncertainty import quantile_bounds_from_means
+    stores, dcs, zones, seed = shape
+    inst, means = synthetic_instance(stores, dcs, zones, seed=seed)
+    L = inst.num_nodes
+    rng = np.random.default_rng(seed)
+    repo_cost = rng.uniform(1.0, 5.0, size=(L, L)) * (1.0 - np.eye(L))
+    inst = dataclasses.replace(
+        inst, econ=dataclasses.replace(inst.econ, reposition_cost=repo_cost))
+    uset = quantile_bounds_from_means(means)
+    pool = sample_scenarios(means, growths, seed=seed + 10)
+    fixed_x = rng.integers(0, 4, size=(inst.horizon, L)).astype(float) if fixed else None
+    master = build_master(inst, uset, [seed_scenario(uset)], cfg, fixed_x)
+    assert solve(master).status == "optimal"
+    warm = 0
+    for k, scen in enumerate(pool):
+        add_master_scenario(master, inst, scen, cfg)
+        before = len(runs)
+        sol = solve(master)
+        assert sol.status == "optimal", (case, k)
+        assert sol.objective == pytest.approx(_highs_lp(master), rel=1e-9), (case, k)
+        _assert_meets_rows_and_bounds(master, sol.x, 1e-9)
+        warm += len(runs) == before
+    return warm
 
 def _highs_lp(model):
     """The optimal objective of the LP `model` under scipy's HiGHS `linprog`."""
@@ -447,13 +476,11 @@ def _highs_lp(model):
 
 
 def _assert_meets_rows_and_bounds(model, x, tol):
-    """Bounds to `tol`, rows to `tol` of their scale, 1 + |rhs| + sum |a_j x_j|."""
     assert np.all(x >= np.array(model.lb) - tol) and np.all(x <= np.array(model.ub) + tol)
     for con in model.constraints:
-        terms = np.array(con.vals) * x[con.cols]
-        lhs, slack = float(terms.sum()), tol * (1.0 + abs(con.rhs) + float(np.abs(terms).sum()))
-        assert (con.sense == ">=" or lhs <= con.rhs + slack) and \
-            (con.sense == "<=" or lhs >= con.rhs - slack), con.name
+        lhs = float(np.dot(con.vals, x[con.cols]))
+        assert (con.sense == ">=" or lhs <= con.rhs + tol) and \
+            (con.sense == "<=" or lhs >= con.rhs - tol), con.name
 
 
 def _model_fields(m):
