@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from bioinv.formulations import Allocation
+from bioinv.formulations import (
+    Allocation,
+    critical_ratios,
+    infer_warehouses,
+    pwl_allocation,
+)
 from bioinv.instance import build_instance
 from bioinv.reference import (
     MONTE_CARLO_SEED,
@@ -10,6 +15,7 @@ from bioinv.reference import (
     reference_sim_setup,
 )
 from bioinv.simulate import (
+    PWL_DISCOUNT,
     DayState,
     Order,
     PolicySpec,
@@ -22,7 +28,13 @@ from bioinv.simulate import (
     spread_down,
     whole_units,
 )
-from bioinv.uncertainty import DemandMeans, DemandScenario, sample_scenarios
+from bioinv.uncertainty import (
+    CHANNELS,
+    DemandMeans,
+    DemandScenario,
+    poisson_quantile,
+    sample_scenarios,
+)
 
 
 def wscen(walkin):
@@ -196,6 +208,71 @@ class TestRollingHorizon:
                                         weeks=3, replications=3, seed=8)
         assert agg["walkin_service_level"][0] == 1.0
         assert agg["total_sales_qty"][0] > 0
+
+    def test_initial_pipeline_arrives_on_schedule(self):
+        # lead times 1/2/2 and no demand: each week starts from the previous
+        # week's end plus the initial pipeline's units due that week
+        # (pipeline[l][j] becomes sellable in week j - 1)
+        pipeline = [[3.0, 4.0], [1.0, 2.0, 5.0], [0.0, 6.0, 7.0]]
+        inst = build_instance(["S1", "S2", "S3"], [], 2, walkin_price=10.0,
+                              walkin_penalty=1.0, purchase_cost=4.0,
+                              lead_time=[1, 2, 2], pipeline=pipeline)
+        means = DemandMeans(np.zeros((3, 3)), np.zeros((3, 0)))
+        _, (rep,) = run_rolling_horizon(inst, PolicySpec("basestock"), means, weeks=3,
+                                        replications=1, seed=0, keep_trace=True)
+        end = np.array([row[0] for row in pipeline])
+        for week in range(3):
+            due = np.array([row[week + 1] if week + 1 < len(row) else 0.0
+                            for row in pipeline])
+            first, last = rep.trace[7 * week], rep.trace[7 * week + 6]
+            assert (first["week"], first["day"], last["day"]) == (week, 0, 6)
+            assert np.array_equal(first["start"], end + due)
+            end = last["end"]
+        assert rep.replenish_qty == 0.0
+        assert rep.excess_inventory_at_cost == 4.0 * sum(map(sum, pipeline))
+
+    def test_lead_time_zero_order_is_on_hand_the_same_week(self, monkeypatch):
+        import bioinv.simulate as sim
+        inst = build_instance(["S1", "S2"], [], 2, walkin_price=10.0,
+                              walkin_penalty=1.0, purchase_cost=4.0, lead_time=0)
+        order = np.array([[3.0, 5.0], [0.0, 0.0]])
+        monkeypatch.setattr(sim, "_solve_policy", lambda *args: Allocation(order))
+        means = DemandMeans(np.zeros((2, 2)), np.zeros((2, 0)))
+        _, (rep,) = run_rolling_horizon(inst, PolicySpec("basestock"), means, weeks=2,
+                                        replications=1, seed=0, keep_trace=True)
+        # each week's order is on hand from day 0 of that week
+        assert np.array_equal(rep.trace[0]["start"], [3.0, 5.0])
+        assert np.array_equal(rep.trace[7]["start"], [6.0, 10.0])
+        assert rep.replenish_qty == 16.0
+        assert rep.purchase_cost == 64.0
+
+    def test_pwl_orders_at_positive_demand(self):
+        import bioinv.simulate as sim
+        inst = self.inst
+        T = inst.horizon
+        weeks = int(inst.inventory.lead_time.max()) + 1
+        plan_means = DemandMeans(self.means.walkin[:T], self.means.online[:T])
+        wh = infer_warehouses(inst, plan_means)
+        quant = sim._critical_quantile_demand(inst, plan_means, wh)
+        cr_w, cr_o = critical_ratios(inst, wh)
+        levels = {"b": cr_w, "o": [cr_o] * inst.num_zones}
+        for ch in CHANNELS:
+            for (t, i), mean in np.ndenumerate(plan_means.channel(ch)):
+                level = levels[ch][i]
+                want = (max(mean, float(poisson_quantile(level, mean)))
+                        if level > 0 and mean > 0 else mean)
+                assert quant.channel(ch)[t, i] == want
+        assert (quant.walkin > plan_means.walkin).any()
+        # only week 0 can order something that arrives within the run
+        expected = whole_units(pwl_allocation(inst, plan_means, quant, PWL_DISCOUNT).x[0])
+        assert expected.sum() > 0
+        means = DemandMeans(self.means.walkin[:weeks], self.means.online[:weeks])
+        _, reps = run_rolling_horizon(inst, PolicySpec("pwl"), means, weeks=weeks,
+                                      replications=2, seed=1)
+        for r in reps:
+            assert r.replenish_qty == expected.sum()
+            assert r.purchase_cost == pytest.approx(float(expected @ inst.econ.purchase_cost))
+            assert r.solver_failures == 0
 
     def test_weeks_must_cover_lead_time(self):
         with pytest.raises(SimulationError):
