@@ -16,6 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -82,82 +83,51 @@ def batch_evaluate(inst: Instance, alloc: Allocation,
 # order-stream machinery
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Order:
-    channel: str          # "walkin" | "ecom"
-    location: int         # node index (walkin) or zone index (ecom)
-    rank: float           # arrival position within the day
-
-
-def spread_down(weekly_demand, days: int, seed: int) -> list[list[Order]]:
+def spread_down(weekly_demand, days: int, rng, online: bool = False) -> list[list[tuple]]:
     """Multinomial split of week-location demand across days (equal day
-    probabilities); every unit becomes a single-unit order with a random
-    arrival rank within its day."""
+    probabilities).  Every unit becomes a single-unit order `(rank, online,
+    location)` with a uniform random arrival rank within its day; location is
+    a node for walk-in and a zone for online demand."""
     if days < 1:
         raise SimulationError("days must be >= 1")
-    return _spread_orders(np.random.default_rng(seed), weekly_demand, days, "walkin")
-
-
-def _spread_orders(rng, weekly, days, channel) -> list[list[Order]]:
-    out: list[list[Order]] = [[] for _ in range(days)]
-    for loc, units in enumerate(np.asarray(weekly)):
-        units = int(units)
+    out: list[list[tuple]] = [[] for _ in range(days)]
+    probs = np.full(days, 1.0 / days)
+    for loc, units in enumerate(np.asarray(weekly_demand, dtype=int).tolist()):
         if units <= 0:
             continue
-        counts = rng.multinomial(units, np.full(days, 1.0 / days))
-        for day, cnt in enumerate(counts):
-            for _ in range(cnt):
-                out[day].append(Order(channel, loc, float(rng.random())))
+        counts = rng.multinomial(units, probs).tolist()
+        unit_days = [day for day, cnt in enumerate(counts) for _ in range(cnt)]
+        for day, rank in zip(unit_days, rng.random(units).tolist()):
+            out[day].append((rank, online, loc))
     return out
 
 
-@dataclass
-class DayState:
-    """Mutable per-day fulfillment state shared by the order processor."""
-    on_hand: np.ndarray             # per node
-    reserves: np.ndarray            # per node, walk-in protection level
-    edges: dict                     # zone -> [(cost, node)] sorted
-    stores: set                     # node indices counted as stores
-
-
-def fulfill_order_stream(orders: list[Order], state: DayState) -> list[dict]:
-    """Process one day's orders in arrival order.  Walk-in orders consume
-    local on-hand; online orders ship from the cheapest node in the lowest
-    non-empty tier (tier 1: on-hand above the walk-in reserve); unmet orders
-    become lost sales."""
-    events = []
-    for od in sorted(orders, key=lambda o: o.rank):
-        if od.channel == "walkin":
-            l = od.location
-            if state.on_hand[l] >= 1.0 - 1e-9:
-                state.on_hand[l] -= 1.0
-                events.append({"type": "walkin_sale", "node": l})
-            else:
-                events.append({"type": "walkin_lost", "node": l})
-            continue
-        z = od.location
-        chosen = None
-        for tier in (1, 2):
-            best = None
-            for cost, l in state.edges.get(z, ()):
-                if state.on_hand[l] < 1.0 - 1e-9:
-                    continue
-                node_tier = 1 if state.on_hand[l] > state.reserves[l] else 2
-                if node_tier != tier:
-                    continue
-                best = (cost, l)
-                break  # edges pre-sorted by (cost, node)
-            if best is not None:
-                chosen = best
-                break
-        if chosen is None:
-            events.append({"type": "ecom_lost", "zone": z})
+def fulfill_order_stream(orders: list[tuple], on_hand: np.ndarray, reserves,
+                         edges: dict) -> list[tuple]:
+    """Serve one day's `(rank, online, location)` orders in arrival order,
+    drawing on `on_hand` in place.  A walk-in order takes a unit of local
+    stock.  An online order ships along its zone's `(cost, node)` edges,
+    sorted by cost: from the first node whose on-hand exceeds its walk-in
+    reserve, else from the first node with a unit.  Returns `(online,
+    location, node, cost)` per order, node None for a lost sale."""
+    served = []
+    for _rank, online, loc in sorted(orders, key=itemgetter(0)):
+        # a walk-in order's one edge is its own node, free and unreserved
+        choice = None
+        for edge in edges.get(loc, ()) if online else ((0.0, loc),):
+            l = edge[1]
+            if on_hand[l] >= 1.0 - 1e-9:
+                if not online or on_hand[l] > reserves[l]:
+                    choice = edge
+                    break
+                choice = choice or edge
+        if choice is None:
+            served.append((online, loc, None, None))
         else:
-            cost, l = chosen
-            state.on_hand[l] -= 1.0
-            events.append({"type": "ecom_ship", "zone": z, "node": l, "cost": cost,
-                           "from_store": l in state.stores})
-    return events
+            cost, node = choice
+            on_hand[node] -= 1.0
+            served.append((online, loc, node, cost))
+    return served
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +237,17 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
     per channel) for invariant checking.
     """
     T = inst.horizon
-    if weeks < int(inst.inventory.lead_time.max()) + 1:
+    lead = inst.inventory.lead_time.tolist()
+    if weeks < max(lead) + 1:
         raise SimulationError("weeks must cover at least lead time + 1")
     if replications < 1:
         raise SimulationError("replications must be >= 1")
+    if policy.kind != "basestock":
+        for l, k in enumerate(lead):
+            if k >= T:
+                raise SimulationError(
+                    f"node {inst.network.nodes[l]} has lead time {k}, but the {policy.kind} "
+                    f"policy plans {T} weeks ahead: it could never order there")
     L, Z = inst.num_nodes, inst.num_zones
     mw = np.asarray(weekly_means.walkin, dtype=float)
     mo = np.asarray(weekly_means.online, dtype=float)
@@ -279,8 +256,10 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
             f"weekly means must be shaped ({weeks},{L})/({weeks},{Z}), "
             f"got {mw.shape}/{mo.shape}")
     e = inst.econ
+    purchase = e.purchase_cost.tolist()
+    walkin_price, walkin_penalty = e.walkin_price[0].tolist(), e.walkin_penalty[0].tolist()
+    online_price, online_penalty = float(e.online_price[0]), float(e.online_penalty[0])
     warehouses = set(infer_warehouses(inst, DemandMeans(mw, mo)))
-    stores = {l for l in range(L) if l not in warehouses}
     edges = {}
     for l, z, _d in allowed_edges(inst):
         edges.setdefault(z, []).append((float(e.fulfill_cost[l, z]), l))
@@ -289,109 +268,87 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
 
     # the plan depends only on the plan state and the look-ahead rows, and
     # replications share early-week states; failures are not cached
-    planned: dict[tuple, np.ndarray] = {}
+    planned: dict[tuple, list] = {}
     reports = []
     for rep_i in range(replications):
         rng = np.random.default_rng([seed, rep_i])
         kpi = KpiReport()
         trace = [] if keep_trace else None
-        on_hand = np.array([inst.inventory.on_hand(l) for l in range(L)], dtype=float)
-        in_transit: dict[tuple[int, int], float] = {}
-        for l in range(L):
-            for j in range(1, int(inst.inventory.lead_time[l]) + 1):
-                qty = inst.inventory.arriving(l, j)
-                if qty:
-                    in_transit[j - 1, l] = in_transit.get((j - 1, l), 0.0) + qty
-        walkin_demanded = walkin_sold = ecom_demanded = ecom_sold = 0.0
+        on_hand = np.array([row[0] for row in inst.inventory.pipeline], dtype=float)
+        # arriving[w, l]: units that reach node l at the start of week w; the
+        # zero rows past the run pad the last weeks' plan pipelines
+        arriving = np.zeros((weeks + max(lead) + 1, L))
+        for l, row in enumerate(inst.inventory.pipeline):
+            arriving[:lead[l], l] = row[1:]
+        walkin_demanded = ecom_demanded = 0.0
         onhand_days = []
         for week in range(weeks):
-            # arrivals at the start of the week
-            for l in range(L):
-                qty = in_transit.pop((week, l), 0.0)
-                on_hand[l] += qty
+            on_hand += arriving[week]
             # plan on the current state with a T-week look-ahead
             rows = tuple(min(week + k, weeks - 1) for k in range(T))
-            pipeline = []
-            for l in range(L):
-                lead = int(inst.inventory.lead_time[l])
-                row = [on_hand[l]] + [in_transit.get((week + j, l), 0.0)
-                                      for j in range(1, lead + 1)]
-                pipeline.append(tuple(row))
-            key = (tuple(pipeline), rows)
+            pipeline = tuple((on_hand[l], *arriving[week + 1:week + lead[l] + 1, l].tolist())
+                             for l in range(L))
+            key = (pipeline, rows)
             # an order is pointless when it cannot arrive within the run
-            receivable = [l for l in range(L)
-                          if week + int(inst.inventory.lead_time[l]) < weeks]
-            if not receivable:
-                orders_now = np.zeros(L)
-            elif key in planned:
-                orders_now = planned[key]
-            else:
+            receivable = [week + k < weeks for k in lead]
+            if any(receivable) and key not in planned:
                 plan_inst = Instance(inst.network, inst.econ,
-                                     InventoryState(tuple(pipeline),
-                                                    inst.inventory.lead_time,
+                                     InventoryState(pipeline, inst.inventory.lead_time,
                                                     inst.inventory.reposition_lead),
                                      inst.horizon, inst.business_rules)
                 try:
                     alloc = _solve_policy(plan_inst, policy,
                                           DemandMeans(mw[list(rows)], mo[list(rows)]))
-                    orders_now = planned[key] = whole_units(alloc.x[0])
+                    planned[key] = whole_units(alloc.x[0]).tolist()
                 except POLICY_ERRORS:
                     kpi.solver_failures += 1
-                    orders_now = np.zeros(L)
-            for l in range(L):
-                q = float(orders_now[l])
-                if q <= 0 or l not in set(receivable):
+            for l, q in enumerate(planned.get(key, ())):
+                if q <= 0 or not receivable[l]:
                     continue
                 kpi.replenish_qty += q
                 if l in warehouses:
                     kpi.dc_replenish_qty += q
-                kpi.purchase_cost += q * float(e.purchase_cost[l])
-                lead = int(inst.inventory.lead_time[l])
-                if lead == 0:
-                    on_hand[l] += q
+                kpi.purchase_cost += q * purchase[l]
+                if lead[l]:
+                    arriving[week + lead[l], l] += q
                 else:
-                    key = (week + lead, l)
-                    in_transit[key] = in_transit.get(key, 0.0) + q
+                    on_hand[l] += q
             # realize the week's demand and play it out day by day
             wk_walkin = rng.poisson(mw[week])
             wk_ecom = rng.poisson(mo[week]) if Z else np.zeros(0, dtype=int)
             walkin_demanded += float(wk_walkin.sum())
             ecom_demanded += float(wk_ecom.sum())
-            day_orders = _spread_orders(rng, wk_walkin, DAYS_PER_WEEK, "walkin")
-            for day, lst in enumerate(_spread_orders(rng, wk_ecom, DAYS_PER_WEEK, "ecom")):
-                day_orders[day].extend(lst)
-            for day in range(DAYS_PER_WEEK):
-                reserves = (mw[week] / DAYS_PER_WEEK) * (DAYS_PER_WEEK - day)
-                state = DayState(on_hand, reserves, edges, stores)
+            day_orders = spread_down(wk_walkin, DAYS_PER_WEEK, rng)
+            for day, lst in enumerate(spread_down(wk_ecom, DAYS_PER_WEEK, rng, online=True)):
+                day_orders[day] += lst
+            daily_walkin = mw[week] / DAYS_PER_WEEK
+            for day, orders in enumerate(day_orders):
+                reserves = (daily_walkin * (DAYS_PER_WEEK - day)).tolist()
                 day_start = on_hand.copy()
-                day_sales = np.zeros(L)
-                day_ships = np.zeros(L)
+                day_sales, day_ships = np.zeros(L), np.zeros(L)
                 lost_walkin_pen = lost_ecom = 0.0
-                for ev in fulfill_order_stream(day_orders[day], state):
-                    if ev["type"] == "walkin_sale":
-                        l = ev["node"]
-                        kpi.walkin_sales_qty += 1
-                        kpi.total_sales_qty += 1
-                        kpi.satisfied_revenue += float(e.walkin_price[0, l])
-                        walkin_sold += 1
-                        day_sales[l] += 1
-                    elif ev["type"] == "walkin_lost":
-                        l = ev["node"]
-                        kpi.missed_revenue += float(e.walkin_price[0, l])
-                        kpi.penalized_profit -= float(e.walkin_penalty[0, l])
-                        lost_walkin_pen += float(e.walkin_penalty[0, l])
-                    elif ev["type"] == "ecom_ship":
-                        kpi.total_sales_qty += 1
-                        kpi.satisfied_revenue += float(e.online_price[0])
-                        kpi.shipping_cost += ev["cost"]
-                        if ev["from_store"]:
+                for online, loc, node, cost in fulfill_order_stream(orders, on_hand,
+                                                                    reserves, edges):
+                    price, penalty = ((online_price, online_penalty) if online
+                                      else (walkin_price[loc], walkin_penalty[loc]))
+                    if node is None:
+                        kpi.missed_revenue += price
+                        kpi.penalized_profit -= penalty
+                        if online:
+                            lost_ecom += 1
+                        else:
+                            lost_walkin_pen += penalty
+                        continue
+                    kpi.total_sales_qty += 1
+                    kpi.satisfied_revenue += price
+                    if online:
+                        kpi.shipping_cost += cost
+                        if node not in warehouses:
                             kpi.sfs_qty += 1
-                        ecom_sold += 1
-                        day_ships[ev["node"]] += 1
+                        day_ships[node] += 1
                     else:
-                        kpi.missed_revenue += float(e.online_price[0])
-                        kpi.penalized_profit -= float(e.online_penalty[0])
-                        lost_ecom += 1
+                        kpi.walkin_sales_qty += 1
+                        day_sales[node] += 1
                 onhand_days.append(float(on_hand.sum()))
                 if trace is not None:
                     trace.append({
@@ -401,15 +358,16 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
                         "lost_walkin_penalty": lost_walkin_pen,
                         "lost_ecom_units": lost_ecom,
                     })
-        kpi.excess_inventory_at_cost = float(
-            sum(on_hand[l] * e.purchase_cost[l] for l in range(L))
-            + sum(q * e.purchase_cost[l] for (_w, l), q in in_transit.items()))
+        # nothing is left in transit: orders are placed only when week + lead < weeks
+        kpi.excess_inventory_at_cost = float(sum(on_hand * e.purchase_cost))
         kpi.realized_profit = kpi.satisfied_revenue - kpi.shipping_cost - kpi.purchase_cost
         kpi.penalized_profit += kpi.realized_profit
-        kpi.walkin_service_level = (walkin_sold / walkin_demanded) if walkin_demanded else 1.0
-        kpi.ecom_service_level = (ecom_sold / ecom_demanded) if ecom_demanded else 1.0
+        kpi.walkin_service_level = (kpi.walkin_sales_qty / walkin_demanded
+                                    if walkin_demanded else 1.0)
+        kpi.ecom_service_level = ((kpi.total_sales_qty - kpi.walkin_sales_qty) / ecom_demanded
+                                  if ecom_demanded else 1.0)
         total_dem = walkin_demanded + ecom_demanded
-        kpi.total_service_level = ((walkin_sold + ecom_sold) / total_dem) if total_dem else 1.0
+        kpi.total_service_level = (kpi.total_sales_qty / total_dem) if total_dem else 1.0
         avg_onhand = float(np.mean(onhand_days)) if onhand_days else 0.0
         kpi.inventory_turnover = (kpi.total_sales_qty / avg_onhand) if avg_onhand > 0 else 0.0
         if trace is not None:

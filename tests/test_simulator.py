@@ -16,8 +16,6 @@ from bioinv.reference import (
 )
 from bioinv.simulate import (
     PWL_DISCOUNT,
-    DayState,
-    Order,
     PolicySpec,
     SimulationError,
     batch_evaluate,
@@ -71,80 +69,93 @@ class TestBatchEvaluate:
 
 class TestSpreadDown:
     def test_zero_demand_no_orders(self):
-        days = spread_down([0, 0], 7, seed=1)
+        days = spread_down([0, 0], 7, np.random.default_rng(1))
         assert all(not lst for lst in days)
 
     def test_conservation(self):
-        days = spread_down([7, 3], 7, seed=5)
-        total = sum(len(lst) for lst in days)
-        assert total == 10
-        by_loc = {0: 0, 1: 0}
-        for lst in days:
-            for od in lst:
-                assert od.channel == "walkin"
-                by_loc[od.location] += 1
-        assert by_loc == {0: 7, 1: 3}
+        for online in (False, True):
+            days = spread_down([7, 3], 7, np.random.default_rng(5), online=online)
+            assert sum(len(lst) for lst in days) == 10
+            by_loc = {0: 0, 1: 0}
+            for lst in days:
+                for _rank, flag, loc in lst:
+                    assert flag is online
+                    by_loc[loc] += 1
+            assert by_loc == {0: 7, 1: 3}
 
     def test_determinism(self):
-        a = spread_down([5, 2], 7, seed=9)
-        b = spread_down([5, 2], 7, seed=9)
-        assert [(o.location, o.rank) for lst in a for o in lst] == \
-               [(o.location, o.rank) for lst in b for o in lst]
+        a = spread_down([5, 2], 7, np.random.default_rng(9))
+        b = spread_down([5, 2], 7, np.random.default_rng(9))
+        assert a == b
+
+    def test_stream_is_one_multinomial_then_one_rank_per_unit(self):
+        # the seeded ledgers depend on this draw order: per location, the
+        # day counts, then each unit's rank in day order
+        got = spread_down([4, 0, 6], 3, np.random.default_rng(2), online=True)
+        rng = np.random.default_rng(2)
+        want = [[], [], []]
+        for loc, units in ((0, 4), (2, 6)):
+            for day, cnt in enumerate(rng.multinomial(units, np.full(3, 1 / 3))):
+                want[day] += [(float(rng.random()), True, loc) for _ in range(cnt)]
+        assert got == want
 
     def test_multinomial_concentration(self):
         n, days = 70000, 7
-        out = spread_down([n], days, seed=3)
+        out = spread_down([n], days, np.random.default_rng(3))
         counts = np.array([len(lst) for lst in out])
         expect = n / days
         sigma = np.sqrt(n * (1 / days) * (1 - 1 / days))
         assert np.all(np.abs(counts - expect) < 5 * sigma)
 
+    def test_days_must_be_positive(self):
+        with pytest.raises(SimulationError):
+            spread_down([1], 0, np.random.default_rng(0))
+
 
 class TestFulfillOrderStream:
+    # orders are (rank, online, location); results (online, location, node, cost)
     def test_walkin_priority_then_ecom_lost(self):
-        state = DayState(on_hand=np.array([1.0]), reserves=np.array([0.0]),
-                         edges={0: [(5.0, 0)]}, stores={0})
-        orders = [Order("walkin", 0, 0.1), Order("ecom", 0, 0.9)]
-        events = fulfill_order_stream(orders, state)
-        assert events[0]["type"] == "walkin_sale"
-        assert events[1]["type"] == "ecom_lost"
-        assert state.on_hand[0] == 0.0
+        on_hand = np.array([1.0])
+        served = fulfill_order_stream([(0.1, False, 0), (0.9, True, 0)], on_hand,
+                                      [0.0], {0: [(5.0, 0)]})
+        assert served == [(False, 0, 0, 0.0), (True, 0, None, None)]
+        assert on_hand[0] == 0.0
+
+    def test_walkin_ignores_reserve(self):
+        on_hand = np.array([1.0])
+        served = fulfill_order_stream([(0.5, False, 0)], on_hand, [5.0], {})
+        assert served == [(False, 0, 0, 0.0)]
 
     def test_cheapest_node_within_tier(self):
-        state = DayState(on_hand=np.array([3.0, 3.0]), reserves=np.zeros(2),
-                         edges={0: [(5.0, 0), (7.0, 1)]}, stores={0, 1})
-        events = fulfill_order_stream([Order("ecom", 0, 0.5)], state)
-        assert events[0]["type"] == "ecom_ship"
-        assert events[0]["node"] == 0 and events[0]["cost"] == 5.0
+        served = fulfill_order_stream([(0.5, True, 0)], np.array([3.0, 3.0]), [0.0, 0.0],
+                                      {0: [(5.0, 0), (7.0, 1)]})
+        assert served == [(True, 0, 0, 5.0)]
 
     def test_tier_precedence_over_cost(self):
         # node A cheap but below reserve, node B above reserve: ship from B
-        state = DayState(on_hand=np.array([2.0, 2.0]),
-                         reserves=np.array([5.0, 0.0]),
-                         edges={0: [(5.0, 0), (7.0, 1)]}, stores={0, 1})
-        events = fulfill_order_stream([Order("ecom", 0, 0.5)], state)
-        assert events[0]["node"] == 1
+        on_hand = np.array([2.0, 2.0])
+        served = fulfill_order_stream([(0.5, True, 0)], on_hand, [5.0, 0.0],
+                                      {0: [(5.0, 0), (7.0, 1)]})
+        assert served == [(True, 0, 1, 7.0)]
+        assert on_hand.tolist() == [2.0, 1.0]
 
     def test_tier_two_ships_when_tier_one_empty(self):
-        state = DayState(on_hand=np.array([2.0]), reserves=np.array([5.0]),
-                         edges={0: [(5.0, 0)]}, stores={0})
-        events = fulfill_order_stream([Order("ecom", 0, 0.5)], state)
-        assert events[0]["type"] == "ecom_ship"
+        served = fulfill_order_stream([(0.5, True, 0)], np.array([2.0]), [5.0],
+                                      {0: [(5.0, 0)]})
+        assert served == [(True, 0, 0, 5.0)]
 
     def test_no_ship_from_empty_node(self):
-        state = DayState(on_hand=np.array([0.0]), reserves=np.array([0.0]),
-                         edges={0: [(5.0, 0)]}, stores={0})
-        events = fulfill_order_stream([Order("ecom", 0, 0.5)], state)
-        assert events[0]["type"] == "ecom_lost"
+        on_hand = np.array([0.0])
+        served = fulfill_order_stream([(0.5, True, 0), (0.6, False, 0)], on_hand,
+                                      [0.0], {0: [(5.0, 0)]})
+        assert served == [(True, 0, None, None), (False, 0, None, None)]
+        assert on_hand[0] == 0.0
 
     def test_orders_processed_in_rank_order(self):
-        state = DayState(on_hand=np.array([1.0]), reserves=np.array([0.0]),
-                         edges={0: [(5.0, 0)]}, stores={0})
-        orders = [Order("ecom", 0, 0.2), Order("walkin", 0, 0.8)]
-        events = fulfill_order_stream(orders, state)
-        # the e-com order arrived first and took the unit
-        assert events[0]["type"] == "ecom_ship"
-        assert events[1]["type"] == "walkin_lost"
+        # listed walk-in first, but the e-com order arrived first and took the unit
+        served = fulfill_order_stream([(0.8, False, 0), (0.2, True, 0)], np.array([1.0]),
+                                      [0.0], {0: [(5.0, 0)]})
+        assert served == [(True, 0, 0, 5.0), (False, 0, None, None)]
 
 
 def test_whole_units_round_halves_up_within_tolerance():
@@ -273,6 +284,22 @@ class TestRollingHorizon:
             assert r.replenish_qty == expected.sum()
             assert r.purchase_cost == pytest.approx(float(expected @ inst.econ.purchase_cost))
             assert r.solver_failures == 0
+
+    def test_plan_horizon_must_exceed_lead_times(self):
+        # a plan of T weeks cannot place an order that arrives after T - 1,
+        # so pwl and bio would silently order nothing at node D1
+        inst = build_instance(["S1", "D1"], ["Z1"], 2, walkin_price=10.0,
+                              walkin_penalty=1.0, online_price=10.0, online_penalty=1.0,
+                              fulfill_cost=1.0, purchase_cost=4.0, lead_time=[1, 2])
+        means = DemandMeans(np.ones((3, 2)), np.ones((3, 1)))
+        for kind in ("pwl", "bio"):
+            with pytest.raises(SimulationError,
+                               match=r"node D1 has lead time 2.* plans 2 weeks ahead"):
+                run_rolling_horizon(inst, PolicySpec(kind), means, weeks=3,
+                                    replications=1, seed=0)
+        agg, _ = run_rolling_horizon(inst, PolicySpec("basestock"), means, weeks=3,
+                                     replications=1, seed=0)
+        assert agg["replenish_qty"][0] > 0
 
     def test_weeks_must_cover_lead_time(self):
         with pytest.raises(SimulationError):
