@@ -65,7 +65,9 @@ class CcgOptions:
 @dataclass
 class SolveReport:
     allocation: Allocation | None
-    objective: float               # the best lower bound
+    # the best candidate value: a lower bound with the exact subproblem; with
+    # the alternating heuristic a heuristic value, which can exceed the optimum
+    objective: float
     lam: float
     lower_bounds: list = field(default_factory=list)
     upper_bounds: list = field(default_factory=list)
@@ -271,8 +273,11 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
     """Column-and-cut generation for the two-stage robust / BIO problem.
 
     Master and subproblem alternate; the retained allocation is the one
-    achieving the best lower bound, not the last master iterate.  Converged
-    reports with the exact subproblem are globally optimal.
+    achieving the best candidate value, not the last master iterate.  With
+    the exact subproblem each candidate is a lower bound, and converged
+    reports are globally optimal.  The alternating heuristic only finds some
+    scenario, no worst one, so in that mode `objective` and `lower_bounds`
+    are heuristic values that can exceed the exact optimum.
     """
     options = options or CcgOptions()
     t0 = time.perf_counter()

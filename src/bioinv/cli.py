@@ -68,8 +68,8 @@ def _write(args, out_dir: str, name: str, payload):
     return path
 
 
-def _manifest(args, extra=None) -> dict:
-    d = {
+def _manifest(args) -> dict:
+    return {
         "command": args.command,
         "argv": sys.argv[1:],
         "package_version": __version__,
@@ -78,9 +78,6 @@ def _manifest(args, extra=None) -> dict:
         "config": {k: v for k, v in vars(args).items()
                    if k not in ("func", "command") and v is not None},
     }
-    if extra:
-        d.update(extra)
-    return d
 
 
 def _ccg_options(args) -> CcgOptions:

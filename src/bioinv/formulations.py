@@ -73,14 +73,6 @@ class FulfillmentPlan:
     end_inventory: np.ndarray    # (T, n_nodes), on-hand after period t
     profit: float
 
-    def to_dict(self) -> dict:
-        return {
-            "walkin_sales": self.walkin_sales.tolist(),
-            "shipments": self.shipments.tolist(),
-            "end_inventory": self.end_inventory.tolist(),
-            "profit": self.profit,
-        }
-
 
 @dataclass
 class BioConfig:

@@ -27,6 +27,9 @@ from .solver import solve
 from .uncertainty import DemandScenario, UncertaintySet
 
 DEFAULT_GRID = (0.05, 0.10, 0.25, 0.50, 0.75)
+# the bisection's final interval width: far below the 1e-3 the selection
+# needs, so that piecewise-linear kinks are resolved exactly
+BISECTION_TOL = 1e-9
 
 
 class TuningError(Exception):
@@ -162,16 +165,14 @@ def tune_lambda(inst: Instance, uset: UncertaintySet, scenarios: list[DemandScen
                 objective: ScoringObjective | None = None, method: str = "grid",
                 grid: tuple = DEFAULT_GRID, options: CcgOptions | None = None,
                 cfg_base: BioConfig | None = None,
-                validation_fraction: float = 0.8,
-                bisection_tol: float = 1e-9) -> TuneResult:
+                validation_fraction: float = 0.8) -> TuneResult:
     """Pick the optimism weight against out-of-sample scenario scores.
 
     grid: one CCG solve per candidate lambda, scored on the validation split,
     ties to the smaller lambda.  bisection: solves the lam = 0 and lam = 1
     problems once and searches the superposition segment by ternary search on
-    the concave score (requires zero initial inventory and continuous
-    allocations); the default interval tolerance is far below the 1e-3 the
-    selection needs so piecewise-linear kinks are resolved exactly."""
+    the concave score down to an interval of BISECTION_TOL (requires zero
+    initial inventory and continuous allocations)."""
     objective = objective or ScoringObjective("mean")
     options = options or CcgOptions()
     cfg_base = cfg_base or BioConfig()
@@ -216,7 +217,7 @@ def tune_lambda(inst: Instance, uset: UncertaintySet, scenarios: list[DemandScen
             return cache[key]
 
         a, b = 0.0, 1.0
-        while b - a > bisection_tol:
+        while b - a > BISECTION_TOL:
             m1 = a + (b - a) / 3.0
             m2 = b - (b - a) / 3.0
             if phi(m1) < phi(m2):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
@@ -23,3 +24,38 @@ def test_trace_targets_exist():
     for module, name in targets:
         fn = getattr(importlib.import_module(f"bioinv.{module}"), name, None)
         assert callable(fn), f"bioinv.{module}.{name}"
+
+
+def _policy_attrs_unpacked():
+    # the names tracing's _policy_attrs unpacks from _solve_policy's positional args
+    with open(TRACING) as fh:
+        tree = ast.parse(fh.read())
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_policy_attrs":
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+                        and node.value.id == "args"):
+                    return [t.id for t in node.targets[0].elts]
+    raise AssertionError("perfbench/tracing.py unpacks no _solve_policy args")
+
+
+def test_solve_policy_takes_the_arguments_tracing_unpacks():
+    from bioinv import simulate
+    params = list(inspect.signature(simulate._solve_policy).parameters.values())
+    assert [p.name for p in params] == _policy_attrs_unpacked() == [
+        "plan_inst", "policy", "means"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
+
+
+def test_order_stream_goes_through_the_module_global(monkeypatch):
+    # a traced run wraps simulate.fulfill_order_stream: one span per simulated day
+    from bioinv import simulate
+    from bioinv.reference import reference_sim_setup
+    calls = []
+    real = simulate.fulfill_order_stream
+    monkeypatch.setattr(simulate, "fulfill_order_stream",
+                        lambda *args: calls.append(1) or real(*args))
+    inst, means = reference_sim_setup()
+    simulate.run_rolling_horizon(inst, simulate.PolicySpec("basestock"), means,
+                                 weeks=3, replications=2, seed=0)
+    assert len(calls) == 2 * 3 * simulate.DAYS_PER_WEEK
