@@ -233,8 +233,8 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
     The policy plans `inst.horizon` weeks ahead.  Returns (aggregate,
     reports): per-field mean and standard error across replications, plus
     the per-replication KpiReports.  With `keep_trace` each report carries a
-    per-day ledger (start/arrivals/sales/shipments/end per node, lost units
-    per channel) for invariant checking.
+    per-day ledger (start, walk-in sales, shipments and end per node, lost
+    walk-in penalty and lost online units) for invariant checking.
     """
     T = inst.horizon
     lead = inst.inventory.lead_time.tolist()
