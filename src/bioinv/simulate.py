@@ -274,7 +274,7 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
         rng = np.random.default_rng([seed, rep_i])
         kpi = KpiReport()
         trace = [] if keep_trace else None
-        on_hand = np.array([row[0] for row in inst.inventory.pipeline], dtype=float)
+        on_hand = np.array([inst.inventory.on_hand(l) for l in range(L)], dtype=float)
         # arriving[w, l]: units that reach node l at the start of week w; the
         # zero rows past the run pad the last weeks' plan pipelines
         arriving = np.zeros((weeks + max(lead) + 1, L))
@@ -358,7 +358,7 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
                         "lost_walkin_penalty": lost_walkin_pen,
                         "lost_ecom_units": lost_ecom,
                     })
-        # nothing is left in transit: orders are placed only when week + lead < weeks
+        # nothing is in transit: orders need week + lead < weeks, and weeks > max(lead)
         kpi.excess_inventory_at_cost = float(sum(on_hand * e.purchase_cost))
         kpi.realized_profit = kpi.satisfied_revenue - kpi.shipping_cost - kpi.purchase_cost
         kpi.penalized_profit += kpi.realized_profit
