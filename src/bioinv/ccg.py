@@ -65,9 +65,7 @@ class CcgOptions:
 @dataclass
 class SolveReport:
     allocation: Allocation | None
-    # the best candidate value: a lower bound with the exact subproblem; with
-    # the alternating heuristic a heuristic value, which can exceed the optimum
-    objective: float
+    objective: float               # best candidate; a lower bound only in exact mode
     lam: float
     lower_bounds: list = field(default_factory=list)
     upper_bounds: list = field(default_factory=list)
@@ -275,8 +273,8 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
     Master and subproblem alternate; the retained allocation is the one
     achieving the best candidate value, not the last master iterate.  With
     the exact subproblem each candidate is a lower bound, and converged
-    reports are globally optimal.  The alternating heuristic only finds some
-    scenario, no worst one, so in that mode `objective` and `lower_bounds`
+    reports are globally optimal.  The alternating heuristic finds some
+    scenario, not a worst one, so in that mode `objective` and `lower_bounds`
     are heuristic values that can exceed the exact optimum.
     """
     options = options or CcgOptions()
