@@ -4,9 +4,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from bioinv.cli import main
+from bioinv.ccg import CcgOptions
+from bioinv.cli import _ccg_options, build_parser, main
+from bioinv.formulations import Allocation, evaluate_profits
+from bioinv.instance import build_instance, load_instance, save_instance
+from bioinv.uncertainty import load_scenarios
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -115,6 +120,63 @@ class TestSampleAndEvaluate:
         for name in ("evaluation.json", "profits.csv"):
             assert ((tmp_path / "from_report" / name).read_bytes()
                     == (tmp_path / "plain" / name).read_bytes())
+
+
+    def test_repositioning_allocation_roundtrips_through_report(self, tmp_path):
+        inst = build_instance(
+            ["A", "B"], ["Z1"], 2, walkin_price=100.0, walkin_penalty=10.0,
+            online_price=80.0, online_penalty=5.0, fulfill_cost=[[5.0], [8.0]],
+            purchase_cost=[40.0, 45.0], holding=1.0, lead_time=[0, 1], pipeline=[[8.0], [0.0, 1.0]],
+            reposition_cost=[[0.0, 1.0], [1.0, 0.0]], reposition_lead=[[0, 0], [1, 0]])
+        path, means = tmp_path / "inst.json", tmp_path / "means.json"
+        save_instance(inst, str(path))
+        means.write_text(json.dumps({"walkin": [[1.0, 4.0], [1.0, 4.0]], "online": [[2.0], [2.0]]}))
+        assert run_cli(["solve", str(path), "--means", str(means), "--lambda", "0.3",
+                        "--allied", "both", "--repositioning", "--out", str(tmp_path / "run")]) == 0
+        report = tmp_path / "run" / "solve_report.json"
+        doc = json.load(open(report))["allocation"]
+        assert list(doc) == ["x", "x_repo", "s_plus", "y_plus"]
+        assert np.array(doc["x_repo"]).shape == (2, 2, 2) and np.any(np.array(doc["x_repo"]) > 0)
+        assert np.array(doc["y_plus"]).shape == (2, 2, 1)
+        scen = tmp_path / "scen.json"
+        assert run_cli(["sample", "--means", str(means), "--samples", "20", "--seed", "4",
+                        "--out-file", str(scen)]) == 0
+        assert run_cli(["evaluate", str(path), "--allocation", str(report), "--scenarios",
+                        str(scen), "--out", str(tmp_path / "ev")]) == 0
+        rows = (tmp_path / "ev" / "profits.csv").read_text().strip().splitlines()[1:]
+        profits = [float(row.split(",")[1]) for row in rows]
+        alloc = Allocation(**{k: np.array(v) for k, v in doc.items()})
+        scenarios, _meta = load_scenarios(str(scen))
+        assert profits == evaluate_profits(load_instance(str(path)), alloc, scenarios).tolist()
+        # the flows are read: the same orders without them score otherwise
+        assert profits != evaluate_profits(inst, Allocation(alloc.x), scenarios).tolist()
+
+
+class TestOverwrite:
+    def test_gen_instance_and_sample_refuse_without_force(self, tmp_path, capsys):
+        inst, means, scen = tmp_path / "i.json", tmp_path / "m.json", tmp_path / "s.json"
+        gen = ["gen-instance", "--stores", "2", "--zones", "1", "--seed", "1"]
+        sample = ["sample", "--means", str(means), "--samples", "5", "--out-file", str(scen)]
+        assert run_cli(gen + ["--out-file", str(inst), "--means-out", str(means)]) == 0
+        assert run_cli(sample) == 0
+        for path, args in ((inst, gen + ["--out-file", str(inst)]),
+                           (means, gen + ["--out-file", str(tmp_path / "other.json"),
+                                          "--means-out", str(means)]),
+                           (scen, sample)):
+            written = path.read_bytes()
+            path.write_text("kept")
+            assert run_cli(args) == 2
+            assert f"{path} exists; pass --force to overwrite" in capsys.readouterr().err
+            assert path.read_text() == "kept"
+            assert run_cli(args + ["--force"]) == 0
+            assert path.read_bytes() == written
+
+
+class TestParser:
+    def test_ccg_flag_defaults_are_the_option_defaults(self):
+        parser = build_parser()
+        for command in ("solve", "tune"):
+            assert _ccg_options(parser.parse_args([command, "inst.json"])) == CcgOptions()
 
 
 class TestHorizonCheck:

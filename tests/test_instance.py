@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,10 @@ from bioinv.instance import (
     validate_instance,
 )
 from bioinv.reference import example_walkin_instance
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+SHIPPED_INSTANCES = sorted(f for f in os.listdir(DATA)
+                           if f.endswith(".json") and "means" not in f)
 
 
 def single_store(**overrides):
@@ -143,3 +150,44 @@ class TestSerialization:
         loaded = load_instance(str(path))
         assert loaded.business_rules.service_window_fraction == 0.8
         assert np.array_equal(loaded.business_rules.transport_capacity, [[5.0]])
+
+    def test_repositioning_and_every_rule_roundtrip(self, tmp_path):
+        inst = build_instance(
+            ["A", "B"], ["Z1"], 2, walkin_price=100.0, walkin_penalty=5.0,
+            online_price=90.0, online_penalty=3.0, fulfill_cost=[[4.0], [6.0]],
+            purchase_cost=[30.0, 35.0], holding=1.0, lead_time=[1, 2],
+            pipeline=[[2.0, 1.0], [0.0, 3.0, 4.0]], ship_edges=[("A", "Z1", 1), ("B", "Z1", 3)],
+            reposition_cost=[[0.0, 2.0], [3.0, 0.0]], reposition_lead=[[0, 1], [1, 0]],
+            business_rules=BusinessRules(
+                transport_capacity=np.full((2, 2), 9.0), fulfill_capacity=np.full((2, 2), 4.0),
+                service_window_fraction=0.5, service_window_days=2))
+        path, again = tmp_path / "a.json", tmp_path / "b.json"
+        save_instance(inst, str(path))
+        loaded = load_instance(str(path))
+        save_instance(loaded, str(again))
+        assert again.read_bytes() == path.read_bytes()
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["network", "econ", "inventory", "horizon", "business_rules"]
+        assert doc["network"]["ship_edges"] == [{"node": "A", "zone": "Z1", "days": 1},
+                                                {"node": "B", "zone": "Z1", "days": 3}]
+        assert doc["econ"]["reposition_cost"] == [[0.0, 2.0], [3.0, 0.0]]
+        assert doc["inventory"] == {"pipeline": [[2.0, 1.0], [0.0, 3.0, 4.0]],
+                                    "lead_time": [1, 2], "reposition_lead": [[0, 1], [1, 0]]}
+        assert doc["business_rules"] == {
+            "transport_capacity": [[9.0, 9.0], [9.0, 9.0]],
+            "fulfill_capacity": [[4.0, 4.0], [4.0, 4.0]],
+            "service_window_fraction": 0.5, "service_window_days": 2}
+        assert np.array_equal(loaded.econ.reposition_cost, inst.econ.reposition_cost)
+        assert loaded.inventory.reposition_lead.dtype.kind == "i"
+        assert np.array_equal(loaded.inventory.reposition_lead, [[0, 1], [1, 0]])
+        rules = loaded.business_rules
+        assert np.array_equal(rules.fulfill_capacity, np.full((2, 2), 4.0))
+        assert (rules.service_window_fraction, rules.service_window_days) == (0.5, 2)
+        assert validate_instance(loaded) == validate_instance(inst) == []
+
+    @pytest.mark.parametrize("name", SHIPPED_INSTANCES)
+    def test_shipped_instance_resaves_byte_identically(self, tmp_path, name):
+        path = tmp_path / name
+        save_instance(load_instance(os.path.join(DATA, name)), str(path))
+        with open(os.path.join(DATA, name), "rb") as fh:
+            assert path.read_bytes() == fh.read()
