@@ -30,6 +30,7 @@ from .formulations import (
     stage_one_value,
 )
 from .instance import Instance
+from .records import record_to_dict
 from .solver import SolverError, solve
 from .uncertainty import CHANNELS, DemandScenario, UncertaintySet
 
@@ -98,15 +99,15 @@ class SolveReport:
             "rescore_s": self.rescore_s,
             "lower_bounds": [clean(v) for v in self.lower_bounds],
             "upper_bounds": [clean(v) for v in self.upper_bounds],
-            "allocation": None if self.allocation is None else self.allocation.to_dict(),
-            "scenario_pool": [s.to_dict() for s in self.scenario_pool],
+            "allocation": None if self.allocation is None else record_to_dict(self.allocation),
+            "scenario_pool": [record_to_dict(s) for s in self.scenario_pool],
             "worst_case_profit": clean(self.worst_case_profit),
             "rescore_error": self.rescore_error,
         }
         if self.d_plus is not None:
             d["d_plus"] = np.asarray(self.d_plus).tolist()
         if self.worst_case_scenario is not None:
-            d["worst_case_scenario"] = self.worst_case_scenario.to_dict()
+            d["worst_case_scenario"] = record_to_dict(self.worst_case_scenario)
         return d
 
 

@@ -13,13 +13,15 @@ import numpy as np
 
 from . import __version__
 from .ccg import ALTERNATING, EXACT_MIP, CcgOptions, solve_two_stage
-from .formulations import Allocation, BioConfig
+from .formulations import Allocation, BioConfig, FormulationError
 from .instance import load_instance, save_instance, validate_instance
+from .records import record_from_dict, record_to_dict
 from .reference import synthetic_instance
 from .simulate import PolicySpec, batch_evaluate, kpi_table, run_rolling_horizon
 from .tuning import DEFAULT_GRID, ScoringObjective, tune_lambda
 from .uncertainty import (
     DemandMeans,
+    UncertaintyError,
     UncertaintySet,
     load_scenarios,
     quantile_bounds_from_means,
@@ -32,20 +34,9 @@ class CliError(Exception):
     pass
 
 
-def _load_means(path: str) -> DemandMeans:
+def _read(path: str, cls, error=CliError):
     with open(path) as fh:
-        d = json.load(fh)
-    unknown = set(d) - {"walkin", "online"}
-    if unknown:
-        raise CliError(f"{path}: unknown means fields {sorted(unknown)}")
-    return DemandMeans(np.array(d["walkin"], dtype=float),
-                       np.array(d.get("online", [[] for _ in d["walkin"]]), dtype=float))
-
-
-def _save_means(path: str, means: DemandMeans):
-    with open(path, "w") as fh:
-        json.dump({"walkin": means.walkin.tolist(), "online": means.online.tolist()},
-                  fh, indent=1)
+        return record_from_dict(cls, json.load(fh), error, path)
 
 
 def _out_dir(args) -> str:
@@ -54,10 +45,14 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write(args, out_dir: str, name: str, payload):
-    path = os.path.join(out_dir, name)
+def _refuse_overwrite(args, path: str) -> str:
     if os.path.exists(path) and not args.force:
         raise CliError(f"{path} exists; pass --force to overwrite")
+    return path
+
+
+def _write(args, out_dir: str, name: str, payload):
+    path = _refuse_overwrite(args, os.path.join(out_dir, name))
     if isinstance(payload, str):
         with open(path, "w") as fh:
             fh.write(payload)
@@ -90,10 +85,9 @@ def _ccg_options(args) -> CcgOptions:
 
 def _uncertainty_for(args, inst) -> UncertaintySet:
     if args.uncertainty:
-        with open(args.uncertainty) as fh:
-            uset = UncertaintySet.from_dict(json.load(fh))
+        uset = _read(args.uncertainty, UncertaintySet, UncertaintyError)
     elif args.means:
-        uset = quantile_bounds_from_means(_load_means(args.means), args.lower_q, args.upper_q)
+        uset = quantile_bounds_from_means(_read(args.means, DemandMeans), args.lower_q, args.upper_q)
     else:
         raise CliError("provide --uncertainty or --means")
     if uset.horizon != inst.horizon:
@@ -103,11 +97,13 @@ def _uncertainty_for(args, inst) -> UncertaintySet:
 
 
 def _add_ccg_flags(sp):
-    sp.add_argument("--epsilon", type=float, default=1e-4)
-    sp.add_argument("--delta", type=float, default=1e-5)
-    sp.add_argument("--max-iterations", type=int, default=20)
-    sp.add_argument("--max-seconds", type=float, default=300.0)
-    sp.add_argument("--subproblem-mode", default=EXACT_MIP, choices=[EXACT_MIP, ALTERNATING])
+    opts = CcgOptions()
+    sp.add_argument("--epsilon", type=float, default=opts.epsilon)
+    sp.add_argument("--delta", type=float, default=opts.delta)
+    sp.add_argument("--max-iterations", type=int, default=opts.max_iterations)
+    sp.add_argument("--max-seconds", type=float, default=opts.max_seconds)
+    sp.add_argument("--subproblem-mode", default=opts.subproblem_mode,
+                    choices=[EXACT_MIP, ALTERNATING])
 
 
 def cmd_validate(args) -> int:
@@ -152,7 +148,8 @@ def cmd_evaluate(args) -> int:
     with open(args.allocation) as fh:
         doc = json.load(fh)
     # a solve_report.json nests the allocation
-    alloc = Allocation.from_dict(doc.get("allocation", doc))
+    alloc = record_from_dict(Allocation, doc.get("allocation", doc), FormulationError,
+                             args.allocation)
     scenarios, meta = load_scenarios(args.scenarios)
     stats = batch_evaluate(inst, alloc, scenarios)
     profits = stats.pop("profits")
@@ -173,7 +170,7 @@ def cmd_tune(args) -> int:
     else:
         if not args.means:
             raise CliError("tune needs --scenarios or --means to sample from")
-        means = _load_means(args.means)
+        means = _read(args.means, DemandMeans)
         scenarios = sample_scenarios(means, args.samples, args.seed, args.family,
                                      uset=uset)
     objective = (ScoringObjective("cvar", level=args.cvar_level)
@@ -193,7 +190,7 @@ def cmd_tune(args) -> int:
 
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
-    means = _load_means(args.means)
+    means = _read(args.means, DemandMeans)
     policies = {}
     for name in args.policy:
         if name.startswith("bio"):
@@ -226,26 +223,21 @@ def cmd_gen_instance(args) -> int:
                                      weeks=args.weeks, lead_time=args.lead_time,
                                      mean_range=tuple(args.mean_range),
                                      cost_range=tuple(args.cost_range))
-    if os.path.exists(args.out_file) and not args.force:
-        raise CliError(f"{args.out_file} exists; pass --force to overwrite")
-    save_instance(inst, args.out_file)
+    save_instance(inst, _refuse_overwrite(args, args.out_file))
     if args.means_out:
-        if os.path.exists(args.means_out) and not args.force:
-            raise CliError(f"{args.means_out} exists; pass --force to overwrite")
-        _save_means(args.means_out, means)
+        with open(_refuse_overwrite(args, args.means_out), "w") as fh:
+            json.dump(record_to_dict(means), fh, indent=1)
     print(f"wrote {args.out_file}" + (f" and {args.means_out}" if args.means_out else ""))
     return 0
 
 
 def cmd_sample(args) -> int:
-    means = _load_means(args.means)
+    means = _read(args.means, DemandMeans)
     uset = None
     if args.family == "uniform":
         uset = quantile_bounds_from_means(means, args.lower_q, args.upper_q)
     scen = sample_scenarios(means, args.samples, args.seed, args.family, uset=uset)
-    if os.path.exists(args.out_file) and not args.force:
-        raise CliError(f"{args.out_file} exists; pass --force to overwrite")
-    save_scenarios(args.out_file, scen, seed=args.seed, family=args.family)
+    save_scenarios(_refuse_overwrite(args, args.out_file), scen, seed=args.seed, family=args.family)
     print(f"wrote {len(scen)} scenarios to {args.out_file}")
     return 0
 
@@ -314,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weeks", type=int, default=3)
     p.add_argument("--replications", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
+    # not CcgOptions().max_iterations (20): a weekly plan gets 12 CCG
+    # iterations, and more would change every seeded simulation ledger
     p.add_argument("--max-iterations", type=int, default=12)
     p.add_argument("--subproblem-mode", default=ALTERNATING, choices=[EXACT_MIP, ALTERNATING])
     p.add_argument("--out")

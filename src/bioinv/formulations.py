@@ -46,25 +46,6 @@ class Allocation:
         if self.y_plus is not None:
             self.y_plus = np.asarray(self.y_plus, dtype=float)
 
-    def to_dict(self) -> dict:
-        d = {"x": self.x.tolist()}
-        if self.x_repo is not None:
-            d["x_repo"] = self.x_repo.tolist()
-        if self.s_plus is not None:
-            d["s_plus"] = self.s_plus.tolist()
-        if self.y_plus is not None:
-            d["y_plus"] = self.y_plus.tolist()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Allocation":
-        return cls(
-            np.array(d["x"], dtype=float),
-            None if "x_repo" not in d else np.array(d["x_repo"], dtype=float),
-            None if "s_plus" not in d else np.array(d["s_plus"], dtype=float),
-            None if "y_plus" not in d else np.array(d["y_plus"], dtype=float),
-        )
-
 
 @dataclass
 class FulfillmentPlan:

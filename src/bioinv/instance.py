@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .records import check_keys, field_names, record_to_dict
+
 
 class InstanceError(Exception):
     pass
@@ -33,12 +35,6 @@ def _as_1d(name: str, arr, size: int) -> np.ndarray:
     if a.shape != (size,):
         raise InstanceError(f"{name}: expected length {size}, got shape {a.shape}")
     return a
-
-
-def _reject_unknown(d: dict, known: set, where: str):
-    unknown = set(d) - known
-    if unknown:
-        raise InstanceError(f"{where}: unknown fields {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -290,100 +286,40 @@ def validate_instance(inst: Instance) -> list[str]:
 # serialization
 # ---------------------------------------------------------------------------
 
+EDGE_KEYS = ("node", "zone", "days")   # a ship edge is a (node, zone, days) tuple
+
+
 def instance_to_dict(inst: Instance) -> dict:
-    d = {
-        "network": {
-            "nodes": list(inst.network.nodes),
-            "zones": list(inst.network.zones),
-            "supplier": inst.network.supplier,
-            "sfs_eligible": list(inst.network.sfs_eligible),
-            "ship_edges": [{"node": n, "zone": z, "days": d_} for n, z, d_ in inst.network.ship_edges],
-        },
-        "econ": {
-            "walkin_price": inst.econ.walkin_price.tolist(),
-            "walkin_penalty": inst.econ.walkin_penalty.tolist(),
-            "online_price": inst.econ.online_price.tolist(),
-            "online_penalty": inst.econ.online_penalty.tolist(),
-            "holding": inst.econ.holding.tolist(),
-            "fulfill_cost": inst.econ.fulfill_cost.tolist(),
-            "purchase_cost": inst.econ.purchase_cost.tolist(),
-        },
-        "inventory": {
-            "pipeline": [list(row) for row in inst.inventory.pipeline],
-            "lead_time": inst.inventory.lead_time.tolist(),
-        },
-        "horizon": inst.horizon,
-    }
-    if inst.econ.reposition_cost is not None:
-        d["econ"]["reposition_cost"] = inst.econ.reposition_cost.tolist()
-    if inst.inventory.reposition_lead is not None:
-        d["inventory"]["reposition_lead"] = inst.inventory.reposition_lead.tolist()
-    br = inst.business_rules
-    if br.any_active:
-        rules = {}
-        if br.transport_capacity is not None:
-            rules["transport_capacity"] = br.transport_capacity.tolist()
-        if br.fulfill_capacity is not None:
-            rules["fulfill_capacity"] = br.fulfill_capacity.tolist()
-        if br.service_window_fraction is not None:
-            rules["service_window_fraction"] = br.service_window_fraction
-            rules["service_window_days"] = br.service_window_days
-        d["business_rules"] = rules
+    d = record_to_dict(inst)
+    d["network"]["ship_edges"] = [dict(zip(EDGE_KEYS, e)) for e in inst.network.ship_edges]
     return d
 
 
 def instance_from_dict(d: dict) -> Instance:
-    _reject_unknown(d, {"network", "econ", "inventory", "horizon", "business_rules"}, "instance")
-    try:
-        net_d = d["network"]
-        econ_d = d["econ"]
-        inv_d = d["inventory"]
-        T = int(d["horizon"])
-    except KeyError as exc:
-        raise InstanceError(f"instance: missing section {exc}") from None
-    _reject_unknown(net_d, {"nodes", "zones", "supplier", "sfs_eligible", "ship_edges"}, "network")
-    _reject_unknown(econ_d, {"walkin_price", "walkin_penalty", "online_price", "online_penalty",
-                             "holding", "fulfill_cost", "purchase_cost", "reposition_cost"}, "econ")
-    _reject_unknown(inv_d, {"pipeline", "lead_time", "reposition_lead"}, "inventory")
+    """`build_instance` of the sections' fields, which are its keywords; of
+    the network only `nodes` is required."""
+    def section(cls, name, required=None):
+        known, fixed = field_names(cls)
+        return check_keys(d.get(name, {}), known, fixed if required is None else required,
+                          InstanceError, name)
 
-    nodes = [str(n) for n in net_d["nodes"]]
-    zones = [str(z) for z in net_d.get("zones", [])]
-    edges = []
-    for i, e in enumerate(net_d.get("ship_edges", [])):
-        _reject_unknown(e, {"node", "zone", "days"}, f"network.ship_edges[{i}]")
-        edges.append((e["node"], e["zone"], int(e.get("days", 0))))
-
-    br = None
-    if "business_rules" in d:
-        rd = d["business_rules"]
-        _reject_unknown(rd, {"transport_capacity", "fulfill_capacity",
-                             "service_window_fraction", "service_window_days"}, "business_rules")
-        br = BusinessRules(
-            transport_capacity=None if "transport_capacity" not in rd
-            else np.array(rd["transport_capacity"], dtype=float),
-            fulfill_capacity=None if "fulfill_capacity" not in rd
-            else np.array(rd["fulfill_capacity"], dtype=float),
-            service_window_fraction=rd.get("service_window_fraction"),
-            service_window_days=rd.get("service_window_days"),
-        )
+    check_keys(d, *field_names(Instance), InstanceError, "instance")
+    net = section(Network, "network", ("nodes",))
+    econ = section(EconParams, "econ")
+    rules = section(BusinessRules, "business_rules")
+    edges = [check_keys(e, EDGE_KEYS, EDGE_KEYS[:2], InstanceError, f"network.ship_edges[{i}]")
+             for i, e in enumerate(net.get("ship_edges", []))]
+    L = len(net["nodes"])
     return build_instance(
-        nodes, zones, T,
-        walkin_price=np.array(econ_d["walkin_price"], dtype=float),
-        walkin_penalty=np.array(econ_d["walkin_penalty"], dtype=float),
-        online_price=np.array(econ_d["online_price"], dtype=float),
-        online_penalty=np.array(econ_d["online_penalty"], dtype=float),
-        holding=np.array(econ_d["holding"], dtype=float),
-        fulfill_cost=(np.array(econ_d["fulfill_cost"], dtype=float).reshape(len(nodes), -1)
-                      if econ_d.get("fulfill_cost") else np.zeros((len(nodes), 0))),
-        purchase_cost=np.array(econ_d["purchase_cost"], dtype=float),
-        lead_time=np.array(inv_d["lead_time"], dtype=float),
-        pipeline=inv_d["pipeline"],
-        supplier=net_d.get("supplier", "S"),
-        sfs_eligible=net_d.get("sfs_eligible"),
-        ship_edges=edges,
-        reposition_cost=econ_d.get("reposition_cost"),
-        reposition_lead=inv_d.get("reposition_lead"),
-        business_rules=br,
+        **{**net, "nodes": [str(n) for n in net["nodes"]],
+           "zones": [str(z) for z in net.get("zones", [])],
+           "ship_edges": [(e["node"], e["zone"], int(e.get("days", 0))) for e in edges]},
+        **{**econ, "fulfill_cost": (np.array(econ["fulfill_cost"], dtype=float).reshape(L, -1)
+                                    if econ["fulfill_cost"] else np.zeros((L, 0)))},
+        **section(InventoryState, "inventory"),
+        horizon=d["horizon"],
+        business_rules=BusinessRules(**{k: np.array(v, dtype=float) if isinstance(v, list) else v
+                                        for k, v in rules.items()}),
     )
 
 

@@ -23,6 +23,7 @@ from .formulations import (
     first_stage_x,
 )
 from .instance import Instance
+from .records import record_to_dict
 from .solver import solve
 from .uncertainty import DemandScenario, UncertaintySet
 
@@ -157,7 +158,7 @@ class TuneResult:
             "score": self.score,
             "validation_score": self.validation_score,
             "curve": [[l, s] for l, s in self.curve],
-            "allocation": self.allocation.to_dict(),
+            "allocation": record_to_dict(self.allocation),
         }
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+
+from .records import check_keys, record_from_dict, record_to_dict
 
 CHANNELS = ("b", "o")
 
@@ -77,23 +79,18 @@ class DemandScenario:
     def key(self) -> tuple:
         return (tuple(map(tuple, self.walkin)), tuple(map(tuple, self.online)))
 
-    def to_dict(self) -> dict:
-        return {"walkin": self.walkin.tolist(), "online": self.online.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DemandScenario":
-        return cls(np.array(d["walkin"], dtype=float), np.array(d["online"], dtype=float))
-
 
 @dataclass
 class DemandMeans:
     """Mean demand per cell, used for Poisson bounds and sampling."""
 
-    walkin: np.ndarray  # (T, n_nodes)
-    online: np.ndarray  # (T, n_zones)
+    walkin: np.ndarray                # (T, n_nodes)
+    online: np.ndarray | None = None  # (T, n_zones); None: no zones
 
     def __post_init__(self):
         self.walkin = np.atleast_2d(np.asarray(self.walkin, dtype=float))
+        if self.online is None:
+            self.online = np.zeros((len(self.walkin), 0))
         self.online = np.atleast_2d(np.asarray(self.online, dtype=float))
         if (self.walkin < 0).any() or (self.online < 0).any():
             raise UncertaintyError("means must be nonnegative")
@@ -106,17 +103,19 @@ class DemandMeans:
 class UncertaintySet:
     """Per-channel per-period box bounds plus aggregate budget bounds."""
 
-    local_lower: dict = field(default_factory=dict)   # ch -> (T, n) array
-    local_upper: dict = field(default_factory=dict)
-    budget_lower: dict = field(default_factory=dict)  # ch -> (T,) array
-    budget_upper: dict = field(default_factory=dict)
+    local_lower: dict    # ch -> (T, n) array
+    local_upper: dict
+    budget_lower: dict   # ch -> (T,) array
+    budget_upper: dict
 
     def __post_init__(self):
-        for ch in CHANNELS:
-            self.local_lower[ch] = np.atleast_2d(np.asarray(self.local_lower[ch], dtype=float))
-            self.local_upper[ch] = np.atleast_2d(np.asarray(self.local_upper[ch], dtype=float))
-            self.budget_lower[ch] = np.atleast_1d(np.asarray(self.budget_lower[ch], dtype=float))
-            self.budget_upper[ch] = np.atleast_1d(np.asarray(self.budget_upper[ch], dtype=float))
+        for f in fields(self):
+            per_channel = getattr(self, f.name)
+            if not isinstance(per_channel, dict) or per_channel.keys() != set(CHANNELS):
+                raise UncertaintyError(f"{f.name}: expected one entry per channel {list(CHANNELS)}")
+            shaped = np.atleast_2d if f.name.startswith("local") else np.atleast_1d
+            setattr(self, f.name, {ch: shaped(np.asarray(per_channel[ch], dtype=float))
+                                   for ch in CHANNELS})
         problems = self.validate()
         if problems:
             raise UncertaintyError("; ".join(problems))
@@ -243,29 +242,6 @@ class UncertaintySet:
         verts.sort()
         return verts
 
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "local_lower": {ch: self.local_lower[ch].tolist() for ch in CHANNELS},
-            "local_upper": {ch: self.local_upper[ch].tolist() for ch in CHANNELS},
-            "budget_lower": {ch: self.budget_lower[ch].tolist() for ch in CHANNELS},
-            "budget_upper": {ch: self.budget_upper[ch].tolist() for ch in CHANNELS},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UncertaintySet":
-        known = {"local_lower", "local_upper", "budget_lower", "budget_upper"}
-        unknown = set(d) - known
-        if unknown:
-            raise UncertaintyError(f"unknown uncertainty-set fields: {sorted(unknown)}")
-        return cls(
-            local_lower={ch: np.array(d["local_lower"][ch], dtype=float) for ch in CHANNELS},
-            local_upper={ch: np.array(d["local_upper"][ch], dtype=float) for ch in CHANNELS},
-            budget_lower={ch: np.array(d["budget_lower"][ch], dtype=float) for ch in CHANNELS},
-            budget_upper={ch: np.array(d["budget_upper"][ch], dtype=float) for ch in CHANNELS},
-        )
-
 
 def _solve_exact(M, rhs):
     """Solve M x = rhs with Fractions; None when singular."""
@@ -373,7 +349,7 @@ def save_scenarios(path: str, scenarios: list[DemandScenario], seed: int | None 
     doc = {
         "seed": seed,
         "family": family,
-        "scenarios": [s.to_dict() for s in scenarios],
+        "scenarios": [record_to_dict(s) for s in scenarios],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -381,6 +357,8 @@ def save_scenarios(path: str, scenarios: list[DemandScenario], seed: int | None 
 
 def load_scenarios(path: str) -> tuple[list[DemandScenario], dict]:
     with open(path) as fh:
-        doc = json.load(fh)
-    scen = [DemandScenario.from_dict(s) for s in doc["scenarios"]]
+        doc = check_keys(json.load(fh), ("seed", "family", "scenarios"), ("scenarios",),
+                         UncertaintyError, path)
+    scen = [record_from_dict(DemandScenario, s, UncertaintyError, f"{path}: scenarios[{i}]")
+            for i, s in enumerate(doc["scenarios"])]
     return scen, {"seed": doc.get("seed"), "family": doc.get("family")}

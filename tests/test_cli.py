@@ -172,6 +172,44 @@ class TestOverwrite:
             assert path.read_bytes() == written
 
 
+class TestFileFields:
+    def test_unknown_and_missing_fields_raise_typed_errors(self, tmp_path, capsys):
+        walk = os.path.join(DATA, "example_walkin_p0_b160.json")
+        scen = tmp_path / "scen.json"
+        assert run_cli(["sample", "--means", os.path.join(DATA, "example_walkin_means.json"),
+                        "--samples", "3", "--out-file", str(scen)]) == 0
+        capsys.readouterr()
+        alloc, means = tmp_path / "alloc.json", tmp_path / "means.json"
+        evaluate = ["evaluate", walk, "--allocation", str(alloc), "--scenarios", str(scen),
+                    "--out", str(tmp_path / "ev")]
+        sample = ["sample", "--means", str(means), "--out-file", str(tmp_path / "s2.json")]
+        for path, doc, argv, rc, message in (
+                (alloc, {"x": [[1.0, 1.0, 1.0]], "z": 1}, evaluate, 1,
+                 f"FormulationError: {alloc}: unknown fields ['z']"),
+                (alloc, {"allocation": {"x_repo": []}}, evaluate, 1,
+                 f"FormulationError: {alloc}: missing fields ['x']"),
+                (means, {"walkin": [[1.0]], "offline": [[1.0]]}, sample, 2,
+                 f"{means}: unknown fields ['offline']"),
+                (means, {"online": [[1.0]]}, sample, 2, f"{means}: missing fields ['walkin']")):
+            path.write_text(json.dumps(doc))
+            assert run_cli(argv) == rc
+            assert message in capsys.readouterr().err
+
+    def test_uncertainty_set_file(self, tmp_path, capsys):
+        walk = os.path.join(DATA, "example_walkin_p0_b160.json")
+        uset = {"local_lower": {"b": [[0, 0, 0]], "o": [[]]},
+                "local_upper": {"b": [[4, 4, 4]], "o": [[]]},
+                "budget_lower": {"b": [0], "o": [0]}, "budget_upper": {"b": [12], "o": [0]}}
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(uset))
+        assert run_cli(["solve", walk, "--uncertainty", str(path), "--out",
+                        str(tmp_path / "run")]) == 0
+        path.write_text(json.dumps({**uset, "budget": 3}))
+        assert run_cli(["solve", walk, "--uncertainty", str(path), "--out",
+                        str(tmp_path / "run2")]) == 1
+        assert f"UncertaintyError: {path}: unknown fields ['budget']" in capsys.readouterr().err
+
+
 class TestParser:
     def test_ccg_flag_defaults_are_the_option_defaults(self):
         parser = build_parser()

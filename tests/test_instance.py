@@ -127,6 +127,34 @@ class TestSerialization:
         with pytest.raises(InstanceError, match="surprise"):
             instance_from_dict(d2)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d.pop("horizon"), "instance: missing fields \\['horizon'\\]"),
+        (lambda d: d["econ"].pop("online_price"), "econ: missing fields \\['online_price'\\]"),
+        (lambda d: d["inventory"].pop("lead_time"), "inventory: missing fields \\['lead_time'\\]"),
+        (lambda d: d["network"].pop("nodes"), "network: missing fields \\['nodes'\\]"),
+        (lambda d: d["network"]["ship_edges"][0].pop("zone"),
+         "network.ship_edges\\[0\\]: missing fields \\['zone'\\]"),
+        (lambda d: d["network"]["ship_edges"][0].update(cost=1),
+         "network.ship_edges\\[0\\]: unknown fields \\['cost'\\]"),
+        (lambda d: d.update(business_rules={"window": 2}),
+         "business_rules: unknown fields \\['window'\\]"),
+        (lambda d: d.update(econ=[1.0]), "econ: expected an object, got list"),
+    ])
+    def test_missing_and_unknown_fields_raise(self, edit, match):
+        d = instance_to_dict(single_store())
+        edit(d)
+        with pytest.raises(InstanceError, match=match):
+            instance_from_dict(d)
+
+    def test_optional_network_fields_keep_their_defaults(self):
+        d = instance_to_dict(build_instance(["L1", "L2"], [], 1, walkin_price=10.0,
+                                            walkin_penalty=0.0))
+        d["network"] = {"nodes": ["L1", "L2"]}
+        inst = instance_from_dict(d)
+        assert inst.network.supplier == "S"
+        assert inst.network.sfs_eligible == ("L1", "L2")
+        assert inst.network.zones == () and inst.network.ship_edges == ()
+
     def test_edge_referential_integrity_named(self):
         d = instance_to_dict(single_store())
         d["network"]["ship_edges"][0]["zone"] = "Z9"

@@ -1,15 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 from itertools import product
 
+from bioinv.records import record_from_dict, record_to_dict
 from bioinv.uncertainty import (
     DemandMeans,
     DemandScenario,
     UncertaintyError,
     UncertaintySet,
+    load_scenarios,
     poisson_quantile,
     quantile_bounds_from_means,
     sample_scenarios,
+    save_scenarios,
 )
 
 
@@ -209,8 +214,68 @@ class TestSetValidation:
             walkin_set([0.5], [2], 0, 2)
 
     def test_roundtrip_dict(self):
-        d = THREE_LOC.to_dict()
-        s2 = UncertaintySet.from_dict(d)
+        d = record_to_dict(THREE_LOC)
+        s2 = record_from_dict(UncertaintySet, d, UncertaintyError)
         assert np.array_equal(s2.local_upper["b"], THREE_LOC.local_upper["b"])
         with pytest.raises(UncertaintyError, match="unknown"):
-            UncertaintySet.from_dict({**d, "extra": 1})
+            record_from_dict(UncertaintySet, {**d, "extra": 1}, UncertaintyError)
+
+    def test_set_fields_and_channels_are_checked(self):
+        d = record_to_dict(THREE_LOC)
+        assert list(d) == ["local_lower", "local_upper", "budget_lower", "budget_upper"]
+        assert all(list(per_channel) == ["b", "o"] for per_channel in d.values())
+        del d["budget_upper"]
+        with pytest.raises(UncertaintyError, match="missing fields \\['budget_upper'\\]"):
+            record_from_dict(UncertaintySet, d, UncertaintyError)
+        d = record_to_dict(THREE_LOC)
+        del d["local_lower"]["o"]
+        with pytest.raises(UncertaintyError, match="local_lower: expected one entry per channel"):
+            record_from_dict(UncertaintySet, d, UncertaintyError)
+        d = record_to_dict(THREE_LOC)
+        d["budget_lower"]["x"] = [0.0]
+        with pytest.raises(UncertaintyError, match="budget_lower"):
+            record_from_dict(UncertaintySet, d, UncertaintyError)
+
+
+class TestScenarioFiles:
+    def test_roundtrip(self, tmp_path):
+        scenarios = sample_scenarios(DemandMeans([[1.0, 2.0]], [[3.0]]), 4, seed=1)
+        path = str(tmp_path / "s.json")
+        save_scenarios(path, scenarios, seed=1, family="poisson")
+        doc = json.load(open(path))
+        assert list(doc) == ["seed", "family", "scenarios"]
+        assert doc["scenarios"][0] == {"walkin": scenarios[0].walkin.tolist(),
+                                       "online": scenarios[0].online.tolist()}
+        loaded, meta = load_scenarios(path)
+        assert meta == {"seed": 1, "family": "poisson"}
+        assert [s.key() for s in loaded] == [s.key() for s in scenarios]
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["scenarios"][1].update(extra=1), "scenarios\\[1\\]: unknown fields \\['extra'\\]"),
+        (lambda doc: doc["scenarios"][0].pop("online"), "scenarios\\[0\\]: missing fields \\['online'\\]"),
+        (lambda doc: doc.pop("scenarios"), "missing fields \\['scenarios'\\]"),
+        (lambda doc: doc.update(note="x"), "unknown fields \\['note'\\]"),
+    ])
+    def test_unknown_and_missing_fields_raise(self, tmp_path, edit, match):
+        path = tmp_path / "s.json"
+        save_scenarios(str(path), [scen([1, 2, 3]), scen([0, 0, 1])])
+        doc = json.load(open(path))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(UncertaintyError, match=match):
+            load_scenarios(str(path))
+
+
+class TestMeans:
+    def test_missing_online_means_no_zones(self):
+        means = record_from_dict(DemandMeans, {"walkin": [[1.0, 2.0], [3.0, 4.0]]}, UncertaintyError)
+        assert means.online.shape == (2, 0)
+        assert record_to_dict(means) == {"walkin": [[1.0, 2.0], [3.0, 4.0]], "online": [[], []]}
+
+    def test_unknown_and_missing_fields_raise(self):
+        with pytest.raises(UncertaintyError, match="unknown fields \\['offline'\\]"):
+            record_from_dict(DemandMeans, {"walkin": [[1.0]], "offline": [[1.0]]}, UncertaintyError)
+        with pytest.raises(UncertaintyError, match="missing fields \\['walkin'\\]"):
+            record_from_dict(DemandMeans, {"online": [[1.0]]}, UncertaintyError)
+        with pytest.raises(UncertaintyError, match="expected an object, got list"):
+            record_from_dict(DemandMeans, [[1.0]], UncertaintyError)
