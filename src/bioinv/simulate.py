@@ -286,8 +286,10 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
             on_hand += arriving[week]
             # plan on the current state with a T-week look-ahead
             rows = tuple(min(week + k, weeks - 1) for k in range(T))
-            pipeline = tuple((on_hand[l], *arriving[week + 1:week + lead[l] + 1, l].tolist())
-                             for l in range(L))
+            # plan entry j is sellable in plan period j - 1, and this week's
+            # arrivals are on hand: next week's go in entry 2
+            pipeline = tuple((on_hand[l], 0.0, *arriving[week + 1:week + lead[l], l].tolist())
+                             if lead[l] else (on_hand[l],) for l in range(L))
             key = (pipeline, rows)
             # an order is pointless when it cannot arrive within the run
             receivable = [week + k < weeks for k in lead]

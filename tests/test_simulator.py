@@ -5,6 +5,7 @@ from bioinv.formulations import (
     Allocation,
     critical_ratios,
     infer_warehouses,
+    pipeline_arrival,
     pwl_allocation,
 )
 from bioinv.instance import build_instance
@@ -256,6 +257,31 @@ class TestRollingHorizon:
         assert np.array_equal(rep.trace[7]["start"], [6.0, 10.0])
         assert rep.replenish_qty == 16.0
         assert rep.purchase_cost == 64.0
+
+    def test_plan_pipeline_is_sellable_when_it_arrives(self, monkeypatch):
+        import bioinv.simulate as sim
+        inst = build_instance(["S1", "S2", "S3"], [], 4, walkin_price=10.0,
+                              walkin_penalty=1.0, purchase_cost=4.0, lead_time=[1, 2, 3])
+        plans = []
+
+        def recorder(plan_inst, policy, means):
+            plans.append(plan_inst)
+            return Allocation(np.zeros((4, 3)) if len(plans) > 1
+                              else np.array([[2.0, 5.0, 7.0]] + [[0.0] * 3] * 3))
+
+        monkeypatch.setattr(sim, "_solve_policy", recorder)
+        means = DemandMeans(np.zeros((4, 3)), np.zeros((4, 0)))
+        _, (rep,) = run_rolling_horizon(inst, PolicySpec("basestock"), means, weeks=4,
+                                        replications=1, seed=0, keep_trace=True)
+        # week 0 orders reach S1, S2 and S3 at the start of weeks 1, 2 and 3
+        assert [rep.trace[7 * w]["start"].tolist() for w in range(4)] == [
+            [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 5.0, 0.0], [2.0, 5.0, 7.0]]
+        # the week-1 plan sees S1's units on hand and the rest arrive in its
+        # periods 1 (S2, due in week 2) and 2 (S3, due in week 3)
+        week1 = plans[1]
+        assert week1.inventory.pipeline == ((2.0, 0.0), (0.0, 0.0, 5.0), (0.0, 0.0, 0.0, 7.0))
+        assert [pipeline_arrival(week1, t, 1) for t in range(3)] == [0.0, 5.0, 0.0]
+        assert [pipeline_arrival(week1, t, 2) for t in range(3)] == [0.0, 0.0, 7.0]
 
     def test_pwl_orders_at_positive_demand(self):
         import bioinv.simulate as sim
