@@ -164,15 +164,20 @@ def _add_business_rule_rows(m: LinearModel, inst: Instance, t: int, y_idx: dict,
 # fulfillment LP (inner maximization at a fixed allocation and scenario)
 # ---------------------------------------------------------------------------
 
+def _check_scenario_dims(inst: Instance, s: DemandScenario):
+    T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
+    if s.walkin.shape != (T, L) or s.online.shape != (T, Z):
+        raise FormulationError(
+            f"scenario dims {s.walkin.shape}/{s.online.shape} do not match "
+            f"instance ({T},{L})/({T},{Z})")
+
+
 def build_fulfillment_model(inst: Instance, alloc: Allocation,
                             scenario: DemandScenario) -> LinearModel:
     """LP over sales, shipments and carried inventory with the allocation
     fixed; always feasible (zero fulfillment)."""
     T, L = inst.horizon, inst.num_nodes
-    if scenario.walkin.shape != (T, L) or scenario.online.shape != (T, inst.num_zones):
-        raise FormulationError(
-            f"scenario dims {scenario.walkin.shape}/{scenario.online.shape} do not match "
-            f"instance ({T},{L})/({T},{inst.num_zones})")
+    _check_scenario_dims(inst, scenario)
     if alloc.x.shape != (T, L):
         raise FormulationError(f"allocation shape {alloc.x.shape}, expected {(T, L)}")
     m = LinearModel("fulfillment", sense="max")
@@ -212,12 +217,9 @@ def evaluate_profits(inst: Instance, alloc: Allocation,
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
     if not scenarios:
         return np.zeros(0)
-    for s in scenarios:
-        if s.walkin.shape != (T, L) or s.online.shape != (T, Z):
-            raise FormulationError(
-                f"scenario dims {s.walkin.shape}/{s.online.shape} do not match "
-                f"instance ({T},{L})/({T},{Z})")
     m = build_fulfillment_model(inst, alloc, scenarios[0])
+    for s in scenarios[1:]:
+        _check_scenario_dims(inst, s)
     m.obj_const = -0.0   # x + -0.0 is x for every x, signed zeros included
     walkin = np.stack([s.walkin for s in scenarios], axis=-1)   # (T, L, K)
     online = np.stack([s.online for s in scenarios], axis=-1)   # (T, Z, K)
@@ -438,10 +440,10 @@ def add_master_scenario(m: LinearModel, inst: Instance, scen: DemandScenario,
         m.info["eta"] = m.add_var("eta", -INF, INF)
         m.set_objective({**m.obj, m.info["eta"]: 1.0}, const=m.obj_const)
     i = m.info["scenarios"]
-    online_frac = 1.0 - cfg.lam if cfg.allied_channels == BOTH_CHANNELS else 1.0
+    keep = channel_weights(inst, cfg.lam, cfg.allied_channels)[0]
     terms, const, _ = _add_recourse_block(
-        m, inst, scen.walkin, scen.online, walkin_frac=1.0 - cfg.lam,
-        online_frac=online_frac, cols=(m.info["x"], m.info["repo"]),
+        m, inst, scen.walkin, scen.online, walkin_frac=keep["b"],
+        online_frac=keep["o"], cols=(m.info["x"], m.info["repo"]),
         extra_s=m.info["splus"], extra_y=m.info["yplus"], tag=f"_{i}")
     row = {m.info["eta"]: 1.0, **{col: -coeff for col, coeff in terms.items()}}
     m.add_constr(row, "<=", const, name=f"cut[{i}]")
