@@ -52,15 +52,8 @@ def _refuse_overwrite(args, path: str) -> str:
 
 
 def _write(args, out_dir: str, name: str, payload):
-    path = _refuse_overwrite(args, os.path.join(out_dir, name))
-    if isinstance(payload, str):
-        with open(path, "w") as fh:
-            fh.write(payload)
-    else:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-    return path
+    with open(_refuse_overwrite(args, os.path.join(out_dir, name)), "w") as fh:
+        fh.write(payload if isinstance(payload, str) else json.dumps(payload, indent=1) + "\n")
 
 
 def _manifest(args) -> dict:

@@ -18,12 +18,8 @@ def record_to_dict(rec) -> dict:
     """The fields of `rec` that are set, in field order; arrays (also inside
     dicts, tuples and nested records) become lists, and a nested record with
     nothing set is left out."""
-    out = {}
-    for f in fields(rec):
-        v = _plain(getattr(rec, f.name))
-        if v is not None and v != {}:
-            out[f.name] = v
-    return out
+    items = ((f.name, _plain(getattr(rec, f.name))) for f in fields(rec))
+    return {name: v for name, v in items if v is not None and v != {}}
 
 
 def _plain(v):

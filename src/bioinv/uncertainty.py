@@ -346,11 +346,7 @@ def sample_scenarios(means: DemandMeans | None, count: int, seed: int,
 
 def save_scenarios(path: str, scenarios: list[DemandScenario], seed: int | None = None,
                    family: str | None = None):
-    doc = {
-        "seed": seed,
-        "family": family,
-        "scenarios": [record_to_dict(s) for s in scenarios],
-    }
+    doc = {"seed": seed, "family": family, "scenarios": [record_to_dict(s) for s in scenarios]}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
 
