@@ -80,7 +80,8 @@ def _uncertainty_for(args, inst) -> UncertaintySet:
     if args.uncertainty:
         uset = _read(args.uncertainty, UncertaintySet, UncertaintyError)
     elif args.means:
-        uset = quantile_bounds_from_means(_read(args.means, DemandMeans), args.lower_q, args.upper_q)
+        uset = quantile_bounds_from_means(_read(args.means, DemandMeans),
+                                          args.lower_q, args.upper_q)
     else:
         raise CliError("provide --uncertainty or --means")
     if uset.horizon != inst.horizon:
@@ -230,7 +231,8 @@ def cmd_sample(args) -> int:
     if args.family == "uniform":
         uset = quantile_bounds_from_means(means, args.lower_q, args.upper_q)
     scen = sample_scenarios(means, args.samples, args.seed, args.family, uset=uset)
-    save_scenarios(_refuse_overwrite(args, args.out_file), scen, seed=args.seed, family=args.family)
+    save_scenarios(_refuse_overwrite(args, args.out_file), scen, seed=args.seed,
+                   family=args.family)
     print(f"wrote {len(scen)} scenarios to {args.out_file}")
     return 0
 

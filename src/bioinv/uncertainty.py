@@ -112,7 +112,8 @@ class UncertaintySet:
         for f in fields(self):
             per_channel = getattr(self, f.name)
             if not isinstance(per_channel, dict) or per_channel.keys() != set(CHANNELS):
-                raise UncertaintyError(f"{f.name}: expected one entry per channel {list(CHANNELS)}")
+                raise UncertaintyError(
+                    f"{f.name}: expected one entry per channel {list(CHANNELS)}")
             shaped = np.atleast_2d if f.name.startswith("local") else np.atleast_1d
             setattr(self, f.name, {ch: shaped(np.asarray(per_channel[ch], dtype=float))
                                    for ch in CHANNELS})
