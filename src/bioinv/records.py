@@ -47,7 +47,7 @@ def check_keys(d, known, required, error, where: str) -> dict:
     include every `required` one; raises `error` otherwise."""
     if not isinstance(d, dict):
         raise error(f"{where}: expected an object, got {type(d).__name__}")
-    unknown = d.keys() - set(known)
+    unknown = d.keys() - known
     if unknown:
         raise error(f"{where}: unknown fields {sorted(unknown)}")
     missing = [k for k in required if k not in d]
