@@ -10,7 +10,7 @@ from itertools import product
 from bioinv import solver
 from bioinv.ccg import ALTERNATING, CcgOptions, seed_scenario, solve_two_stage
 from bioinv.formulations import (Allocation, BioConfig, add_master_scenario, build_master,
-                                 build_subproblem, extract_allocation)
+                                 build_subproblem, extract_allocation, set_allocation)
 from bioinv.instance import load_instance
 from bioinv.reference import synthetic_instance
 from bioinv.solver import INF, LinearModel, SolverError, solve, solve_family
@@ -1032,3 +1032,258 @@ def test_solved_models_are_freed_without_the_cycle_collector():
         assert [r() for r in refs] == [None] * 5
     finally:
         gc.enable()
+
+
+def _reference_solve(model, limits=None, incumbent=None):
+    """The branch-and-bound of `solve` as it stood with its nested closures
+    and the tree in the model's own sense; mixed-binary models only."""
+    from bioinv.solver import OPT_TOL, INT_TOL, Solution, SolveStats, BINARY
+    import heapq
+    import itertools
+    import time
+    t0 = time.perf_counter()
+    limits = limits or {}
+    time_limit = limits.get("time")
+    node_limit = limits.get("nodes")
+
+    binaries = [j for j in range(model.num_vars) if model.kind[j] == BINARY]
+    std, sol, root = solver._solve_from_phase1(model, solver._key(model), t0)
+    stats = SolveStats(simplex_iterations=sol.stats.simplex_iterations, nodes=1)
+
+    maximize = model.obj_sense == "max"
+
+    def better(a, b):
+        return a > b if maximize else a < b
+
+    best_obj = None
+    best_x = None
+    if incumbent is not None:
+        best_obj = float(incumbent[0])
+        best_x = np.asarray(incumbent[1], dtype=float).copy()
+
+    def prune_target():
+        slack = abs(best_obj) * OPT_TOL + 1e-9
+        return best_obj + (slack if maximize else -slack)
+
+    def frac_binary(xv):
+        worst_j, worst_f = -1, INT_TOL
+        for j in binaries:
+            f = abs(xv[j] - round(xv[j]))
+            if f > worst_f:
+                worst_f, worst_j = f, j
+        return worst_j
+
+    def accept(xv, ob):
+        nonlocal best_obj, best_x
+        if best_obj is None or better(ob, best_obj):
+            best_obj = ob
+            best_x = xv.copy()
+            for j in binaries:
+                best_x[j] = round(best_x[j])
+
+    def branch_children(xv, fixings):
+        best_g, best_spread = -1, 0.0
+        for gi, (cols, weights) in enumerate(model.sos1):
+            support = [(c, w) for c, w in zip(cols, weights)
+                       if fixings.get(c, (0.0, 1.0))[1] > 0.5 and xv[c] > INT_TOL]
+            if len(support) <= 1:
+                continue
+            spread = max(w for _, w in support) - min(w for _, w in support)
+            if spread > best_spread + 1e-12:
+                best_spread, best_g = spread, gi
+        if best_g >= 0:
+            cols, weights = model.sos1[best_g]
+            support = [(c, w) for c, w in zip(cols, weights)
+                       if fixings.get(c, (0.0, 1.0))[1] > 0.5]
+            support.sort(key=lambda cw: cw[1])
+            mass = 0.0
+            cut = len(support) // 2
+            for i, (c, _w) in enumerate(support):
+                mass += xv[c]
+                if mass >= 0.5 - 1e-12:
+                    cut = min(max(i + 1, 1), len(support) - 1)
+                    break
+            low = [c for c, _ in support[:cut]]
+            high = [c for c, _ in support[cut:]]
+            low_mass = sum(xv[c] for c in low)
+            halves = (low, high) if low_mass >= 0.5 else (high, low)
+            return [{**fixings, **dict.fromkeys(drop, (0.0, 0.0))}
+                    for drop in (halves[1], halves[0])]
+        j = frac_binary(xv)
+        if j < 0:
+            return None
+        return [{**fixings, j: (v, v)} for v in ((1.0, 0.0) if xv[j] >= 0.5 else (0.0, 1.0))]
+
+    def relaxation(fixings, parent):
+        lb, ub = std.lb.copy(), std.ub.copy()
+        for j, (lo, hi) in fixings.items():
+            lb[std.pos[j]], ub[std.pos[j]] = lo, hi
+        sol, sx = std.solve(std.b, lb, ub, solver._Simplex.from_basis(
+            std.A, std.b, std.c, lb, ub, *parent))
+        stats.simplex_iterations += sol.stats.simplex_iterations
+        stats.nodes += 1
+        return sol.status, sol.objective, sol.x, (sx.basis, sx.status, sx.flip)
+
+    status, obj, x, state = sol.status, sol.objective, sol.x, (root.basis, root.status, root.flip)
+    del root
+    if status == "unbounded":
+        stats.wall_time = time.perf_counter() - t0
+        return Solution("unbounded", float("nan"), None, stats)
+
+    heap = []
+    tick = itertools.count()
+
+    def push(bound, fixings, parent):
+        heapq.heappush(heap, (-bound if maximize else bound, next(tick), fixings, bound, parent))
+
+    if status == "optimal":
+        if frac_binary(x) < 0:
+            accept(x, obj)
+        else:
+            push(obj, {}, state)
+
+    hit_limit = False
+    while heap:
+        if (time_limit is not None and time.perf_counter() - t0 > time_limit
+                or node_limit is not None and stats.nodes >= node_limit):
+            hit_limit = True
+            break
+        _, _, fixings, bound, parent = heapq.heappop(heap)
+        if best_obj is not None and not better(bound, prune_target()):
+            continue
+        status, obj, x, state = relaxation(fixings, parent)
+        if status != "optimal":
+            continue
+        if best_obj is not None and not better(obj, prune_target()):
+            continue
+        children = branch_children(x, fixings)
+        if children is None:
+            accept(x, obj)
+            continue
+        for child in children:
+            push(obj, child, state)
+
+    stats.wall_time = time.perf_counter() - t0
+    if best_x is None:
+        return Solution("limit" if hit_limit else "infeasible", float("nan"), None, stats)
+    return Solution("limit" if hit_limit else "optimal", best_obj, best_x, stats)
+
+
+def _random_sos1_model(rng, trial):
+    """SOS1 groups of binaries, each choosing one weight (some tied, in no
+    order) for a free level column, next to plain binaries and boxed
+    continuous columns; random rows over the levels and the other columns."""
+    m = LinearModel(f"sos{trial}", sense=str(rng.choice(["min", "max"])))
+    levels = []
+    for g in range(int(rng.integers(2, 5))):
+        weights = rng.integers(-3, 10, size=int(rng.integers(2, 7))).astype(float)
+        cols = [m.add_var(f"z{g}_{i}", 0, 1, "binary") for i in range(weights.size)]
+        m.add_constr({c: 1.0 for c in cols}, "==", 1.0)
+        levels.append(m.add_var(f"d{g}", -INF, INF))
+        m.add_constr({levels[-1]: 1.0, **{c: -w for c, w in zip(cols, weights)}}, "==", 0.0)
+        m.add_sos1(cols, weights)
+    others = [m.add_var(f"w{j}", 0, 1, "binary") for j in range(int(rng.integers(0, 4)))]
+    others += [m.add_var(f"y{j}", 0.0, float(rng.integers(1, 6)))
+               for j in range(int(rng.integers(1, 4)))]
+    cols = levels + others
+    for i in range(int(rng.integers(2, 6))):
+        m.add_constr({j: float(a) for j, a in zip(cols, rng.integers(-4, 5, size=len(cols)))},
+                     str(rng.choice(["<=", ">="], p=[0.7, 0.3])), float(rng.integers(-2, 16)))
+    m.set_objective({j: float(v) for j, v in zip(cols, rng.integers(-5, 6, size=len(cols)))},
+                    const=float(rng.integers(-3, 4)))
+    return m
+
+
+def _random_knapsack(rng, trial):
+    """Binaries under one or two knapsack rows at half their weight: deep
+    trees of fractional nodes."""
+    n = int(rng.integers(6, 13))
+    m = LinearModel(f"knapsack{trial}", sense=str(rng.choice(["min", "max"])))
+    cols = [m.add_var(f"w{j}", 0, 1, "binary") for j in range(n)]
+    for i in range(int(rng.integers(1, 3))):
+        w = rng.uniform(1, 5, n)
+        m.add_constr({c: a for c, a in zip(cols, w)}, "<=" if m.obj_sense == "max" else ">=",
+                     float(w.sum()) / 2)
+    m.set_objective({c: v for c, v in zip(cols, rng.uniform(1, 5, n))})
+    return m
+
+
+def _assert_same_tree(model, **kw):
+    """`solve` and `_reference_solve` agree on status, objective repr, x
+    bytes, nodes and simplex iterations; returns the solution."""
+    sol = solve(model, **kw)
+    ref = _reference_solve(model, **kw)
+    assert _same_solution(sol, ref), (model.name, kw)
+    return sol
+
+
+def _compare_with_incumbents(model, seen):
+    """Plain, under a node limit of 2, and with the plain optimum (and that
+    optimum less a relative 1e-7) as the incumbent."""
+    sol = _assert_same_tree(model)
+    seen.append(sol)
+    seen.append(_assert_same_tree(model, limits={"nodes": 2}))
+    if sol.x is not None:
+        value = sum(v * sol.x[j] for j, v in model.obj.items()) + model.obj_const
+        worse = value - (1e-7 * abs(value) + 1e-9) * (1 if model.obj_sense == "max" else -1)
+        for inc in (value, worse):
+            seen.append(_assert_same_tree(model, incumbent=(inc, sol.x)))
+            seen.append(_assert_same_tree(model, limits={"nodes": 2}, incumbent=(inc, sol.x)))
+
+
+def test_branch_and_bound_matches_the_reference_tree_on_random_models():
+    seen = []
+    for seed, make, trials in ((61, _random_mixed_binary, 60), (62, _random_sos1_model, 50),
+                               (63, _random_knapsack, 30)):
+        for trial in range(trials):
+            _compare_with_incumbents(make(np.random.default_rng([seed, trial]), trial), seen)
+    statuses = [s.status for s in seen]
+    assert statuses.count("limit") >= 150 and statuses.count("infeasible") >= 50
+    assert sum(s.stats.nodes > 4 for s in seen) >= 120
+
+
+def test_branch_and_bound_matches_the_reference_tree_on_subproblem_mips():
+    seen = []
+    for stores, dcs, zones, horizon, seed in ((2, 0, 1, 1, 1), (2, 1, 1, 1, 2), (2, 0, 1, 2, 1)):
+        inst, means = synthetic_instance(stores, dcs, zones, seed=seed, horizon=horizon)
+        uset = quantile_bounds_from_means(means)
+        cfg = BioConfig(lam=0.3)
+        master = build_master(inst, uset, [seed_scenario(uset)], cfg)
+        alloc = extract_allocation(master, solve(master), inst, cfg)[0]
+        sub = build_subproblem(inst, uset, alloc, 0.3)
+        for lam in (0.0, 0.3, 1.0):
+            set_allocation(sub, inst, alloc, lam)
+            _compare_with_incumbents(sub, seen)
+    assert max(s.stats.nodes for s in seen) > 4
+
+
+def test_integral_root_is_accepted_only_when_strictly_better():
+    # the root LP of max 2 x + y, x + y <= 1 is integral: x = 1, y = 0
+    m = LinearModel(sense="max")
+    x, y = m.add_var("x", 0, 1, "binary"), m.add_var("y", 0, 1, "binary")
+    m.add_constr({x: 1.0, y: 1.0}, "<=", 1.0)
+    m.set_objective({x: 2.0, y: 1.0})
+    plain = _assert_same_tree(m)
+    assert plain.stats.nodes == 1 and plain.objective == 2.0
+    other = np.array([0.0, 1.0])
+    # an incumbent within OPT_TOL below the root: the root replaces it
+    near = _assert_same_tree(m, incumbent=(2.0 - 1e-9, other))
+    assert near.objective == 2.0 and near.x.tobytes() == plain.x.tobytes()
+    # an incumbent equal to the root: the root does not replace it
+    tie = _assert_same_tree(m, incumbent=(2.0, other))
+    assert tie.status == "optimal" and tie.x.tobytes() == other.tobytes()
+
+
+def test_limit_with_only_prunable_nodes_left_returns_limit():
+    # the root LP of max y, y <= 1, y <= 2 w (w binary) is fractional with
+    # the bound of the optimum; with the optimum as the incumbent the pushed
+    # root can only be pruned, yet a node limit of 1 falls due before its pop
+    m = LinearModel(sense="max")
+    w, y = m.add_var("w", 0, 1, "binary"), m.add_var("y", 0, 1)
+    m.add_constr({y: 1.0, w: -2.0}, "<=", 0.0)
+    m.set_objective({y: 1.0})
+    plain = _assert_same_tree(m)
+    assert plain.status == "optimal" and plain.stats.nodes > 1
+    best = (plain.objective, plain.x)
+    assert _assert_same_tree(m, limits={"nodes": 1}, incumbent=best).status == "limit"
+    assert _assert_same_tree(m, limits={"nodes": 2}, incumbent=best).status == "optimal"
