@@ -10,10 +10,12 @@ One engine serves every solve.  A `solve` or `solve_family` call works on
 the model's standard form (`_StandardLP`); every LP of the call (the model
 itself, a branch-and-bound node, a family member) is that form with its own
 right-hand side and column bounds, solved by `_StandardLP.solve`.
-Branch-and-bound nodes fix binaries through column bounds (binaries are never
-split or negated).  Every node after the root is re-optimized by dual simplex
-from its parent's optimal basis.  An open node keeps only that basis, the
-column statuses and the phase-1 row flips, shared with its sibling; its
+Branch-and-bound minimizes, a `max` objective negated (which is exact), and
+fixes binaries through column bounds (binaries are never split or negated).
+A fractional root LP is the first node, re-solved from its own basis; every
+node is re-optimized by dual simplex from its parent's optimal basis and
+split by the branching rule `_branch`.  An open node keeps only that basis,
+the column statuses and the phase-1 row flips, shared with its sibling; its
 tableau is rebuilt from that basis by Gauss-Jordan elimination when it is
 popped.  Family members are re-optimized by dual simplex from the last
 optimal basis.  A re-optimization is accepted only within 1e-12 of the
@@ -724,6 +726,41 @@ def _rows_met(model: LinearModel, x: np.ndarray) -> bool:
                 or np.any(over[senses != LESS_EQUAL] < -_ROW_TOL))
 
 
+def _branch(sos1, binaries, x, fixings):
+    """The two children of a node with LP solution `x` and bound overrides
+    `fixings` (col -> (lb, ub)), each the parent's fixings and one more, or
+    None when every binary is integral.  The rule: a dichotomy on the SOS1
+    group whose members left free and above `INT_TOL` spread the widest
+    range of weights, the first child keeping the heavier half by weight
+    order and fixing the lighter to 0; else a 0/1 split on the most
+    fractional binary, its nearer bound first."""
+    group, widest = None, 0.0
+    for cols, weights in sos1:
+        free = [(c, w) for c, w in zip(cols, weights) if fixings.get(c, (0.0, 1.0))[1] > 0.5]
+        support = [w for c, w in free if x[c] > INT_TOL]
+        if len(support) > 1 and max(support) - min(support) > widest + 1e-12:
+            group, widest = free, max(support) - min(support)
+    if group is not None:
+        support = [c for c, _ in sorted(group, key=lambda cw: cw[1])]
+        mass, cut = 0.0, len(support) // 2
+        for i, c in enumerate(support):
+            mass += x[c]
+            if mass >= 0.5 - 1e-12:
+                cut = min(i + 1, len(support) - 1)
+                break
+        low, high = support[:cut], support[cut:]
+        light, heavy = (high, low) if sum(x[c] for c in low) >= 0.5 else (low, high)
+        return [{**fixings, **dict.fromkeys(drop, (0.0, 0.0))} for drop in (light, heavy)]
+    j, worst = -1, INT_TOL
+    for k in binaries:
+        f = abs(x[k] - round(x[k]))
+        if f > worst:
+            j, worst = k, f
+    if j < 0:
+        return None
+    return [{**fixings, j: (v, v)} for v in ((1.0, 0.0) if x[j] >= 0.5 else (0.0, 1.0))]
+
+
 def solve(model: LinearModel, limits: dict | None = None,
           incumbent: tuple[float, np.ndarray] | None = None) -> Solution:
     """Solve an LP or mixed-binary model.
@@ -747,135 +784,67 @@ def solve(model: LinearModel, limits: dict | None = None,
         return sol
     std, sol, root = _solve_from_phase1(model, _key(model), t0)
     stats = SolveStats(simplex_iterations=sol.stats.simplex_iterations, nodes=1)  # the root
+    if sol.status == "unbounded":
+        stats.wall_time = time.perf_counter() - t0
+        return Solution("unbounded", float("nan"), None, stats)
 
-    maximize = model.obj_sense == "max"
-
-    def better(a, b):
-        return a > b if maximize else a < b
-
-    best_obj = None
-    best_x = None
+    # The tree minimizes sgn * objective.  Negation is exact, and so is the
+    # rounding of the cutoff under it: a node is pruned unless its bound
+    # beats the incumbent by more than a relative OPT_TOL.
+    sgn = -1.0 if model.obj_sense == "max" else 1.0
+    best, best_x, cutoff = INF, None, INF
     if incumbent is not None:
-        best_obj = float(incumbent[0])
-        best_x = np.asarray(incumbent[1], dtype=float).copy()
+        best, best_x = sgn * float(incumbent[0]), np.asarray(incumbent[1], dtype=float).copy()
+        cutoff = best - (abs(best) * OPT_TOL + 1e-9)
+    heap = []  # (bound, tick, fixings, parent state); ticks pop equal bounds first in, first out
+    tick = itertools.count()
+    obj = sgn * sol.objective
+    if sol.status == "optimal":  # else the incumbent, if any, is optimal
+        # the root is accepted, with no tolerance, when no binary is
+        # fractional (its SOS1 groups are not read), else re-solved from its
+        # own basis as the first node
+        if _branch((), binaries, sol.x, {}) is not None:
+            heapq.heappush(heap, (obj, next(tick), {}, (root.basis, root.status, root.flip)))
+        elif obj < best:  # the heap stays empty
+            best, best_x = obj, sol.x
+            best_x[binaries] = [round(v) for v in best_x[binaries]]  # np.round keeps -0.0
+    del root  # the state holds no tableau, so the root's simplex is freed here
 
-    def prune_target():
-        # nodes whose bound cannot beat the incumbent by > tolerance are cut
-        slack = abs(best_obj) * OPT_TOL + 1e-9
-        return best_obj + (slack if maximize else -slack)
-
-    def frac_binary(xv):
-        worst_j, worst_f = -1, INT_TOL
-        for j in binaries:
-            f = abs(xv[j] - round(xv[j]))
-            if f > worst_f:
-                worst_f, worst_j = f, j
-        return worst_j
-
-    def accept(xv, ob):
-        nonlocal best_obj, best_x
-        if best_obj is None or better(ob, best_obj):
-            best_obj = ob
-            best_x = xv.copy()
-            for j in binaries:
-                best_x[j] = round(best_x[j])
-
-    def branch_children(xv, fixings):
-        """Dichotomy on an unresolved SOS1 group when possible, else a 0/1
-        split on the most fractional binary.  Children are bound-override
-        dicts col -> (lb, ub)."""
-        best_g, best_spread = -1, 0.0
-        for gi, (cols, weights) in enumerate(model.sos1):
-            support = [(c, w) for c, w in zip(cols, weights)
-                       if fixings.get(c, (0.0, 1.0))[1] > 0.5 and xv[c] > INT_TOL]
-            if len(support) <= 1:
-                continue
-            spread = max(w for _, w in support) - min(w for _, w in support)
-            if spread > best_spread + 1e-12:
-                best_spread, best_g = spread, gi
-        if best_g >= 0:
-            cols, weights = model.sos1[best_g]
-            support = [(c, w) for c, w in zip(cols, weights)
-                       if fixings.get(c, (0.0, 1.0))[1] > 0.5]
-            support.sort(key=lambda cw: cw[1])
-            mass = 0.0
-            cut = len(support) // 2
-            for i, (c, _w) in enumerate(support):
-                mass += xv[c]
-                if mass >= 0.5 - 1e-12:
-                    cut = min(max(i + 1, 1), len(support) - 1)
-                    break
-            low = [c for c, _ in support[:cut]]
-            high = [c for c, _ in support[cut:]]
-            low_mass = sum(xv[c] for c in low)
-            halves = (low, high) if low_mass >= 0.5 else (high, low)
-            # the first child keeps the heavier half and fixes the other to 0
-            return [{**fixings, **dict.fromkeys(drop, (0.0, 0.0))}
-                    for drop in (halves[1], halves[0])]
-        j = frac_binary(xv)
-        if j < 0:
-            return None
-        return [{**fixings, j: (v, v)} for v in ((1.0, 0.0) if xv[j] >= 0.5 else (0.0, 1.0))]
-
-    def relaxation(fixings, parent):
-        """The node LP, re-optimized from the `parent` state (basis,
-        statuses, row flips); returns its status, objective, x and state."""
-        # binaries sit unsplit and unnegated at std.pos, so a fixing is a
-        # change of column bounds only
+    while heap:  # left non-empty only by a limit
+        if (time_limit is not None and time.perf_counter() - t0 > time_limit
+                or node_limit is not None and stats.nodes >= node_limit):
+            break
+        bound, _, fixings, parent = heapq.heappop(heap)
+        if not bound < cutoff:
+            continue
+        # the node LP: binaries sit unsplit and unnegated at std.pos, so a
+        # fixing is a change of column bounds only; re-optimized from the
+        # parent's basis, column statuses and row flips
         lb, ub = std.lb.copy(), std.ub.copy()
         for j, (lo, hi) in fixings.items():
             lb[std.pos[j]], ub[std.pos[j]] = lo, hi
         sol, sx = std.solve(std.b, lb, ub, _Simplex.from_basis(
             std.A, std.b, std.c, lb, ub, *parent))
+        state = (sx.basis, sx.status, sx.flip)
+        del sx  # the state holds no tableau, so the node's simplex is freed here
         stats.simplex_iterations += sol.stats.simplex_iterations
         stats.nodes += 1
-        # the state holds no tableau, so the node's simplex is freed here
-        return sol.status, sol.objective, sol.x, (sx.basis, sx.status, sx.flip)
-
-    status, obj, x, state = sol.status, sol.objective, sol.x, (root.basis, root.status, root.flip)
-    del root  # the state holds no tableau, so the root's simplex is freed here
-    if status == "unbounded":
-        stats.wall_time = time.perf_counter() - t0
-        return Solution("unbounded", float("nan"), None, stats)
-
-    heap: list = []
-    tick = itertools.count()  # first in, first out among equal bounds
-
-    def push(bound, fixings, parent):
-        heapq.heappush(heap, (-bound if maximize else bound, next(tick), fixings, bound, parent))
-
-    if status == "optimal":  # else the incumbent, if any, is optimal
-        if frac_binary(x) < 0:
-            accept(x, obj)
-        else:
-            push(obj, {}, state)
-
-    hit_limit = False
-    while heap:
-        if (time_limit is not None and time.perf_counter() - t0 > time_limit
-                or node_limit is not None and stats.nodes >= node_limit):
-            hit_limit = True
-            break
-        _, _, fixings, bound, parent = heapq.heappop(heap)
-        if best_obj is not None and not better(bound, prune_target()):
+        obj = sgn * sol.objective
+        if sol.status != "optimal" or not obj < cutoff:
             continue
-        status, obj, x, state = relaxation(fixings, parent)
-        if status != "optimal":
+        children = _branch(model.sos1, binaries, sol.x, fixings)
+        if children is None:  # below the cutoff, so better than the incumbent
+            best, best_x = obj, sol.x
+            best_x[binaries] = [round(v) for v in best_x[binaries]]
+            cutoff = best - (abs(best) * OPT_TOL + 1e-9)
             continue
-        if best_obj is not None and not better(obj, prune_target()):
-            continue
-        children = branch_children(x, fixings)
-        if children is None:
-            accept(x, obj)
-            continue
-        # both children re-optimize from this node's basis
-        for child in children:
-            push(obj, child, state)
+        for child in children:  # both re-optimize from this node's basis
+            heapq.heappush(heap, (obj, next(tick), child, state))
 
     stats.wall_time = time.perf_counter() - t0
     if best_x is None:
-        return Solution("limit" if hit_limit else "infeasible", float("nan"), None, stats)
-    return Solution("limit" if hit_limit else "optimal", best_obj, best_x, stats)
+        return Solution("limit" if heap else "infeasible", float("nan"), None, stats)
+    return Solution("limit" if heap else "optimal", sgn * best, best_x, stats)
 
 
 def solve_family(model: LinearModel, rows, rhs, cols, ub) -> list[Solution]:

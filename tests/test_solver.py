@@ -1287,3 +1287,39 @@ def test_limit_with_only_prunable_nodes_left_returns_limit():
     best = (plain.objective, plain.x)
     assert _assert_same_tree(m, limits={"nodes": 1}, incumbent=best).status == "limit"
     assert _assert_same_tree(m, limits={"nodes": 2}, incumbent=best).status == "optimal"
+
+
+def test_branching_rule_on_hand_built_points():
+    branch, tol = solver._branch, solver.INT_TOL
+    narrow, wide = ([0, 1, 2], [0.0, 1.0, 2.0]), ([3, 4, 5], [0.0, 5.0, 10.0])
+    binaries = list(range(6))
+    # the unresolved group whose weights spread the widest is split; its
+    # free members are halved in weight order, and the first child fixes
+    # the half of the lesser mass to 0
+    x = np.array([0.5, 0.5, 0.0, 0.5, 0.0, 0.5])
+    assert branch([narrow, wide], binaries, x, {}) == [
+        {4: (0.0, 0.0), 5: (0.0, 0.0)}, {3: (0.0, 0.0)}]
+    # members fixed to 0 or at INT_TOL leave the wide group unresolved;
+    # the children carry the parent's fixings
+    for x, fixings in ((np.array([0.5, 0.5, 0.0, 0.5, 0.0, 0.5]), {3: (0.0, 0.0)}),
+                       (np.array([0.5, 0.5, 0.0, tol, 0.0, 1.0 - tol]), {})):
+        assert branch([wide, narrow], binaries, x, fixings) == [
+            {**fixings, 1: (0.0, 0.0), 2: (0.0, 0.0)}, {**fixings, 0: (0.0, 0.0)}]
+    group = ([10, 11, 12], [3.0, 1.0, 2.0])
+    x = np.zeros(13)
+    x[[10, 11, 12]] = 0.6, 0.2, 0.2
+    assert branch([group], [10, 11, 12], x, {7: (1.0, 1.0)}) == [
+        {7: (1.0, 1.0), 11: (0.0, 0.0), 12: (0.0, 0.0)}, {7: (1.0, 1.0), 10: (0.0, 0.0)}]
+    x[[10, 11, 12]] = 0.3, 0.6, 0.1
+    assert branch([group], [10, 11, 12], x, {}) == [
+        {12: (0.0, 0.0), 10: (0.0, 0.0)}, {11: (0.0, 0.0)}]
+    # no unresolved group: the most fractional binary, its nearer bound first
+    resolved = ([6, 7], [0.0, 1.0])
+    x = np.array([0.0, 0.3, 0.45, 1.0, 0.0, 1.0, 1.0, 0.0])
+    assert branch([resolved], binaries, x, {7: (0.0, 0.0)}) == [
+        {7: (0.0, 0.0), 2: (0.0, 0.0)}, {7: (0.0, 0.0), 2: (1.0, 1.0)}]
+    x[2] = 0.55
+    assert branch([resolved], binaries, x, {}) == [{2: (1.0, 1.0)}, {2: (0.0, 0.0)}]
+    # an integral point within INT_TOL has no children
+    x = np.array([tol, 1.0 - tol / 2, 0.0, 1.0, 0.0, 0.0])
+    assert branch([narrow, wide], binaries, x, {}) is None
