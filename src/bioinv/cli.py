@@ -15,7 +15,7 @@ from . import __version__
 from .ccg import ALTERNATING, EXACT_MIP, CcgOptions, solve_two_stage
 from .formulations import Allocation, BioConfig, FormulationError
 from .instance import load_instance, save_instance, validate_instance
-from .records import record_from_dict, record_to_dict
+from .records import read_json, record_from_dict, record_to_dict
 from .reference import synthetic_instance
 from .simulate import PolicySpec, batch_evaluate, kpi_table, run_rolling_horizon
 from .tuning import DEFAULT_GRID, ScoringObjective, tune_lambda
@@ -35,8 +35,7 @@ class CliError(Exception):
 
 
 def _read(path: str, cls, error=CliError):
-    with open(path) as fh:
-        return record_from_dict(cls, json.load(fh), error, path)
+    return record_from_dict(cls, read_json(path, error), error, path)
 
 
 def _out_dir(args) -> str:
@@ -139,8 +138,7 @@ def cmd_solve(args) -> int:
 
 def cmd_evaluate(args) -> int:
     inst = load_instance(args.instance)
-    with open(args.allocation) as fh:
-        doc = json.load(fh)
+    doc = read_json(args.allocation, FormulationError)
     # a solve_report.json nests the allocation
     alloc = record_from_dict(Allocation, doc.get("allocation", doc), FormulationError,
                              args.allocation)

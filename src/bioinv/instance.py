@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import check_keys, field_names, record_to_dict
+from .records import check_keys, field_names, read_json, record_to_dict
 
 
 class InstanceError(Exception):
@@ -313,6 +313,7 @@ def instance_from_dict(d: dict) -> Instance:
     return build_instance(
         **{**net, "nodes": [str(n) for n in net["nodes"]],
            "zones": [str(z) for z in net.get("zones", [])],
+           "sfs_eligible": net.get("sfs_eligible") and [str(n) for n in net["sfs_eligible"]],
            "ship_edges": [(e["node"], e["zone"], int(e.get("days", 0))) for e in edges]},
         **{**econ, "fulfill_cost": (np.array(econ["fulfill_cost"], dtype=float).reshape(L, -1)
                                     if econ["fulfill_cost"] else np.zeros((L, 0)))},
@@ -330,9 +331,4 @@ def save_instance(inst: Instance, path: str):
 
 
 def load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
-    return instance_from_dict(d)
+    return instance_from_dict(read_json(path, InstanceError))

@@ -3,12 +3,14 @@ allocation, a demand scenario, demand means and an uncertainty set.
 
 A record is written as the fields that are set, in field order, with arrays
 as lists.  It is read back by field name: an unknown field, or a missing one
-that the dataclass gives no default, raises the caller's own error type.
+that the dataclass gives no default, raises the caller's own error type, and
+so does a file that is not JSON.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
@@ -32,6 +34,16 @@ def _plain(v):
     if isinstance(v, tuple):
         return [_plain(x) for x in v]
     return v
+
+
+def read_json(path: str, error):
+    """The JSON document in file `path`; a parse error raises `error`, naming
+    the path and the line."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
 
 
 @functools.cache

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .records import check_keys, record_from_dict, record_to_dict
+from .records import check_keys, read_json, record_from_dict, record_to_dict
 
 CHANNELS = ("b", "o")
 
@@ -353,9 +353,8 @@ def save_scenarios(path: str, scenarios: list[DemandScenario], seed: int | None 
 
 
 def load_scenarios(path: str) -> tuple[list[DemandScenario], dict]:
-    with open(path) as fh:
-        doc = check_keys(json.load(fh), ("seed", "family", "scenarios"), ("scenarios",),
-                         UncertaintyError, path)
+    doc = check_keys(read_json(path, UncertaintyError), ("seed", "family", "scenarios"),
+                     ("scenarios",), UncertaintyError, path)
     scen = [record_from_dict(DemandScenario, s, UncertaintyError, f"{path}: scenarios[{i}]")
             for i, s in enumerate(doc["scenarios"])]
     return scen, {"seed": doc.get("seed"), "family": doc.get("family")}

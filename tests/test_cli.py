@@ -209,6 +209,29 @@ class TestFileFields:
                         str(tmp_path / "run2")]) == 1
         assert f"UncertaintyError: {path}: unknown fields ['budget']" in capsys.readouterr().err
 
+    def test_malformed_json_names_its_file(self, tmp_path, capsys):
+        walk = os.path.join(DATA, "example_walkin_p0_b160.json")
+        means = os.path.join(DATA, "example_walkin_means.json")
+        scen = tmp_path / "scen.json"
+        assert run_cli(["sample", "--means", means, "--samples", "3",
+                        "--out-file", str(scen)]) == 0
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"x": [[1.0, 1.0, 1.0]]}))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"walkin": [[1.0]],\n "online": }')
+        capsys.readouterr()
+        for argv, rc, error in (
+                (["sample", "--means", str(bad), "--out-file", str(tmp_path / "s.json")], 2, ""),
+                (["evaluate", walk, "--allocation", str(alloc), "--scenarios", str(bad),
+                  "--out", str(tmp_path / "ev1")], 1, "UncertaintyError: "),
+                (["solve", walk, "--uncertainty", str(bad), "--out", str(tmp_path / "run")],
+                 1, "UncertaintyError: "),
+                (["evaluate", walk, "--allocation", str(bad), "--scenarios", str(scen),
+                  "--out", str(tmp_path / "ev2")], 1, "FormulationError: ")):
+            assert run_cli(argv) == rc
+            assert (f"error: {error}{bad}: parse error at line 2: Expecting value"
+                    in capsys.readouterr().err), argv
+
 
 class TestParser:
     def test_ccg_flag_defaults_are_the_option_defaults(self):

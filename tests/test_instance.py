@@ -155,6 +155,18 @@ class TestSerialization:
         assert inst.network.sfs_eligible == ("L1", "L2")
         assert inst.network.zones == () and inst.network.ship_edges == ()
 
+    def test_integer_node_ids_name_their_eligible_nodes(self, tmp_path):
+        d = instance_to_dict(build_instance(["1", "2"], ["3"], 1, walkin_price=10.0,
+                                            walkin_penalty=0.0))
+        d["network"].update(nodes=[1, 2], zones=[3], sfs_eligible=[1],
+                            ship_edges=[{"node": 1, "zone": 3, "days": 1}])
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(d))
+        save_instance(load_instance(str(path)), str(path))
+        net = json.loads(path.read_text())["network"]
+        assert net["nodes"] == ["1", "2"] and net["sfs_eligible"] == ["1"]
+        assert net["ship_edges"] == [{"node": "1", "zone": "3", "days": 1}]
+
     def test_edge_referential_integrity_named(self):
         d = instance_to_dict(single_store())
         d["network"]["ship_edges"][0]["zone"] = "Z9"
