@@ -728,8 +728,8 @@ def _rows_met(model: LinearModel, x: np.ndarray) -> bool:
 
 def _branch(sos1, binaries, x, fixings):
     """The two children of a node with LP solution `x` and bound overrides
-    `fixings` (col -> (lb, ub)), each the parent's fixings and one more, or
-    None when every binary is integral.  The rule: a dichotomy on the SOS1
+    `fixings` (col -> (lb, ub)), each the parent's fixings with more binaries
+    fixed, or None when every binary is integral.  The rule: a dichotomy on the SOS1
     group whose members left free and above `INT_TOL` spread the widest
     range of weights, the first child keeping the heavier half by weight
     order and fixing the lighter to 0; else a 0/1 split on the most

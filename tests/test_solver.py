@@ -1,6 +1,9 @@
 import functools
+import heapq
+import itertools
 import json
 import os
+import time
 import warnings
 
 import numpy as np
@@ -13,7 +16,8 @@ from bioinv.formulations import (Allocation, BioConfig, add_master_scenario, bui
                                  build_subproblem, extract_allocation, set_allocation)
 from bioinv.instance import load_instance
 from bioinv.reference import synthetic_instance
-from bioinv.solver import INF, LinearModel, SolverError, solve, solve_family
+from bioinv.solver import (BINARY, INF, INT_TOL, OPT_TOL, LinearModel, Solution, SolverError,
+                           SolveStats, solve, solve_family)
 from bioinv.uncertainty import DemandMeans, quantile_bounds_from_means, sample_scenarios
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -1037,10 +1041,6 @@ def test_solved_models_are_freed_without_the_cycle_collector():
 def _reference_solve(model, limits=None, incumbent=None):
     """The branch-and-bound of `solve` as it stood with its nested closures
     and the tree in the model's own sense; mixed-binary models only."""
-    from bioinv.solver import OPT_TOL, INT_TOL, Solution, SolveStats, BINARY
-    import heapq
-    import itertools
-    import time
     t0 = time.perf_counter()
     limits = limits or {}
     time_limit = limits.get("time")
