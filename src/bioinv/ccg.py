@@ -82,6 +82,7 @@ class SolveReport:
     termination: str = ""
     certified: bool = True         # exact subproblem solves throughout
     d_plus: np.ndarray | None = None
+    d_o_plus: np.ndarray | None = None    # optimistic online demand, both channels allied
     worst_case_scenario: DemandScenario | None = None
     worst_case_profit: float | None = None
     rescore_error: str | None = None   # why the worst-case rescore gave no profit
@@ -104,8 +105,9 @@ class SolveReport:
             "worst_case_profit": clean(self.worst_case_profit),
             "rescore_error": self.rescore_error,
         }
-        if self.d_plus is not None:
-            d["d_plus"] = np.asarray(self.d_plus).tolist()
+        for name in ("d_plus", "d_o_plus"):
+            if getattr(self, name) is not None:
+                d[name] = np.asarray(getattr(self, name)).tolist()
         if self.worst_case_scenario is not None:
             d["worst_case_scenario"] = record_to_dict(self.worst_case_scenario)
         return d
@@ -301,10 +303,11 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
                                                 deadline, report.scenario_pool, models)
         report.certified &= exact and msol.status == "optimal"  # not at a time limit
         doplus = master.info["doplus"]
-        cand = sp_val + stage_one_value(inst, cfg, alloc, d_plus,
-                                        None if doplus is None else msol.x[doplus])
+        d_o_plus = None if doplus is None else msol.x[doplus]
+        cand = sp_val + stage_one_value(inst, cfg, alloc, d_plus, d_o_plus)
         if cand > report.objective + 1e-12:
-            report.objective, report.allocation, report.d_plus = cand, alloc, d_plus
+            report.objective, report.allocation = cand, alloc
+            report.d_plus, report.d_o_plus = d_plus, d_o_plus
         report.lower_bounds.append(report.objective)
 
         gap = ((ub - report.objective) / (abs(report.objective) + options.delta)
@@ -327,7 +330,7 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
         raise CcgError(f"master solve failed with status {msol.status}",
                        _finish(report, inst, uset, options, t0, models))
     if report.allocation is None:
-        report.allocation, report.d_plus = alloc, d_plus
+        report.allocation, report.d_plus, report.d_o_plus = alloc, d_plus, d_o_plus
     return _finish(report, inst, uset, options, t0, models)
 
 

@@ -299,10 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weeks", type=int, default=3)
     p.add_argument("--replications", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    # not CcgOptions().max_iterations (20): a weekly plan gets 12 CCG
-    # iterations, and more would change every seeded simulation ledger
-    p.add_argument("--max-iterations", type=int, default=12)
-    p.add_argument("--subproblem-mode", default=ALTERNATING, choices=[EXACT_MIP, ALTERNATING])
+    plan = PolicySpec("bio").ccg
+    p.add_argument("--max-iterations", type=int, default=plan.max_iterations)
+    p.add_argument("--subproblem-mode", default=plan.subproblem_mode,
+                   choices=[EXACT_MIP, ALTERNATING])
     p.add_argument("--out")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_simulate)

@@ -81,16 +81,6 @@ def pipeline_arrival(inst: Instance, t: int, l: int) -> float:
     return 0.0
 
 
-def allowed_edges(inst: Instance) -> list[tuple[int, int, int]]:
-    """(node_idx, zone_idx, delivery_days) for every allowed fulfillment edge."""
-    eligible = set(inst.network.sfs_eligible)
-    out = []
-    for n, z, d in inst.network.ship_edges:
-        if n in eligible:
-            out.append((inst.network.node_index(n), inst.network.zone_index(z), d))
-    return out
-
-
 def first_stage_cost(inst: Instance, alloc: Allocation) -> float:
     cost = float(np.sum(inst.econ.purchase_cost[None, :] * alloc.x))
     if alloc.x_repo is not None:
@@ -131,6 +121,20 @@ def _x_arrival_const(inst: Instance, t: int, l: int, alloc: Allocation) -> float
     return val
 
 
+def _less_lost_sales(inst: Instance, const, walkin, online,
+                     walkin_frac: float = 1.0, online_frac: float = 1.0):
+    """`const` less the lost-sales penalty `penalty * frac * demand` of every
+    cell, period by period, walk-in cells before online ones; a demand cell
+    is a number, or a (K,) array of K scenarios' demands."""
+    e = inst.econ
+    for t in range(inst.horizon):
+        for l in range(inst.num_nodes):
+            const = const - e.walkin_penalty[t, l] * walkin_frac * walkin[t, l]
+        for z in range(inst.num_zones):
+            const = const - e.online_penalty[t] * online_frac * online[t, z]
+    return const
+
+
 def _add_business_rule_rows(m: LinearModel, inst: Instance, t: int, y_idx: dict,
                             extra_y: dict | None = None):
     """Fulfillment capacity and service-window rows for one period; y_idx maps
@@ -138,7 +142,7 @@ def _add_business_rule_rows(m: LinearModel, inst: Instance, t: int, y_idx: dict,
     br = inst.business_rules
     if not br.any_active:
         return
-    edges = {(l, z): d for l, z, d in allowed_edges(inst)}
+    edges = {(l, z): d for l, z, d in inst.network.edges}
     if br.fulfill_capacity is not None:
         by_node: dict[int, list] = {}
         for (l, z), col in y_idx.items():
@@ -213,7 +217,7 @@ def evaluate_profits(inst: Instance, alloc: Allocation,
     bound of the walk-in sales columns and online demand the right-hand side
     of the e-commerce rows, so the batch is one `solve_family` call.  Each
     scenario's constant (first-stage cost and lost-sales penalties) is summed
-    in the order `_add_recourse_block` sums it."""
+    by `_less_lost_sales`, as in `_add_recourse_block`."""
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
     if not scenarios:
         return np.zeros(0)
@@ -226,13 +230,7 @@ def evaluate_profits(inst: Instance, alloc: Allocation,
     K = len(scenarios)
     sols = solve_family(m, m.info["ecom"].ravel(), online.reshape(T * Z, K),
                         m.info["s"].ravel(), walkin.reshape(T * L, K))
-    e = inst.econ
-    const = np.full(K, -first_stage_cost(inst, alloc))
-    for t in range(T):
-        for l in range(L):
-            const -= e.walkin_penalty[t, l] * walkin[t, l]
-        for z in range(Z):
-            const -= e.online_penalty[t] * online[t, z]
+    const = _less_lost_sales(inst, np.full(K, -first_stage_cost(inst, alloc)), walkin, online)
     profits = np.empty(K)
     for k, sol in enumerate(sols):
         if sol.status != "optimal":
@@ -333,7 +331,7 @@ def _add_optimism(m: LinearModel, inst: Instance, uset: UncertaintySet, cfg: Bio
                     f"Dop[{t},{z}]", float(uset.local_lower["o"][t, z]),
                     float(uset.local_upper["o"][t, z]))
                 obj[int(doplus_idx[t, z])] = -lam * e.online_penalty[t]
-            for (l, z, _d) in allowed_edges(inst):
+            for (l, z, _d) in inst.network.edges:
                 col = m.add_var(f"yp[{t},{l},{z}]", 0.0, INF)
                 yplus_idx[t, l, z] = col
                 obj[col] = e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[l, z]
@@ -365,7 +363,6 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
     e-commerce rows "ecom" ((T, Z))."""
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
     e = inst.econ
-    edges = allowed_edges(inst)
     terms: dict[int, float] = {}
     s_idx = np.empty((T, L), dtype=int)
     I_idx = np.empty((T, L), dtype=int)
@@ -377,14 +374,12 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
         for l in range(L):
             s_row.append(m.add_var(f"s{tag}[{t},{l}]", 0.0, walkin_frac * float(walkin[t, l])))
             terms[s_row[l]] = e.walkin_price[t, l] + e.walkin_penalty[t, l]
-            const -= e.walkin_penalty[t, l] * walkin_frac * float(walkin[t, l])
             I_row.append(m.add_var(f"I{tag}[{t + 1},{l}]", 0.0, INF))
             terms[I_row[l]] = -e.holding[l]
-        for (l, z, _d) in edges:
+        for (l, z, _d) in inst.network.edges:
             col = y_row[l, z] = y_idx[t, l, z] = m.add_var(f"y{tag}[{t},{l},{z}]", 0.0, INF)
             terms[col] = e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[l, z]
         for z in range(Z):
-            const -= e.online_penalty[t] * online_frac * float(online[t, z])
             row = {y_row[l, z]: 1.0 for l in range(L) if (l, z) in y_row}
             ecom_rows[t, z] = m.add_constr(row, "<=", online_frac * float(online[t, z]),
                                            name=f"ecom{tag}[{t},{z}]")
@@ -409,6 +404,7 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
             m.add_constr(coeffs, "==", rhs, name=f"bal{tag}[{t},{l}]")
         _add_business_rule_rows(m, inst, t, y_row, extra_row)
         s_idx[t], I_idx[t], prev_I = s_row, I_row, I_row
+    const = _less_lost_sales(inst, const, walkin, online, walkin_frac, online_frac)
     return terms, const, {"s": s_idx, "I": I_idx, "y": y_idx, "ecom": ecom_rows}
 
 
@@ -487,6 +483,8 @@ def stage_one_value(inst: Instance, cfg: BioConfig, alloc: Allocation,
         val += float(np.sum((e.walkin_price + e.walkin_penalty) * alloc.s_plus))
         val -= cfg.lam * float(np.sum(e.walkin_penalty * d_plus))
         if alloc.y_plus is not None:
+            if d_o_plus is None:
+                raise FormulationError("y_plus given without the optimistic online demand")
             T, L, Z = alloc.y_plus.shape
             for t in range(T):
                 for l in range(L):
@@ -543,7 +541,7 @@ def _big_m(inst: Instance, ch: str, t: int, i: int) -> float:
     if ch == "b":
         return float(e.walkin_price[t, i] + e.walkin_penalty[t, i] + (T - t) * e.holding[i])
     best = max(((T - t) * e.holding[l] - e.fulfill_cost[l, i]
-                for l, z, _d in allowed_edges(inst) if z == i), default=None)
+                for l, z, _d in inst.network.edges if z == i), default=None)
     if best is None:
         return 0.0
     return max(0.0, float(e.online_price[t] + e.online_penalty[t] + best))
@@ -584,7 +582,7 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
     sigma = None if br.service_window_fraction is None else _columns(m, "sg", (T,))
 
     # dual feasibility
-    edge_days = {(l, z): d for l, z, d in allowed_edges(inst)}
+    edge_days = {(l, z): d for l, z, d in inst.network.edges}
     for t in range(T):
         for l in range(L):
             m.add_constr({int(dual["b"][t, l]): 1.0, int(gamma[t, l]): 1.0}, ">=",
@@ -747,23 +745,19 @@ def build_pwl_baseline(inst: Instance, mean_demand, quantile_demand,
     m = LinearModel("pwl", sense="max")
     x_idx, repo_idx, obj = _add_first_stage(m, inst, None, BioConfig(lam=0.0), None)
     # class 2: discounted sales of the excess, drawing on the class-1 stock
-    const = 0.0
     s2 = np.empty((T, L), dtype=int)
     y2: dict[tuple[int, int, int], int] = {}
     for t in range(T):
         for l in range(L):
             s2[t, l] = m.add_var(f"s2[{t},{l}]", 0.0, float(exw[t, l]))
             obj[int(s2[t, l])] = discount * (e.walkin_price[t, l] + e.walkin_penalty[t, l])
-            const -= discount * e.walkin_penalty[t, l] * float(exw[t, l])
-        for (l, z, _d) in allowed_edges(inst):
+        for (l, z, _d) in inst.network.edges:
             y2[t, l, z] = m.add_var(f"y2[{t},{l},{z}]", 0.0, INF)
             obj[y2[t, l, z]] = (discount * (e.online_price[t] + e.online_penalty[t])
                                 - e.fulfill_cost[l, z])
-        for z in range(Z):
-            const -= discount * e.online_penalty[t] * float(exo[t, z])
     terms, const, _ = _add_recourse_block(
         m, inst, mw, mo, cols=(x_idx, repo_idx), extra_s=s2, extra_y=y2,
-        const=const, tag="1")
+        const=_less_lost_sales(inst, 0.0, exw, exo, discount, discount), tag="1")
     # class-2 e-commerce rows after the block's rows: with them before, the
     # simplex takes 12% more iterations on the rolling-horizon PWL plans
     for t in range(T):
@@ -803,7 +797,7 @@ def critical_ratios(inst: Instance, warehouses: list[int]) -> tuple[list[float],
         price = float(e.walkin_price[0, l])
         cr = (price - float(e.purchase_cost[l])) / price if price > 0 else 0.0
         walkin.append(min(cr, CRITICAL_RATIO_CAP))
-    edges = allowed_edges(inst)
+    edges = inst.network.edges
     avg_ship = float(np.mean([e.fulfill_cost[l, z] for l, z, _ in edges])) if edges else 0.0
     cands = warehouses if warehouses else list(range(inst.num_nodes))
     avg_cost = float(np.mean([e.purchase_cost[l] for l in cands]))

@@ -9,6 +9,7 @@ dimensional consistency of every parameter array.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -21,19 +22,17 @@ class InstanceError(Exception):
     pass
 
 
-def _as_2d(name: str, arr, rows: int, cols: int) -> np.ndarray:
-    a = np.asarray(arr, dtype=float)
-    if a.ndim == 1 and rows == 1 and a.size == cols:
-        a = a.reshape(1, cols)
-    if a.shape != (rows, cols):
-        raise InstanceError(f"{name}: expected shape ({rows}, {cols}), got {a.shape}")
-    return a
-
-
-def _as_1d(name: str, arr, size: int) -> np.ndarray:
-    a = np.asarray(arr, dtype=float)
-    if a.shape != (size,):
-        raise InstanceError(f"{name}: expected length {size}, got shape {a.shape}")
+def _grid(name: str, val, shape: tuple) -> np.ndarray:
+    """`val` as a float array of `shape`: a scalar fills it, and so does
+    None as zero; a row fills a one-row shape.  Any other shape raises
+    InstanceError."""
+    a = np.asarray(0.0 if val is None else val, dtype=float)
+    if a.ndim == 0:
+        return np.full(shape, float(a))
+    if a.ndim == 1 and shape == (1, a.size):
+        a = a.reshape(shape)
+    if a.shape != shape:
+        raise InstanceError(f"{name}: expected shape {shape}, got {a.shape}")
     return a
 
 
@@ -45,26 +44,13 @@ class Network:
     sfs_eligible: tuple     # nodes allowed to ship to zones
     ship_edges: tuple       # (node, zone, delivery_days)
 
-    @classmethod
-    def create(cls, nodes, zones, supplier, sfs_eligible=None, ship_edges=None):
-        nodes = tuple(nodes)
-        zones = tuple(zones)
-        if sfs_eligible is None:
-            sfs_eligible = nodes
-        if ship_edges is None:
-            ship_edges = tuple((n, z, 0) for n in sfs_eligible for z in zones)
-        edges = tuple((str(n), str(z), int(d)) for n, z, d in ship_edges)
-        return cls(nodes, zones, str(supplier), tuple(sfs_eligible), edges)
-
-    def node_index(self, name) -> int:
-        return self.nodes.index(name)
-
-    def zone_index(self, name) -> int:
-        return self.zones.index(name)
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        """Allowed (node_idx, zone_idx) fulfillment pairs."""
-        return [(self.nodes.index(n), self.zones.index(z)) for n, z, _ in self.ship_edges]
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """(node index, zone index, days) of each ship edge from an eligible
+        node, in `ship_edges` order: the allowed fulfillment edges."""
+        eligible = set(self.sfs_eligible)
+        return tuple((self.nodes.index(n), self.zones.index(z), d)
+                     for n, z, d in self.ship_edges if n in eligible)
 
 
 @dataclass(frozen=True)
@@ -133,36 +119,30 @@ def build_instance(nodes, zones, horizon, *, walkin_price, walkin_penalty,
                    pipeline=None, supplier="S", sfs_eligible=None, ship_edges=None,
                    reposition_cost=None, reposition_lead=None,
                    business_rules=None) -> Instance:
-    """Convenience constructor with broadcasting of scalars; dimensions are
-    still checked strictly."""
-    nodes = list(nodes)
-    zones = list(zones)
+    """The one constructor of an instance.  Names become strings; the eligible
+    nodes default to every node and the ship edges to every eligible (node,
+    zone) pair at 0 days; a scalar fills its array, and an optional array
+    left out is zeros.  Dimensions are checked strictly."""
+    nodes = tuple(str(n) for n in nodes)
+    zones = tuple(str(z) for z in zones)
+    eligible = nodes if sfs_eligible is None else tuple(str(n) for n in sfs_eligible)
+    if ship_edges is None:
+        ship_edges = [(n, z, 0) for n in eligible for z in zones]
+    net = Network(nodes, zones, str(supplier), eligible,
+                  tuple((str(n), str(z), int(d)) for n, z, d in ship_edges))
     T, L, Z = int(horizon), len(nodes), len(zones)
-
-    def grid2(val, rows, cols, name):
-        a = np.asarray(val, dtype=float)
-        if a.ndim == 0:
-            a = np.full((rows, cols), float(a))
-        return _as_2d(name, a, rows, cols)
-
-    def grid1(val, size, name):
-        a = np.asarray(val, dtype=float)
-        if a.ndim == 0:
-            a = np.full(size, float(a))
-        return _as_1d(name, a, size)
-
     econ = EconParams(
-        walkin_price=grid2(walkin_price, T, L, "walkin_price"),
-        walkin_penalty=grid2(walkin_penalty, T, L, "walkin_penalty"),
-        online_price=grid1(0.0 if online_price is None else online_price, T, "online_price"),
-        online_penalty=grid1(0.0 if online_penalty is None else online_penalty, T, "online_penalty"),
-        holding=grid1(0.0 if holding is None else holding, L, "holding"),
-        fulfill_cost=grid2(0.0 if fulfill_cost is None else fulfill_cost, L, Z, "fulfill_cost"),
-        purchase_cost=grid1(0.0 if purchase_cost is None else purchase_cost, L, "purchase_cost"),
+        walkin_price=_grid("walkin_price", walkin_price, (T, L)),
+        walkin_penalty=_grid("walkin_penalty", walkin_penalty, (T, L)),
+        online_price=_grid("online_price", online_price, (T,)),
+        online_penalty=_grid("online_penalty", online_penalty, (T,)),
+        holding=_grid("holding", holding, (L,)),
+        fulfill_cost=_grid("fulfill_cost", fulfill_cost, (L, Z)),
+        purchase_cost=_grid("purchase_cost", purchase_cost, (L,)),
         reposition_cost=None if reposition_cost is None
-        else _as_2d("reposition_cost", np.asarray(reposition_cost, dtype=float), L, L),
+        else _grid("reposition_cost", reposition_cost, (L, L)),
     )
-    lt = grid1(0 if lead_time is None else lead_time, L, "lead_time").astype(int)
+    lt = _grid("lead_time", lead_time, (L,)).astype(int)
     if pipeline is None:
         pipe = tuple(tuple(0.0 for _ in range(lt[l] + 1)) for l in range(L))
     else:
@@ -171,9 +151,8 @@ def build_instance(nodes, zones, horizon, *, walkin_price, walkin_penalty,
         pipeline=pipe,
         lead_time=lt,
         reposition_lead=None if reposition_lead is None
-        else _as_2d("reposition_lead", np.asarray(reposition_lead, dtype=float), L, L).astype(int),
+        else _grid("reposition_lead", reposition_lead, (L, L)).astype(int),
     )
-    net = Network.create(nodes, zones, supplier, sfs_eligible, ship_edges)
     inst = Instance(net, econ, inv, T, business_rules or BusinessRules())
     structural = structural_problems(inst)
     if structural:
@@ -235,7 +214,8 @@ def validate_instance(inst: Instance) -> list[str]:
         out.append("nonnegativity: negative lead time")
 
     # service priority: p_b + b_b > p_o + b_o - c over every allowed edge
-    for li, zi in net.edge_pairs():
+    for n, z, _ in net.ship_edges:
+        li, zi = net.nodes.index(n), net.zones.index(z)
         for t in range(T):
             lhs = e.walkin_price[t, li] + e.walkin_penalty[t, li]
             rhs = e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[li, zi]
@@ -311,10 +291,8 @@ def instance_from_dict(d: dict) -> Instance:
              for i, e in enumerate(net.get("ship_edges", []))]
     L = len(net["nodes"])
     return build_instance(
-        **{**net, "nodes": [str(n) for n in net["nodes"]],
-           "zones": [str(z) for z in net.get("zones", [])],
-           "sfs_eligible": net.get("sfs_eligible") and [str(n) for n in net["sfs_eligible"]],
-           "ship_edges": [(e["node"], e["zone"], int(e.get("days", 0))) for e in edges]},
+        **{**net, "zones": net.get("zones", []),
+           "ship_edges": [(e["node"], e["zone"], e.get("days", 0)) for e in edges]},
         **{**econ, "fulfill_cost": (np.array(econ["fulfill_cost"], dtype=float).reshape(L, -1)
                                     if econ["fulfill_cost"] else np.zeros((L, 0)))},
         **section(InventoryState, "inventory"),

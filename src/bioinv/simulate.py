@@ -25,7 +25,6 @@ from .formulations import (
     Allocation,
     BioConfig,
     FormulationError,
-    allowed_edges,
     basestock_policy,
     critical_ratios,
     evaluate_profits,
@@ -159,7 +158,7 @@ class PolicySpec:
     kind: str                       # basestock | pwl | bio
     lam: float = 0.0
     ccg: CcgOptions = field(default_factory=lambda: CcgOptions(
-        max_iterations=10, max_seconds=1e9, subproblem_mode=ALTERNATING,
+        max_iterations=12, max_seconds=1e9, subproblem_mode=ALTERNATING,
         ah_rounds=10, rescore_worst_case=False))
 
     def __post_init__(self):
@@ -193,7 +192,7 @@ class KpiReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-KPI_FIELDS = tuple(f.name for f in fields(KpiReport) if f.name != "solver_failures")
+KPI_FIELDS = tuple(f.name for f in fields(KpiReport))
 
 
 def _critical_quantile_demand(inst: Instance, means: DemandMeans,
@@ -261,7 +260,7 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
     online_price, online_penalty = float(e.online_price[0]), float(e.online_penalty[0])
     warehouses = set(infer_warehouses(inst, DemandMeans(mw, mo)))
     edges = {}
-    for l, z, _d in allowed_edges(inst):
+    for l, z, _d in inst.network.edges:
         edges.setdefault(z, []).append((float(e.fulfill_cost[l, z]), l))
     for z in edges:
         edges[z].sort()
@@ -377,7 +376,7 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
         reports.append(kpi)
 
     aggregate = {}
-    for name in KPI_FIELDS + ("solver_failures",):
+    for name in KPI_FIELDS:
         vals = np.array([getattr(r, name) for r in reports], dtype=float)
         stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
         aggregate[name] = (float(vals.mean()), stderr)
@@ -389,13 +388,9 @@ def kpi_table(results: dict[str, tuple[dict, list]]) -> str:
     row per policy; columns are the KpiReport field names."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["policy", "replication"] + list(KPI_FIELDS) + ["solver_failures"])
+    writer.writerow(["policy", "replication"] + list(KPI_FIELDS))
     for policy_name, (aggregate, reports) in results.items():
         for i, rep in enumerate(reports):
-            row = rep.as_row()
-            writer.writerow([policy_name, i] + [repr(row[f]) for f in KPI_FIELDS]
-                            + [row["solver_failures"]])
-        writer.writerow([policy_name, "aggregate"]
-                        + [repr(aggregate[f][0]) for f in KPI_FIELDS]
-                        + [aggregate["solver_failures"][0]])
+            writer.writerow([policy_name, i] + [repr(getattr(rep, f)) for f in KPI_FIELDS])
+        writer.writerow([policy_name, "aggregate"] + [repr(aggregate[f][0]) for f in KPI_FIELDS])
     return buf.getvalue()

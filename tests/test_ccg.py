@@ -26,7 +26,8 @@ from bioinv.formulations import (
     stage_one_value,
 )
 from bioinv.instance import build_instance, load_instance
-from bioinv.reference import example_walkin_instance, example_walkin_uncertainty
+from bioinv.reference import (example_walkin_instance, example_walkin_uncertainty,
+                              synthetic_instance)
 from bioinv.solver import solve
 from bioinv.uncertainty import (DemandMeans, DemandScenario, UncertaintySet,
                                 quantile_bounds_from_means)
@@ -94,6 +95,22 @@ class TestBounds:
         val = solve(sp).objective
         stage1 = stage_one_value(inst, cfg, rep.allocation, rep.d_plus)
         assert val + stage1 == pytest.approx(rep.objective, abs=1e-6)
+        assert rep.d_o_plus is None and "d_o_plus" not in rep.to_dict()
+
+    def test_allied_both_report_rescores(self):
+        # the report keeps the optimistic online demand next to the walk-in one
+        inst, means = synthetic_instance(2, 0, 1, seed=1, horizon=1)
+        uset = quantile_bounds_from_means(means)
+        cfg = BioConfig(lam=0.3, allied_channels="both")
+        rep = solve_two_stage(inst, uset, cfg, CcgOptions())
+        assert rep.termination == "converged" and rep.allocation.y_plus is not None
+        assert rep.d_o_plus.shape == (1, 1)
+        assert rep.to_dict()["d_o_plus"] == rep.d_o_plus.tolist()
+        sp = build_subproblem(inst, uset, rep.allocation, cfg.lam, cfg.allied_channels)
+        stage1 = stage_one_value(inst, cfg, rep.allocation, rep.d_plus, rep.d_o_plus)
+        assert solve(sp).objective + stage1 == pytest.approx(rep.objective, abs=1e-6)
+        with pytest.raises(FormulationError, match="y_plus"):
+            stage_one_value(inst, cfg, rep.allocation, rep.d_plus)
 
     def test_ccg_equals_exhaustive_search_integer(self):
         # tiny enough for full enumeration over integer x and scenarios

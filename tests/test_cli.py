@@ -11,6 +11,7 @@ from bioinv.ccg import CcgOptions
 from bioinv.cli import _ccg_options, build_parser, main
 from bioinv.formulations import Allocation, evaluate_profits
 from bioinv.instance import build_instance, load_instance, save_instance
+from bioinv.simulate import PolicySpec
 from bioinv.uncertainty import load_scenarios
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -238,6 +239,11 @@ class TestParser:
         parser = build_parser()
         for command in ("solve", "tune"):
             assert _ccg_options(parser.parse_args([command, "inst.json"])) == CcgOptions()
+        # `simulate` plans each week with the library's PolicySpec defaults
+        args = parser.parse_args(["simulate", "inst.json", "--means", "means.json"])
+        plan = PolicySpec("bio").ccg
+        assert (args.max_iterations, args.subproblem_mode) == (
+            plan.max_iterations, plan.subproblem_mode)
 
 
 class TestHorizonCheck:

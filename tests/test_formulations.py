@@ -7,7 +7,6 @@ from bioinv.formulations import (
     BioConfig,
     FormulationError,
     add_master_scenario,
-    allowed_edges,
     basestock_policy,
     pipeline_arrival,
     build_fulfillment_model,
@@ -214,7 +213,7 @@ class TestSubproblem:
                     const -= e.walkin_penalty[t, l] * (1 - lam) * scen.walkin[t, l]
                     I[t, l] = m.add_var(f"I{t}{l}", 0.0, INF)
                     obj[I[t, l]] = -e.holding[l]
-                for li, zi, _d in allowed_edges(inst):
+                for li, zi, _d in inst.network.edges:
                     y[t, li, zi] = m.add_var(f"y{t}{li}{zi}", 0.0, INF)
                     obj[y[t, li, zi]] = (e.online_price[t] + e.online_penalty[t]
                                          - e.fulfill_cost[li, zi])

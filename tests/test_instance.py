@@ -91,6 +91,39 @@ class TestStructure:
             build_instance(["A", "B"], [], 2, walkin_price=[[1.0, 1.0]],
                            walkin_penalty=0.0)
 
+    def test_integer_node_ids_load(self):
+        # every name becomes a string before the eligible nodes and edges are checked
+        kw = dict(walkin_price=10.0, walkin_penalty=10.0)
+        net = build_instance([1, 2], ["Z"], 1, **kw).network
+        assert net.nodes == ("1", "2") and net.sfs_eligible == ("1", "2")
+        assert net.ship_edges == (("1", "Z", 0), ("2", "Z", 0))
+        net = build_instance([1, 2], [3], 1, sfs_eligible=[2], supplier=0,
+                             ship_edges=[(2, 3, 1)], **kw).network
+        assert (net.zones, net.supplier, net.sfs_eligible) == (("3",), "0", ("2",))
+        assert net.ship_edges == (("2", "3", 1),) and net.edges == ((1, 0, 1),)
+
+    def test_edges_are_the_eligible_ship_edges_in_order(self):
+        inst = build_instance(
+            ["A", "B", "C"], ["Z1", "Z2"], 1, walkin_price=10.0, walkin_penalty=10.0,
+            sfs_eligible=["C", "A"],
+            ship_edges=[("C", "Z2", 3), ("B", "Z1", 1), ("A", "Z2", 2), ("A", "Z1", 0)])
+        assert inst.network.edges == ((2, 1, 3), (0, 1, 2), (0, 0, 0))
+        assert inst.network.edges is inst.network.edges
+        # a derived value, not a field: it is never written
+        assert "edges" not in instance_to_dict(inst)["network"]
+
+    def test_scalars_fill_every_array(self):
+        inst = build_instance(["A", "B"], ["Z"], 2, walkin_price=10.0, walkin_penalty=1.0,
+                              fulfill_cost=2.0, lead_time=1, reposition_cost=3.0,
+                              reposition_lead=1)
+        assert np.array_equal(inst.econ.fulfill_cost, np.full((2, 1), 2.0))
+        assert np.array_equal(inst.econ.reposition_cost, np.full((2, 2), 3.0))
+        assert np.array_equal(inst.inventory.reposition_lead, np.ones((2, 2), dtype=int))
+        assert inst.inventory.reposition_lead.dtype.kind == "i"
+        with pytest.raises(InstanceError, match=r"reposition_cost: expected shape \(2, 2\)"):
+            build_instance(["A", "B"], [], 1, walkin_price=1.0, walkin_penalty=0.0,
+                           reposition_cost=[1.0, 2.0])
+
     def test_pipeline_length_checked(self):
         with pytest.raises(InstanceError, match="pipeline"):
             build_instance(["A"], [], 1, walkin_price=1.0, walkin_penalty=0.0,
