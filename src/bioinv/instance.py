@@ -175,11 +175,16 @@ def structural_problems(inst: Instance) -> list[str]:
     for n in net.sfs_eligible:
         if n not in net.nodes:
             out.append(f"network.sfs_eligible: unknown node {n!r}")
+    seen = set()
     for n, z, d in net.ship_edges:
         if n not in net.nodes:
             out.append(f"network.ship_edges: unknown node {n!r}")
         if z not in net.zones:
             out.append(f"network.ship_edges: unknown zone {z!r}")
+        # a second edge of one pair would get a shipment column in no row
+        if (n, z) in seen:
+            out.append(f"network.ship_edges: repeated edge {n!r} -> {z!r}")
+        seen.add((n, z))
     if len(inst.inventory.pipeline) != L:
         out.append("inventory.pipeline: one row per node required")
     else:

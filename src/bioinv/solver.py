@@ -282,6 +282,12 @@ class _StandardLP:
                 ncols += 1
 
         self.ncols = ncols
+        # for `recover`: split columns and negated variables as index arrays
+        split = [j for j, k in enumerate(self.neg) if k is not None]
+        self._gather = np.array(self.pos, dtype=np.intp)
+        self._split = np.array(split, dtype=np.intp)
+        self._split_neg = np.array([self.neg[j] for j in split], dtype=np.intp)
+        self._negated = np.flatnonzero(self.negated)
         m = model.num_constraints
         nslack = sum(1 for c in model.constraints if c.sense != EQUAL)
         A = np.zeros((m - first, ncols + nslack))
@@ -323,12 +329,9 @@ class _StandardLP:
         self.const = model.obj_const
 
     def recover(self, xs: np.ndarray) -> np.ndarray:
-        x = np.empty(len(self.pos))
-        for j in range(len(self.pos)):
-            v = xs[self.pos[j]]
-            if self.neg[j] is not None:
-                v -= xs[self.neg[j]]
-            x[j] = -v if self.negated[j] else v
+        x = xs[self._gather]
+        x[self._split] -= xs[self._split_neg]
+        x[self._negated] = -x[self._negated]
         return x
 
     def solve(self, b, lb, ub, warm: _Simplex | None = None):
@@ -580,28 +583,35 @@ class _Simplex:
         dual is unbounded), or None when it gives up: a nonbasic column
         needs an infinite bound, the infeasible row is within tolerance of
         what its columns can reach, or the pivot cap is reached.  The
-        tableau then still holds a dual feasible basis."""
-        n, m = self.n, self.m
+        tableau then still holds a dual feasible basis.  The reduced costs
+        and the basic values are recomputed from the whole tableau at each
+        pivot; the rest of the bookkeeping follows the entering and leaving
+        columns."""
+        n, m, T, basis = self.n, self.m, self.T, self.basis
+        st = self.status[:n]
         self.lb[:n], self.ub[:n] = lb, ub
+        lb, ub = self.lb, self.ub
         db = np.where(self.flip, -b, b)
         self.iterations = 0
+        z = self.cost - self.cost[basis] @ T
+        nonbasic = np.ones(n, dtype=bool)
+        nonbasic[basis[basis < n]] = False
+        # pricing skips columns with ub == lb, so such a column can sit at the
+        # bound its reduced cost does not favour
+        to_upper = nonbasic & (z[:n] < -REDUCED_COST_TOL)
+        if np.any(ub[:n][to_upper] == INF):
+            return None
+        st[to_upper] = _AT_UPPER
+        st[nonbasic & (z[:n] > REDUCED_COST_TOL)] = _AT_LOWER
+        st[nonbasic & (st == _AT_UPPER) & (ub[:n] == INF)] = _AT_LOWER
+        # the bounds hold still; the movable columns, the nonbasic values and
+        # the basic bounds follow the basis, pivot by pivot
+        span = ub[:n] - lb[:n]
+        movable = nonbasic & (span > 0)
+        xn = self._nonbasic_values()[:n]
+        bl, bu = lb[basis], ub[basis]
         while True:
-            z = self.cost - self.cost[self.basis] @ self.T
-            nonbasic = np.ones(n, dtype=bool)
-            nonbasic[self.basis[self.basis < n]] = False
-            if self.iterations == 0:
-                # pricing skips columns with ub == lb, so such a column can
-                # sit at the bound its reduced cost does not favour
-                to_upper = nonbasic & (z[:n] < -REDUCED_COST_TOL)
-                if np.any(self.ub[:n][to_upper] == INF):
-                    return None
-                st = self.status[:n]
-                st[to_upper] = _AT_UPPER
-                st[nonbasic & (z[:n] > REDUCED_COST_TOL)] = _AT_LOWER
-                st[nonbasic & (st == _AT_UPPER) & (self.ub[:n] == INF)] = _AT_LOWER
-            xn = self._nonbasic_values()[:n]
-            self.bhat = self.T[:, n:] @ db - self.T[:, :n] @ xn
-            bl, bu = self.lb[self.basis], self.ub[self.basis]
+            self.bhat = T[:, n:] @ db - T[:, :n] @ xn
             below, above = bl - self.bhat, self.bhat - bu
             infeas = np.maximum(below, above)
             r = int(np.argmax(infeas)) if m else -1
@@ -612,23 +622,29 @@ class _Simplex:
             # the basic value of row r must rise (below its lower bound) or
             # fall; moving nonbasic j by dx moves it by -T[r, j] * dx
             rise = below[r] > above[r]
-            alpha = self.T[r, :n] if rise else -self.T[r, :n]
-            st = self.status[:n]
-            span = self.ub[:n] - self.lb[:n]
-            elig = nonbasic & (span > 0) & (
+            alpha = T[r, :n] if rise else -T[r, :n]
+            elig = movable & (
                 ((st == _AT_LOWER) & (alpha < -_PIVOT_TOL))
                 | ((st == _AT_UPPER) & (alpha > _PIVOT_TOL)))
             if not elig.any():
                 # entries below the pivot tolerance move row r by at most
                 # `reach`; a row infeasible beyond that proves the LP
                 # infeasible
-                fav = nonbasic & (span > 0) & (
+                fav = movable & (
                     ((st == _AT_LOWER) & (alpha < 0)) | ((st == _AT_UPPER) & (alpha > 0)))
                 reach = float(np.sum(np.abs(alpha[fav]) * span[fav]))
                 return "infeasible" if infeas[r] > FEAS_TOL + reach else None
+            if self.iterations:  # the entry's reduced costs serve the first pivot
+                z = self.cost - self.cost[basis] @ T
             ratio = np.divide(np.abs(z[:n]), np.abs(alpha), out=np.full(n, INF), where=elig)
-            self._pivot(r, int(np.argmin(ratio)), _AT_LOWER if rise else _AT_UPPER)
+            enter, leave = int(np.argmin(ratio)), int(basis[r])
+            self._pivot(r, enter, _AT_LOWER if rise else _AT_UPPER)
             self.iterations += 1
+            movable[enter], xn[enter] = False, 0.0
+            bl[r], bu[r] = lb[enter], ub[enter]
+            if leave < n:
+                movable[leave] = span[leave] > 0
+                xn[leave] = lb[leave] if rise else ub[leave]
 
 
 class _Kept(NamedTuple):

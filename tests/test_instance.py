@@ -112,6 +112,20 @@ class TestStructure:
         # a derived value, not a field: it is never written
         assert "edges" not in instance_to_dict(inst)["network"]
 
+    def test_repeated_ship_edge_rejected(self, tmp_path):
+        # two edges of one (node, zone) pair left every fulfillment LP unbounded
+        kw = dict(walkin_price=100.0, walkin_penalty=0.0, online_price=100.0,
+                  fulfill_cost=[[10.0]])
+        with pytest.raises(InstanceError, match="repeated edge 'A' -> 'Z1'"):
+            build_instance(["A"], ["Z1"], 1, ship_edges=[("A", "Z1", 1), ("A", "Z1", 2)], **kw)
+        doc = instance_to_dict(build_instance(["A"], ["Z1"], 1, ship_edges=[("A", "Z1", 1)],
+                                              **kw))
+        doc["network"]["ship_edges"].append(dict(doc["network"]["ship_edges"][0], days=2))
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceError, match="repeated edge"):
+            load_instance(str(path))
+
     def test_scalars_fill_every_array(self):
         inst = build_instance(["A", "B"], ["Z"], 2, walkin_price=10.0, walkin_penalty=1.0,
                               fulfill_cost=2.0, lead_time=1, reposition_cost=3.0,

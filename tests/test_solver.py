@@ -1,3 +1,4 @@
+import copy
 import functools
 import heapq
 import itertools
@@ -1323,3 +1324,120 @@ def test_branching_rule_on_hand_built_points():
     # an integral point within INT_TOL has no children
     x = np.array([tol, 1.0 - tol / 2, 0.0, 1.0, 0.0, 0.0])
     assert branch([narrow, wide], binaries, x, {}) is None
+
+
+def _reference_reoptimize(sx, b, lb, ub):
+    """`_Simplex.reoptimize` as it stood before its masks, nonbasic values and
+    basic bounds were carried from pivot to pivot."""
+    n, m = sx.n, sx.m
+    sx.lb[:n], sx.ub[:n] = lb, ub
+    db = np.where(sx.flip, -b, b)
+    sx.iterations = 0
+    while True:
+        z = sx.cost - sx.cost[sx.basis] @ sx.T
+        nonbasic = np.ones(n, dtype=bool)
+        nonbasic[sx.basis[sx.basis < n]] = False
+        if sx.iterations == 0:
+            # pricing skips columns with ub == lb, so such a column can
+            # sit at the bound its reduced cost does not favour
+            to_upper = nonbasic & (z[:n] < -solver.REDUCED_COST_TOL)
+            if np.any(sx.ub[:n][to_upper] == INF):
+                return None
+            st = sx.status[:n]
+            st[to_upper] = solver._AT_UPPER
+            st[nonbasic & (z[:n] > solver.REDUCED_COST_TOL)] = solver._AT_LOWER
+            st[nonbasic & (st == solver._AT_UPPER) & (sx.ub[:n] == INF)] = solver._AT_LOWER
+        xn = sx._nonbasic_values()[:n]
+        sx.bhat = sx.T[:, n:] @ db - sx.T[:, :n] @ xn
+        bl, bu = sx.lb[sx.basis], sx.ub[sx.basis]
+        below, above = bl - sx.bhat, sx.bhat - bu
+        infeas = np.maximum(below, above)
+        r = int(np.argmax(infeas)) if m else -1
+        if m == 0 or infeas[r] <= solver._REOPT_TOL:
+            return "optimal"
+        if sx.iterations >= 50 + 2 * m:
+            return None
+        # the basic value of row r must rise (below its lower bound) or
+        # fall; moving nonbasic j by dx moves it by -T[r, j] * dx
+        rise = below[r] > above[r]
+        alpha = sx.T[r, :n] if rise else -sx.T[r, :n]
+        st = sx.status[:n]
+        span = sx.ub[:n] - sx.lb[:n]
+        elig = nonbasic & (span > 0) & (
+            ((st == solver._AT_LOWER) & (alpha < -solver._PIVOT_TOL))
+            | ((st == solver._AT_UPPER) & (alpha > solver._PIVOT_TOL)))
+        if not elig.any():
+            # entries below the pivot tolerance move row r by at most
+            # `reach`; a row infeasible beyond that proves the LP
+            # infeasible
+            fav = nonbasic & (span > 0) & (
+                ((st == solver._AT_LOWER) & (alpha < 0))
+                | ((st == solver._AT_UPPER) & (alpha > 0)))
+            reach = float(np.sum(np.abs(alpha[fav]) * span[fav]))
+            return "infeasible" if infeas[r] > solver.FEAS_TOL + reach else None
+        ratio = np.divide(np.abs(z[:n]), np.abs(alpha), out=np.full(n, INF), where=elig)
+        sx._pivot(r, int(np.argmin(ratio)), solver._AT_LOWER if rise else solver._AT_UPPER)
+        sx.iterations += 1
+
+
+def _checked_reoptimize(monkeypatch):
+    """`_Simplex.reoptimize` replaced by one that also runs
+    `_reference_reoptimize` on a copy and asserts that both return the same
+    status and leave the same basis, column statuses, basic values and
+    tableau bytes; returns the list of statuses."""
+    ended = []
+    reoptimize = solver._Simplex.reoptimize
+
+    def checked(sx, b, lb, ub):
+        ref = copy.copy(sx)
+        for name in ("T", "lb", "ub", "status", "basis"):
+            setattr(ref, name, getattr(sx, name).copy())
+        status = reoptimize(sx, b, lb, ub)
+        assert _reference_reoptimize(ref, b, lb, ub) == status
+        assert ref.iterations == sx.iterations
+        for name in ("basis", "status", "lb", "ub", "T"):
+            assert getattr(ref, name).tobytes() == getattr(sx, name).tobytes(), name
+        # a simplex rebuilt from a basis has no basic values until it pivots
+        bhat = [getattr(s, "bhat", None) for s in (ref, sx)]
+        assert bhat[0] is bhat[1] or bhat[0].tobytes() == bhat[1].tobytes()
+        ended.append(status)
+        return status
+
+    monkeypatch.setattr(solver._Simplex, "reoptimize", checked)
+    return ended
+
+
+def test_reoptimize_matches_the_reference_bit_for_bit(monkeypatch):
+    # every caller: family members re-optimized from the last optimum, grown
+    # LPs from theirs, a CCG solve (grown masters, subproblem nodes, families)
+    # and branch-and-bound nodes on a tableau rebuilt from the parent's basis
+    ended = _checked_reoptimize(monkeypatch)
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        m, _A, _s, frows, rhs, fcols, ub = _random_family(
+            rng, int(rng.integers(2, 8)), int(rng.integers(1, 7)), 12)
+        solve_family(m, frows, rhs, fcols, ub)
+    family = len(ended)
+    for trial in range(150):
+        data, grown = _grown_lp(rng)
+        n0, n = data[0].shape[1], grown[0].shape[1]
+        m = _lp_from(data, {j: float(rng.integers(-5, 6)) for j in range(n0)},
+                     str(rng.choice(["min", "max"])), 0.0)
+        if solve(m).status != "optimal":
+            continue
+        for j in range(n0, n):
+            m.add_var(f"x{j}", *grown[3][j])
+        for i in range(data[0].shape[0], grown[0].shape[0]):
+            m.add_constr({j: grown[0][i, j] for j in range(n)}, grown[2][i], grown[1][i])
+        solve(m)
+    grown_lps = len(ended)
+    inst, means = synthetic_instance(3, 1, 2, seed=2)
+    rep = solve_two_stage(inst, quantile_bounds_from_means(means), BioConfig(lam=0.3),
+                          CcgOptions(max_iterations=4))
+    assert len(rep.lower_bounds) >= 3  # masters grown by at least two blocks
+    ccg = len(ended)
+    for trial in range(150):
+        solve(_random_mixed_binary(rng, trial))
+    assert family >= 250 and grown_lps - family >= 30
+    assert ccg - grown_lps >= 300 and len(ended) - ccg >= 100
+    assert {ended.count(s) > 0 for s in ("optimal", "infeasible", None)} == {True}

@@ -59,3 +59,19 @@ def test_order_stream_goes_through_the_module_global(monkeypatch):
     simulate.run_rolling_horizon(inst, simulate.PolicySpec("basestock"), means,
                                  weeks=3, replications=2, seed=0)
     assert len(calls) == 2 * 3 * simulate.DAYS_PER_WEEK
+
+
+def test_tuning_scores_go_through_the_module_global(monkeypatch):
+    # a traced run counts tuning.score_allocation calls; golden-section
+    # search scores one new lambda per step, about 48 in all, plus the holdout
+    from bioinv import tuning
+    from bioinv.reference import (example_walkin_instance, example_walkin_means,
+                                  example_walkin_uncertainty)
+    from bioinv.uncertainty import sample_scenarios
+    calls = []
+    real = tuning.score_allocation
+    monkeypatch.setattr(tuning, "score_allocation",
+                        lambda *args: calls.append(1) or real(*args))
+    tuning.tune_lambda(example_walkin_instance(0.0, 160.0), example_walkin_uncertainty(),
+                       sample_scenarios(example_walkin_means(), 40, 1), method="bisection")
+    assert 0 < len(calls) <= 50

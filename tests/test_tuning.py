@@ -6,6 +6,7 @@ from bioinv.formulations import Allocation, BioConfig, evaluate_profit
 from bioinv.instance import build_instance
 from bioinv.reference import (
     example_walkin_instance,
+    example_walkin_means,
     example_walkin_uncertainty,
     synthetic_instance,
 )
@@ -281,6 +282,16 @@ class TestTuneLambda:
             _xs, saa_val = solve_saa(inst, scen)
             assert res.validation_score == pytest.approx(
                 saa_val, rel=1e-6, abs=1e-6), f"trial {trial}"
+
+    def test_bisection_flat_maximum_resolves_to_its_smaller_end(self):
+        # the validation score is -315 on all of [1/3, ~0.45]; rounding noise
+        # alone once picked a point inside that range
+        means = example_walkin_means()
+        res = tune_lambda(example_walkin_instance(0.0, 160.0), example_walkin_uncertainty(),
+                          sample_scenarios(means, 40, 1), method="bisection")
+        assert res.lam == pytest.approx(1.0 / 3.0, rel=0.0, abs=1e-8)
+        assert res.validation_score == pytest.approx(-315.0, rel=0.0, abs=1e-6)
+        assert res.score == pytest.approx(-340.0, rel=0.0, abs=1e-6)
 
     def test_concavity_along_segment(self):
         inst = example_walkin_instance(0.0, 160.0)
