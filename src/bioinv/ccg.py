@@ -9,6 +9,7 @@ heuristic trades exactness for speed and is also used to warm-start the MIP.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ from .instance import Instance
 from .records import record_to_dict
 from .solver import SolverError, solve
 from .uncertainty import CHANNELS, DemandScenario, UncertaintySet
+
+_log = logging.getLogger(__name__)
 
 EXACT_MIP = "exact_mip"
 ALTERNATING = "alternating_heuristic"
@@ -247,21 +250,22 @@ def _best_heuristic_scenario(inst, uset, alloc, lam, options, allied,
 
 def _solve_subproblem(inst, uset, alloc, cfg, options, deadline, pool, models):
     """One adversarial solve per the configured mode, on the run's models in
-    `models`.  Returns (scenario, value, certified)."""
+    `models`.  Returns (scenario, value, certified, branch-and-bound nodes)."""
     lam, allied = cfg.lam, cfg.allied_channels
     mode = options.subproblem_mode
     extra = list(pool)[-2:] if mode == ALTERNATING else ()
     ah_scen, ah_val, ah_sol = _best_heuristic_scenario(inst, uset, alloc, lam, options,
                                                        allied, extra, models)
     if mode == ALTERNATING:
-        return ah_scen, ah_val, False
+        return ah_scen, ah_val, False, 0
     model = _adversary(models, "mip", inst, uset, alloc, lam, allied)
     incumbent = _mip_incumbent_from_scenario(model, ah_scen, ah_sol)
     remaining = None if deadline is None else max(1e-3, deadline - time.perf_counter())
     sol = solve(model, limits={"time": remaining}, incumbent=incumbent)
     if sol.x is None:
-        return ah_scen, ah_val, False
-    return extract_worst_scenario(model, sol), float(sol.objective), sol.status == "optimal"
+        return ah_scen, ah_val, False, sol.stats.nodes
+    return (extract_worst_scenario(model, sol), float(sol.objective), sol.status == "optimal",
+            sol.stats.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +303,8 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
         ub = min(ub, float(msol.objective))
         report.upper_bounds.append(ub)
 
-        scen, sp_val, exact = _solve_subproblem(inst, uset, alloc, cfg, options,
-                                                deadline, report.scenario_pool, models)
+        scen, sp_val, exact, nodes = _solve_subproblem(inst, uset, alloc, cfg, options,
+                                                       deadline, report.scenario_pool, models)
         report.certified &= exact and msol.status == "optimal"  # not at a time limit
         doplus = master.info["doplus"]
         d_o_plus = None if doplus is None else msol.x[doplus]
@@ -312,6 +316,9 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
 
         gap = ((ub - report.objective) / (abs(report.objective) + options.delta)
                if np.isfinite(report.objective) else np.inf)
+        _log.info("ccg iteration %d: lb %.6f, ub %.6f, gap %.3g, pool %d, "
+                  "%d branch-and-bound nodes", report.iterations, report.objective, ub, gap,
+                  len(report.scenario_pool), nodes)
         if gap <= options.epsilon and report.certified:
             report.termination = "converged"
             break

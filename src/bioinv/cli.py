@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -63,7 +64,7 @@ def _manifest(args) -> dict:
         "numpy_version": np.__version__,
         "seed": getattr(args, "seed", None),
         "config": {k: v for k, v in vars(args).items()
-                   if k not in ("func", "command") and v is not None},
+                   if k not in ("func", "command", "verbose") and v is not None},
     }
 
 
@@ -239,6 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bioinv",
         description="Optimistic-robust omnichannel inventory positioning")
+    ap.add_argument("-v", "--verbose", action="count", default=0,
+                    help="log progress on stderr: -v each CCG iteration and simulated "
+                         "week, -vv also each LP/MIP solve")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check instance assumptions")
@@ -340,6 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # the package logger is silent unless asked; the handler lives for this
+    # call only, so repeated in-process calls do not stack handlers
+    log, handler, level = logging.getLogger("bioinv"), None, None
+    if args.verbose:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(name)s %(levelname)s: %(message)s"))
+        log.addHandler(handler)
+        level = log.level
+        log.setLevel(logging.INFO if args.verbose == 1 else logging.DEBUG)
     try:
         return args.func(args)
     except CliError as exc:
@@ -348,6 +361,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # diagnostics, nonzero exit
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if handler is not None:
+            log.removeHandler(handler)
+            log.setLevel(level)
 
 
 if __name__ == "__main__":

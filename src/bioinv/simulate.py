@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
@@ -41,6 +42,9 @@ from .uncertainty import (
     poisson_quantile,
     quantile_bounds_from_means,
 )
+
+
+_log = logging.getLogger(__name__)
 
 
 class SimulationError(Exception):
@@ -359,6 +363,9 @@ def run_rolling_horizon(inst: Instance, policy: PolicySpec, weekly_means: Demand
                         "lost_walkin_penalty": lost_walkin_pen,
                         "lost_ecom_units": lost_ecom,
                     })
+            _log.info("simulate %s (lambda %g) replication %d week %d: %g units bought and "
+                      "%g sold so far, %g on hand", policy.kind, policy.lam, rep_i, week,
+                      kpi.replenish_qty, kpi.total_sales_qty, on_hand.sum())
         # nothing is in transit: orders need week + lead < weeks, and weeks > max(lead)
         kpi.excess_inventory_at_cost = float(sum(on_hand * e.purchase_cost))
         kpi.realized_profit = kpi.satisfied_revenue - kpi.shipping_cost - kpi.purchase_cost

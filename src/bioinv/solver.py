@@ -15,9 +15,12 @@ fixes binaries through column bounds (binaries are never split or negated).
 A fractional root LP is the first node, re-solved from its own basis; every
 node is re-optimized by dual simplex from its parent's optimal basis and
 split by the branching rule `_branch`.  An open node keeps only that basis,
-the column statuses and the phase-1 row flips, shared with its sibling; its
-tableau is rebuilt from that basis by Gauss-Jordan elimination when it is
-popped.  Family members are re-optimized by dual simplex from the last
+the column statuses and the phase-1 row flips, shared with its sibling.  The
+tableau is rebuilt from that basis by Gauss-Jordan elimination when the first
+of the two is popped, and a copy of the rebuilt tableau is kept for the
+other: the rebuild reads neither bounds, right-hand side nor cost, so the
+sibling popped next re-optimizes that copy, bit for bit what its own rebuild
+would give.  Family members are re-optimized by dual simplex from the last
 optimal basis.  A re-optimization is accepted only within 1e-12 of the
 bounds.  An LP is solved cold when its basis matrix is singular or the dual
 simplex gives up, and reported infeasible without a cold solve when a row
@@ -56,12 +59,15 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
+import logging
 import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+_log = logging.getLogger(__name__)
 
 INF = float("inf")
 
@@ -451,10 +457,12 @@ class _Simplex:
         return sx
 
     def copy(self) -> _Simplex:
-        """An independent copy; b, flip and cost are never written in place."""
+        """An independent copy; b, flip and cost are never written in place.
+        A simplex from `from_basis` or `grown` has no basic values yet."""
         sx = copy.copy(self)
         for name in ("T", "lb", "ub", "status", "basis", "bhat"):
-            setattr(sx, name, getattr(self, name).copy())
+            if hasattr(self, name):
+                setattr(sx, name, getattr(self, name).copy())
         return sx
 
     def _nonbasic_values(self) -> np.ndarray:
@@ -717,7 +725,6 @@ def _solve_lp(model: LinearModel, t0: float) -> Solution:
             sol = std.solution(sx, "optimal", t0)
             if _rows_met(model, sol.x):
                 model._phase1 = _Kept(key, std, None, None, sx)
-                sol.stats.wall_time = time.perf_counter() - t0
                 return sol
         del sx  # freed before the cold solve
     _, sol, sx = _solve_from_phase1(model, key, t0)
@@ -789,19 +796,26 @@ def solve(model: LinearModel, limits: dict | None = None,
     if problems:
         raise SolverError("invalid model: " + "; ".join(problems))
     t0 = time.perf_counter()
-    limits = limits or {}
+    binaries = [j for j in range(model.num_vars) if model.kind[j] == BINARY]
+    if binaries:
+        sol = _branch_and_bound(model, binaries, limits or {}, incumbent, t0)
+    else:
+        sol = _solve_lp(model, t0)
+    sol.stats.wall_time = time.perf_counter() - t0
+    _log.debug("solve %s: %s, %d nodes, %d simplex iterations, %.4f s", model.name,
+               sol.status, sol.stats.nodes, sol.stats.simplex_iterations, sol.stats.wall_time)
+    return sol
+
+
+def _branch_and_bound(model: LinearModel, binaries: list[int], limits: dict,
+                      incumbent: tuple[float, np.ndarray] | None, t0: float) -> Solution:
+    """The mixed-binary model by best-bound branch-and-bound on `binaries`;
+    the caller sets the wall time."""
     time_limit = limits.get("time")
     node_limit = limits.get("nodes")
-
-    binaries = [j for j in range(model.num_vars) if model.kind[j] == BINARY]
-    if not binaries:
-        sol = _solve_lp(model, t0)
-        sol.stats.wall_time = time.perf_counter() - t0
-        return sol
     std, sol, root = _solve_from_phase1(model, _key(model), t0)
     stats = SolveStats(simplex_iterations=sol.stats.simplex_iterations, nodes=1)  # the root
     if sol.status == "unbounded":
-        stats.wall_time = time.perf_counter() - t0
         return Solution("unbounded", float("nan"), None, stats)
 
     # The tree minimizes sgn * objective.  Negation is exact, and so is the
@@ -826,6 +840,9 @@ def solve(model: LinearModel, limits: dict | None = None,
             best_x[binaries] = [round(v) for v in best_x[binaries]]  # np.round keeps -0.0
     del root  # the state holds no tableau, so the root's simplex is freed here
 
+    # (parent state, its rebuilt simplex before any re-optimization) of the
+    # last rebuild, for the sibling of the node that made it
+    spare = None
     while heap:  # left non-empty only by a limit
         if (time_limit is not None and time.perf_counter() - t0 > time_limit
                 or node_limit is not None and stats.nodes >= node_limit):
@@ -835,12 +852,18 @@ def solve(model: LinearModel, limits: dict | None = None,
             continue
         # the node LP: binaries sit unsplit and unnegated at std.pos, so a
         # fixing is a change of column bounds only; re-optimized from the
-        # parent's basis, column statuses and row flips
+        # parent's basis, column statuses and row flips, rebuilt once for
+        # both siblings (a singular basis, None, sends both cold)
         lb, ub = std.lb.copy(), std.ub.copy()
         for j, (lo, hi) in fixings.items():
             lb[std.pos[j]], ub[std.pos[j]] = lo, hi
-        sol, sx = std.solve(std.b, lb, ub, _Simplex.from_basis(
-            std.A, std.b, std.c, lb, ub, *parent))
+        if spare is not None and spare[0] is parent:
+            warm, spare = spare[1], None
+        else:
+            warm = _Simplex.from_basis(std.A, std.b, std.c, lb, ub, *parent)
+            spare = (parent, None if warm is None else warm.copy())
+        sol, sx = std.solve(std.b, lb, ub, warm)
+        del warm
         state = (sx.basis, sx.status, sx.flip)
         del sx  # the state holds no tableau, so the node's simplex is freed here
         stats.simplex_iterations += sol.stats.simplex_iterations
@@ -857,7 +880,6 @@ def solve(model: LinearModel, limits: dict | None = None,
         for child in children:  # both re-optimize from this node's basis
             heapq.heappush(heap, (obj, next(tick), child, state))
 
-    stats.wall_time = time.perf_counter() - t0
     if best_x is None:
         return Solution("limit" if heap else "infeasible", float("nan"), None, stats)
     return Solution("limit" if heap else "optimal", sgn * best, best_x, stats)

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -323,6 +324,45 @@ class TestSimulate:
                                "--out", str(tmp_path / "recorded")]) == 0
         assert seen and set(seen) == {(0.1, 3, "exact_mip")}
         assert ledger(tmp_path / "recorded")["solver_failures"] == str(len(seen))
+
+
+class TestLogging:
+    def test_silent_by_default_and_one_line_per_ccg_iteration(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ["solve", os.path.join(DATA, "example_walkin_p80_b80.json"),
+                "--means", os.path.join(DATA, "example_walkin_means.json"),
+                "--lambda", "0.5", "--out", str(out), "--force"]
+        assert run_cli(args) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        files = {name: (out / name).read_bytes() for name in ("bound_trace.csv",
+                                                               "run_manifest.json")}
+        iterations = json.load(open(out / "solve_report.json"))["iterations"]
+        assert iterations > 1
+        for _ in range(2):  # a second call in the process does not stack handlers
+            assert run_cli(["-v"] + args) == 0
+            loud = capsys.readouterr()
+            assert loud.out == quiet.out
+            lines = loud.err.splitlines()
+            assert len(lines) == iterations
+            assert all(line.startswith("bioinv.ccg INFO: ccg iteration") for line in lines)
+            assert files == {name: (out / name).read_bytes() for name in files}
+        log = logging.getLogger("bioinv")
+        assert log.handlers == [] and log.level == logging.NOTSET
+        assert run_cli(["-vv"] + args) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert sum("ccg iteration" in line for line in lines) == iterations
+        assert any(line.startswith("bioinv.solver DEBUG: solve subproblem: optimal")
+                   for line in lines)
+
+    def test_one_line_per_simulated_week(self, tmp_path, capsys):
+        assert run_cli(["-v", "simulate", os.path.join(DATA, "reference_sim_instance.json"),
+                        "--means", os.path.join(DATA, "reference_sim_means.json"),
+                        "--policy", "basestock", "pwl", "--weeks", "3",
+                        "--replications", "2", "--out", str(tmp_path / "sim")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 * 2 * 3
+        assert all(line.startswith("bioinv.simulate INFO: simulate ") for line in lines)
 
 
 class TestEntrypoint:

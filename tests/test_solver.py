@@ -640,6 +640,49 @@ def test_tableau_rebuilt_from_basis_matches_pivoted_tableau():
             np.zeros(7, dtype=np.int8), np.zeros(2, dtype=bool)) is None
 
 
+def _arrays(sx):
+    return {k: v.tobytes() for k, v in vars(sx).items() if isinstance(v, np.ndarray)}
+
+
+def test_copies_of_rebuilt_and_grown_simplexes_are_independent():
+    # neither a rebuilt nor a grown simplex has basic values before its
+    # re-optimization; a copy re-optimized under other bounds leaves the
+    # original as it was, and a copy of a rebuild is bit for bit the rebuild
+    # made under the copy's bounds
+    rng = np.random.default_rng(23)
+    rebuilt = grown = 0
+    for trial in range(60):
+        std = solver._StandardLP(_random_mixed_binary(rng, trial))
+        sx = solver._Simplex(std.A, std.b, std.c, std.lb, std.ub)
+        if sx.solve() != "optimal":
+            continue
+        state = (sx.basis, sx.status, sx.flip)
+        lb, ub = std.lb.copy(), std.ub.copy()
+        j = int(rng.integers(std.ncols))
+        if np.isfinite(ub[j]):
+            lb[j] = ub[j]
+        else:
+            ub[j] = lb[j] + 1.0
+        wx = solver._Simplex.from_basis(std.A, std.b, std.c, std.lb, std.ub, *state)
+        # a grown simplex: one new row, the sum of the columns pinned to its
+        # value at the optimum
+        xs = sx._assemble()[: sx.n]
+        row = np.ones((1, sx.n))
+        gx = sx.grown(row, np.append(std.b, xs.sum()), std.c, std.lb, std.ub, sx.n, 0)
+        for orig, bounds in ((wx, (lb, ub)), (gx, (std.lb, std.ub))):
+            before = _arrays(orig)
+            cp = orig.copy()
+            assert cp.reoptimize(cp.b, *bounds) in ("optimal", "infeasible", None)
+            assert _arrays(orig) == before, trial
+        fresh = solver._Simplex.from_basis(std.A, std.b, std.c, lb, ub, *state)
+        cp = wx.copy()
+        assert cp.reoptimize(std.b, lb, ub) == fresh.reoptimize(std.b, lb, ub)
+        assert _arrays(cp) == _arrays(fresh) and cp.iterations == fresh.iterations, trial
+        rebuilt += 1
+        grown += gx.reoptimize(gx.b, std.lb, std.ub) == "optimal"
+    assert rebuilt >= 25 and grown >= 25
+
+
 def _random_family(rng, n, rows, k):
     """A random LP with finite bounds, plus right-hand sides of its first
     rows and upper bounds of its first columns for k members (some repeated,
@@ -1219,32 +1262,33 @@ def _assert_same_tree(model, **kw):
 
 
 def _compare_with_incumbents(model, seen):
-    """Plain, under a node limit of 2, and with the plain optimum (and that
+    """Plain, under node limits of 2 and 3 (the limit of 3 falls between
+    the root's first two children), and with the plain optimum (and that
     optimum less a relative 1e-7) as the incumbent."""
     sol = _assert_same_tree(model)
     seen.append(sol)
-    seen.append(_assert_same_tree(model, limits={"nodes": 2}))
+    for nodes in (2, 3):
+        seen.append(_assert_same_tree(model, limits={"nodes": nodes}))
     if sol.x is not None:
         value = sum(v * sol.x[j] for j, v in model.obj.items()) + model.obj_const
         worse = value - (1e-7 * abs(value) + 1e-9) * (1 if model.obj_sense == "max" else -1)
         for inc in (value, worse):
             seen.append(_assert_same_tree(model, incumbent=(inc, sol.x)))
-            seen.append(_assert_same_tree(model, limits={"nodes": 2}, incumbent=(inc, sol.x)))
+            for nodes in (2, 3):
+                seen.append(_assert_same_tree(model, limits={"nodes": nodes},
+                                              incumbent=(inc, sol.x)))
 
 
-def test_branch_and_bound_matches_the_reference_tree_on_random_models():
-    seen = []
+def _random_models():
     for seed, make, trials in ((61, _random_mixed_binary, 60), (62, _random_sos1_model, 50),
                                (63, _random_knapsack, 30)):
         for trial in range(trials):
-            _compare_with_incumbents(make(np.random.default_rng([seed, trial]), trial), seen)
-    statuses = [s.status for s in seen]
-    assert statuses.count("limit") >= 150 and statuses.count("infeasible") >= 50
-    assert sum(s.stats.nodes > 4 for s in seen) >= 120
+            yield make(np.random.default_rng([seed, trial]), trial)
 
 
-def test_branch_and_bound_matches_the_reference_tree_on_subproblem_mips():
-    seen = []
+def _subproblem_mips():
+    """Subproblem MIPs of three small instances, each at three weights: one
+    model per instance, re-pointed between the yields."""
     for stores, dcs, zones, horizon, seed in ((2, 0, 1, 1, 1), (2, 1, 1, 1, 2), (2, 0, 1, 2, 1)):
         inst, means = synthetic_instance(stores, dcs, zones, seed=seed, horizon=horizon)
         uset = quantile_bounds_from_means(means)
@@ -1254,8 +1298,46 @@ def test_branch_and_bound_matches_the_reference_tree_on_subproblem_mips():
         sub = build_subproblem(inst, uset, alloc, 0.3)
         for lam in (0.0, 0.3, 1.0):
             set_allocation(sub, inst, alloc, lam)
-            _compare_with_incumbents(sub, seen)
+            yield sub
+
+
+def test_branch_and_bound_matches_the_reference_tree_on_random_models():
+    seen = []
+    for model in _random_models():
+        _compare_with_incumbents(model, seen)
+    statuses = [s.status for s in seen]
+    assert statuses.count("limit") >= 150 and statuses.count("infeasible") >= 50
+    assert sum(s.stats.nodes > 4 for s in seen) >= 120
+
+
+def test_branch_and_bound_matches_the_reference_tree_on_subproblem_mips():
+    seen = []
+    for sub in _subproblem_mips():
+        _compare_with_incumbents(sub, seen)
     assert max(s.stats.nodes for s in seen) > 4
+
+
+def test_each_parent_basis_is_rebuilt_once_for_both_children(monkeypatch):
+    # a node's two children re-optimize from one rebuild of its basis: no
+    # parent state is rebuilt twice, and a tree makes about one rebuild per
+    # sibling pair
+    rebuilt = {}  # id of each rebuilt basis -> the basis, held so ids stay unique
+    plain = solver._Simplex.from_basis.__func__
+
+    def counting(cls, A, b, c, lb, ub, basis, status, flip):
+        assert id(basis) not in rebuilt, "a parent state rebuilt twice"
+        rebuilt[id(basis)] = basis
+        return plain(cls, A, b, c, lb, ub, basis, status, flip)
+
+    monkeypatch.setattr(solver._Simplex, "from_basis", classmethod(counting))
+    trees = 0
+    for model in itertools.chain(_subproblem_mips(), _random_models()):
+        before = len(rebuilt)
+        sol = solve(model)
+        if sol.stats.nodes > 10:
+            assert len(rebuilt) - before <= sol.stats.nodes // 2 + 1, model.name
+            trees += 1
+    assert trees >= 20
 
 
 def test_integral_root_is_accepted_only_when_strictly_better():
