@@ -18,11 +18,12 @@ split by the branching rule `_branch`.  An open node keeps only that basis,
 the column statuses and the phase-1 row flips, shared with its sibling.  The
 tableau is rebuilt from that basis by Gauss-Jordan elimination when the first
 of the two is popped, and a copy of the rebuilt tableau is kept for the
-other: the rebuild reads neither bounds, right-hand side nor cost, so the
-sibling popped next re-optimizes that copy, bit for bit what its own rebuild
-would give.  Family members are re-optimized by dual simplex from the last
-optimal basis.  A re-optimization is accepted only within 1e-12 of the
-bounds.  An LP is solved cold when its basis matrix is singular or the dual
+other (none for the root, which has no sibling): the rebuild reads neither
+bounds, right-hand side nor cost, so the sibling popped next re-optimizes
+that copy, bit for bit what its own rebuild would give.  Family members are
+re-optimized by dual simplex from the last optimal basis.  A
+re-optimization is accepted only within 1e-12 of the bounds.  A node or
+family member is solved cold when its basis matrix is singular or the dual
 simplex gives up, and reported infeasible without a cold solve when a row
 stays infeasible with no column to enter.  The primal and the dual simplex
 share one pivot step, which updates only the rows with a nonzero in the pivot
@@ -38,9 +39,13 @@ simplex of its last optimal solve, which growth does not drop: an LP that has
 only grown since, its old rows and bounds unchanged, is re-optimized by dual
 simplex from that tableau, extended by the new columns and rows (a CCG master
 after each scenario block).  `simplex_iterations` then counts the dual pivots.
-When that ends other than optimal, or its x misses a row of the model by more
-than 1e-9, the LP is solved cold.  A solve that reused the kept phase 1 (an
-objective-only change) keeps no optimum.  An LP's kept standard form drops
+That tableau is carried, not refactorized, so its round-off grows with each
+growth.  When the dual simplex ends other than optimal, or its x misses a row
+of the model by more than 1e-9, the tableau is refactorized once: rebuilt
+from the basis the dual simplex reached, as a node's is, and re-optimized
+again, `simplex_iterations` counting the dual pivots of both runs.  Only when
+that fails too is the LP solved cold.  A solve that reused the kept phase 1
+(an objective-only change) keeps no optimum.  An LP's kept standard form drops
 its dense matrix, which only node rebuilds read.
 
 Conventions:
@@ -81,9 +86,9 @@ _PIVOT_TOL = 1e-9
 # up to 9e-8 from cold solves, enough to change the chosen lambda.
 _REOPT_TOL = 1e-12
 # A grown LP's warm solve must meet each of the model's rows this closely,
-# else it is solved cold.  Its tableau is carried over from solve to solve
-# and never refactorized; a CCG master grown by three scenario blocks missed
-# a row by 8e-9, where cold solves stay within 3e-11.
+# else it is refactorized.  Its tableau is carried over from solve to solve;
+# a CCG master grown by three scenario blocks missed a row by 8e-9, where
+# cold solves stay within 3e-11.
 _ROW_TOL = 1e-9
 
 CONTINUOUS = "continuous"
@@ -411,11 +416,13 @@ class _Simplex:
         nonzero = (A != 0)[:, cols]
         single = np.count_nonzero(nonzero, axis=0) == 1
         rows = np.argmax(nonzero[:, single], axis=0)
-        if taken[rows].any() or np.unique(rows).size < rows.size:
+        # counted, not by np.unique, whose first call imports numpy.ma (1.5 MB)
+        before = np.count_nonzero(taken)
+        taken[rows] = True
+        if np.count_nonzero(taken) < before + rows.size:
             return None  # two basic columns on one unit vector
         T[rows] /= T[rows, cols[single]][:, None]
         sx.basis[rows] = cols[single]
-        taken[rows] = True
         for col in cols[~single]:
             cand = np.where(taken, 0.0, np.abs(T[:, col]))
             r = int(np.argmax(cand))
@@ -454,6 +461,7 @@ class _Simplex:
         sx.flip = np.concatenate([self.flip, np.zeros(m - m0, dtype=bool)])
         sx.b, sx.cost = b.astype(float), np.concatenate([c, np.zeros(m)])
         sx.lb, sx.ub = np.concatenate([lb, np.zeros(m)]), np.concatenate([ub, np.zeros(m)])
+        sx.iterations = 0
         return sx
 
     def copy(self) -> _Simplex:
@@ -707,10 +715,13 @@ def _solve_from_phase1(model: LinearModel, key: tuple, t0: float):
 
 def _solve_lp(model: LinearModel, t0: float) -> Solution:
     """The LP `model`, re-optimized by dual simplex from its last optimal
-    simplex when it has only grown since and that ends optimal with every
-    row met, else by `_solve_from_phase1`.  The simplex of an optimal solve
-    is kept on the model, unless the solve reused the kept phase 1: such a
-    model is re-solved under a new objective, not grown."""
+    simplex when it has only grown since, else by `_solve_from_phase1`.
+    When that re-optimization ends other than optimal or misses a row, the
+    tableau is refactorized once, rebuilt from the basis the dual simplex
+    reached, and re-optimized again; only when that fails too is the LP
+    solved cold.  The simplex of an optimal solve is kept on the model,
+    unless the solve reused the kept phase 1: such a model is re-solved
+    under a new objective, not grown."""
     key, kept = _key(model), model._phase1
     grown = kept is not None and kept.optimal is not None and kept.phase1 is None \
         and _extends(key, kept.key)
@@ -721,11 +732,29 @@ def _solve_lp(model: LinearModel, t0: float) -> Solution:
         sx = kept.optimal.grown(std.A, std.b, std.c, std.lb, std.ub,
                                 kept.std.ncols, std.ncols - kept.std.ncols)
         del std.A, kept
-        if sx.reoptimize(std.b, std.lb, std.ub) == "optimal":
-            sol = std.solution(sx, "optimal", t0)
-            if _rows_met(model, sol.x):
-                model._phase1 = _Kept(key, std, None, None, sx)
-                return sol
+        pivots = 0
+        for refactorized in (False, True):
+            status = sx.reoptimize(std.b, std.lb, std.ub)
+            pivots += sx.iterations
+            if status == "optimal":
+                sol = std.solution(sx, status, t0)
+                if _rows_met(model, sol.x):
+                    sol.stats.simplex_iterations = pivots  # of both runs
+                    model._phase1 = _Kept(key, std, None, None, sx)
+                    return sol
+            why = {"optimal": "row missed", "infeasible": "ended infeasible",
+                   None: "gave up"}[status]
+            if refactorized:
+                break
+            _log.debug("grown LP %s refactorized after %d dual pivots: %s",
+                       model.name, pivots, why)
+            state = (sx.basis, sx.status, sx.flip)
+            del sx  # freed before the matrix is built; the matrix goes with the rebuild
+            sx = _Simplex.from_basis(_StandardLP(model).A, std.b, std.c, std.lb, std.ub, *state)
+            if sx is None:
+                why = "singular basis"
+                break
+        _log.debug("grown LP %s solved cold after %d dual pivots: %s", model.name, pivots, why)
         del sx  # freed before the cold solve
     _, sol, sx = _solve_from_phase1(model, key, t0)
     if sol.status != "optimal" or reused:
@@ -861,7 +890,8 @@ def _branch_and_bound(model: LinearModel, binaries: list[int], limits: dict,
             warm, spare = spare[1], None
         else:
             warm = _Simplex.from_basis(std.A, std.b, std.c, lb, ub, *parent)
-            spare = (parent, None if warm is None else warm.copy())
+            # the root, the one node with no fixings, has no sibling to read a copy
+            spare = (parent, None if warm is None or not fixings else warm.copy())
         sol, sx = std.solve(std.b, lb, ub, warm)
         del warm
         state = (sx.basis, sx.status, sx.flip)

@@ -4,6 +4,8 @@ import heapq
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from itertools import product
 
-from bioinv import solver
+from bioinv import ccg, simulate, solver
 from bioinv.ccg import ALTERNATING, CcgOptions, seed_scenario, solve_two_stage
 from bioinv.formulations import (Allocation, BioConfig, add_master_scenario, build_master,
                                  build_subproblem, extract_allocation, set_allocation)
@@ -1051,6 +1053,97 @@ def test_grown_master_falls_back_to_the_cold_solve(monkeypatch, refuse):
     assert _same_solution(sol, solve(build_master(inst, uset, pool, cfg)))
 
 
+@pytest.mark.parametrize("lam, iterations, objective", [(0.0, 7, -2200.6492151209145),
+                                                        (0.1, 6, -2027.9747460753208)])
+def test_reference_plan_masters_run_phase1_once(monkeypatch, lam, iterations, objective):
+    # the week-0 plans of `simulate --policy bio0 bio10` on the shipped
+    # reference fixtures: one grown master of each ends its dual simplex with
+    # a row 1-2e-12 outside its bound and no column to enter; refactorized,
+    # it re-optimizes warm, so phase 1 runs on the first master only
+    runs = _count_phase1(monkeypatch)
+    inst = load_instance(os.path.join(DATA, "reference_sim_instance.json"))
+    with open(os.path.join(DATA, "reference_sim_means.json")) as fh:
+        doc = json.load(fh)
+    uset = quantile_bounds_from_means(
+        DemandMeans(np.array(doc["walkin"][:2]), np.array(doc["online"][:2])),
+        simulate.POLICY_LOWER_Q, simulate.POLICY_UPPER_Q)
+    masters, solve_ = [], ccg.solve
+
+    def solving(model, *args, **kwargs):
+        before = len(runs)
+        sol = solve_(model, *args, **kwargs)
+        if model.name == "master":
+            masters.append(len(runs) - before)
+        return sol
+
+    monkeypatch.setattr(ccg, "solve", solving)
+    rep = solve_two_stage(inst, uset, BioConfig(lam=lam), simulate.PolicySpec("bio", lam).ccg)
+    assert rep.iterations == iterations and masters == [1] + [0] * (iterations - 1)
+    assert rep.objective == pytest.approx(objective, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("pivoted", [False, True])
+def test_grown_master_refactorizes_when_the_dual_simplex_gives_up(monkeypatch, pivoted):
+    # the first re-optimization of a grown master gives up, at once or after
+    # its pivots; the tableau rebuilt from the basis it reached re-optimizes
+    # to the cold solve's objective with no phase 1, and simplex_iterations
+    # counts the dual pivots of both runs
+    runs = _count_phase1(monkeypatch)
+    master, inst, uset, cfg, pool = _grown_reference_master()
+    add_master_scenario(master, inst, pool[2], cfg)
+    reoptimize, pivots = solver._Simplex.reoptimize, []
+
+    def first_gives_up(sx, *args):
+        status = reoptimize(sx, *args) if pivots or pivoted else None
+        pivots.append(sx.iterations)
+        return status if len(pivots) > 1 else None
+
+    monkeypatch.setattr(solver._Simplex, "reoptimize", first_gives_up)
+    before = len(runs)
+    sol = solve(master)
+    assert len(runs) == before and len(pivots) == 2
+    assert (pivots[0] > 0) == pivoted
+    assert sol.status == "optimal" and sol.stats.simplex_iterations == sum(pivots)
+    # the rebuilt simplex is kept for the next growth, without the matrix
+    assert master._phase1.optimal is not None and not hasattr(master._phase1.std, "A")
+    monkeypatch.undo()
+    cold = solve(build_master(inst, uset, pool, cfg))
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("refuse, why", [("gives up", "gave up"),
+                                         ("ends infeasible", "ended infeasible"),
+                                         ("misses a row", "row missed"),
+                                         ("gives up once", "gave up")])
+def test_grown_lp_logs_its_refactorization_and_cold_solve(monkeypatch, caplog, capsys,
+                                                          refuse, why):
+    # one DEBUG line when a grown LP is refactorized and one when it still
+    # goes cold, each with the model, the dual pivots so far and the reason
+    master, inst, uset, cfg, pool = _grown_reference_master()
+    add_master_scenario(master, inst, pool[2], cfg)
+    reoptimize, pivots = solver._Simplex.reoptimize, []
+
+    def refusing(sx, *args):
+        status = reoptimize(sx, *args)
+        pivots.append(sx.iterations)
+        if refuse == "misses a row" or refuse == "gives up once" and len(pivots) > 1:
+            return status
+        return "infeasible" if refuse == "ends infeasible" else None
+
+    monkeypatch.setattr(solver._Simplex, "reoptimize", refusing)
+    if refuse == "misses a row":
+        monkeypatch.setattr(solver, "_ROW_TOL", -1.0)
+    with caplog.at_level("DEBUG", logger="bioinv"):
+        assert solve(master).status == "optimal"
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("grown LP")]
+    expected = [f"grown LP master refactorized after {pivots[0]} dual pivots: {why}"]
+    if refuse != "gives up once":
+        expected.append(f"grown LP master solved cold after {sum(pivots)} dual pivots: {why}")
+    assert len(pivots) == 2 and pivots[0] > 0 and lines == expected
+    assert all(r.levelname == "DEBUG" and r.name == "bioinv.solver" for r in caplog.records)
+    assert capsys.readouterr().out == ""
+
+
 def test_solved_models_are_freed_without_the_cycle_collector():
     import gc
     import weakref
@@ -1338,6 +1431,54 @@ def test_each_parent_basis_is_rebuilt_once_for_both_children(monkeypatch):
             assert len(rebuilt) - before <= sol.stats.nodes // 2 + 1, model.name
             trees += 1
     assert trees >= 20
+
+
+def test_the_root_pop_takes_no_spare_copy(monkeypatch):
+    # the fractional root, the first node popped, has no sibling: its
+    # rebuild is not copied, while every later rebuild keeps a copy for its
+    # sibling
+    events = []
+    plain, copy_ = solver._Simplex.from_basis.__func__, solver._Simplex.copy
+
+    def rebuilding(cls, *args):
+        sx = plain(cls, *args)
+        events.append("singular" if sx is None else "rebuild")
+        return sx
+
+    monkeypatch.setattr(solver._Simplex, "from_basis", classmethod(rebuilding))
+    monkeypatch.setattr(solver._Simplex, "copy", lambda sx: events.append("copy") or copy_(sx))
+    roots = later = 0
+    for model in itertools.chain(_subproblem_mips(), _random_models()):
+        events.clear()
+        solve(model)
+        nodes = [i for i, e in enumerate(events) if e != "copy"]
+        if not nodes:
+            continue
+        if events[nodes[0]] == "rebuild":
+            assert events[nodes[0] + 1: nodes[0] + 2] != ["copy"], model.name
+            roots += 1
+        for i in nodes[1:]:
+            if events[i] == "rebuild":
+                assert events[i + 1] == "copy", model.name
+                later += 1
+    assert roots >= 50 and later >= 500
+
+
+def test_node_rebuilds_leave_numpy_ma_unimported():
+    # np.unique's first call imports numpy.ma, 1.5 MB of resident memory
+    # that a run paid at its first tableau rebuild
+    code = """import sys
+from bioinv.solver import BINARY, LinearModel, solve
+m = LinearModel(sense="max")
+for i in range(3):
+    m.add_var(f"x{i}", 0.0, 1.0, BINARY)
+m.add_constr({0: 2.0, 1: 3.0, 2: 4.0}, "<=", 6.0)
+m.set_objective({0: 3.0, 1: 4.0, 2: 5.0})
+sol = solve(m)
+print(sol.status, sol.stats.nodes, "numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.split() == ["optimal", "4", "False"], proc.stderr
 
 
 def test_integral_root_is_accepted_only_when_strictly_better():
