@@ -39,6 +39,7 @@ _log = logging.getLogger(__name__)
 
 EXACT_MIP = "exact_mip"
 ALTERNATING = "alternating_heuristic"
+GAP_DENOMINATOR_GUARD = 1e-5   # keeps the relative gap finite at objective 0
 
 
 class CcgError(Exception):
@@ -50,7 +51,6 @@ class CcgError(Exception):
 @dataclass
 class CcgOptions:
     epsilon: float = 1e-4          # relative gap tolerance
-    delta: float = 1e-5            # denominator guard in the gap test
     max_iterations: int = 20
     max_seconds: float = 300.0
     subproblem_mode: str = EXACT_MIP
@@ -58,8 +58,8 @@ class CcgOptions:
     rescore_worst_case: bool = True
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.delta <= 0:
-            raise CcgError("epsilon and delta must be positive")
+        if self.epsilon <= 0:
+            raise CcgError("epsilon must be positive")
         if self.max_iterations < 1 or self.max_seconds <= 0:
             raise CcgError("limits must be >= 1")
         if self.subproblem_mode not in (EXACT_MIP, ALTERNATING):
@@ -314,7 +314,7 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
             report.d_plus, report.d_o_plus = d_plus, d_o_plus
         report.lower_bounds.append(report.objective)
 
-        gap = ((ub - report.objective) / (abs(report.objective) + options.delta)
+        gap = ((ub - report.objective) / (abs(report.objective) + GAP_DENOMINATOR_GUARD)
                if np.isfinite(report.objective) else np.inf)
         _log.info("ccg iteration %d: lb %.6f, ub %.6f, gap %.3g, pool %d, "
                   "%d branch-and-bound nodes", report.iterations, report.objective, ub, gap,

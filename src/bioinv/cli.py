@@ -21,6 +21,8 @@ from .reference import synthetic_instance
 from .simulate import PolicySpec, batch_evaluate, kpi_table, run_rolling_horizon
 from .tuning import DEFAULT_GRID, ScoringObjective, tune_lambda
 from .uncertainty import (
+    DEFAULT_LOWER_Q,
+    DEFAULT_UPPER_Q,
     DemandMeans,
     UncertaintyError,
     UncertaintySet,
@@ -70,8 +72,7 @@ def _manifest(args) -> dict:
 
 def _ccg_options(args) -> CcgOptions:
     return CcgOptions(
-        epsilon=args.epsilon, delta=args.delta,
-        max_iterations=args.max_iterations, max_seconds=args.max_seconds,
+        epsilon=args.epsilon, max_iterations=args.max_iterations, max_seconds=args.max_seconds,
         subproblem_mode=args.subproblem_mode,
     )
 
@@ -84,16 +85,21 @@ def _uncertainty_for(args, inst) -> UncertaintySet:
                                           args.lower_q, args.upper_q)
     else:
         raise CliError("provide --uncertainty or --means")
+    path = args.uncertainty or args.means
     if uset.horizon != inst.horizon:
-        raise CliError(f"{args.uncertainty or args.means}: demand horizon {uset.horizon} "
+        raise CliError(f"{path}: demand horizon {uset.horizon} "
                        f"does not match the instance horizon {inst.horizon}")
+    for ch, label, count, unit in (("b", "walk-in", inst.num_nodes, "nodes"),
+                                   ("o", "online", inst.num_zones, "zones")):
+        if uset.size(ch) != count:
+            raise CliError(f"{path}: {label} demand has {uset.size(ch)} columns, "
+                           f"but the instance has {count} {unit}")
     return uset
 
 
 def _add_ccg_flags(sp):
     opts = CcgOptions()
     sp.add_argument("--epsilon", type=float, default=opts.epsilon)
-    sp.add_argument("--delta", type=float, default=opts.delta)
     sp.add_argument("--max-iterations", type=int, default=opts.max_iterations)
     sp.add_argument("--max-seconds", type=float, default=opts.max_seconds)
     sp.add_argument("--subproblem-mode", default=opts.subproblem_mode,
@@ -187,8 +193,7 @@ def cmd_simulate(args) -> int:
     policies = {}
     for name in args.policy:
         if name.startswith("bio"):
-            lam = float(name[3:]) / 100.0 if len(name) > 3 else args.lam
-            spec = PolicySpec("bio", lam=lam)
+            spec = PolicySpec("bio", lam=float(name[3:] or 0) / 100)
             spec.ccg.max_iterations = args.max_iterations
             spec.ccg.subproblem_mode = args.subproblem_mode
         else:
@@ -253,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--uncertainty", help="uncertainty-set JSON")
     p.add_argument("--means", help="demand means JSON (Poisson quantile bounds)")
-    p.add_argument("--lower-q", type=float, default=0.05)
-    p.add_argument("--upper-q", type=float, default=0.95)
+    p.add_argument("--lower-q", type=float, default=DEFAULT_LOWER_Q)
+    p.add_argument("--upper-q", type=float, default=DEFAULT_UPPER_Q)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--allied", default="walkin", choices=["walkin", "both"])
     p.add_argument("--integer", action="store_true")
@@ -280,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--family", default="poisson", choices=["poisson", "uniform"])
-    p.add_argument("--lower-q", type=float, default=0.05)
-    p.add_argument("--upper-q", type=float, default=0.95)
+    p.add_argument("--lower-q", type=float, default=DEFAULT_LOWER_Q)
+    p.add_argument("--upper-q", type=float, default=DEFAULT_UPPER_Q)
     p.add_argument("--method", default="grid", choices=["grid", "bisection"])
     p.add_argument("--grid", help="comma-separated lambda values")
     p.add_argument("--objective", default="mean",
@@ -298,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--means", required=True, help="weekly demand means JSON")
     p.add_argument("--policy", nargs="+", default=["basestock"],
-                   help="basestock | pwl | bio | bioNN (e.g. bio10)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+                   help="basestock | pwl | bio | bioNN: bio plans at lambda NN/100 "
+                        "(bio10 is 0.1, bio is 0)")
     p.add_argument("--weeks", type=int, default=3)
     p.add_argument("--replications", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
@@ -332,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--means", required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--family", default="poisson", choices=["poisson", "uniform"])
-    p.add_argument("--lower-q", type=float, default=0.05)
-    p.add_argument("--upper-q", type=float, default=0.95)
+    p.add_argument("--lower-q", type=float, default=DEFAULT_LOWER_Q)
+    p.add_argument("--upper-q", type=float, default=DEFAULT_UPPER_Q)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-file", required=True)
     p.add_argument("--force", action="store_true")

@@ -193,6 +193,14 @@ def structural_problems(inst: Instance) -> list[str]:
                 out.append(
                     f"inventory.pipeline[{net.nodes[l]}]: expected lead_time+1 = "
                     f"{inst.inventory.lead_time[l] + 1} entries, got {len(inst.inventory.pipeline[l])}")
+    # the models read a window's day threshold and a capacity per (period, node)
+    br = inst.business_rules
+    if br.service_window_fraction is not None and br.service_window_days is None:
+        out.append("business_rules.service_window_fraction: set without service_window_days")
+    for name in ("transport_capacity", "fulfill_capacity"):
+        cap = getattr(br, name)
+        if cap is not None and np.shape(cap) != (T, L):
+            out.append(f"business_rules.{name}: expected shape {(T, L)}, got {np.shape(cap)}")
     return out
 
 
@@ -251,19 +259,13 @@ def validate_instance(inst: Instance) -> list[str]:
             out.append(f"eligibility: ship_edge from non-SFS-eligible node {n!r}")
 
     br = inst.business_rules
-    if br.service_window_fraction is not None:
-        if not 0.0 <= br.service_window_fraction <= 1.0:
-            out.append(f"business-rules: service_window_fraction {br.service_window_fraction} "
-                       "outside [0,1]")
-        if br.service_window_days is None:
-            out.append("business-rules: service_window_fraction set without service_window_days")
+    if br.service_window_fraction is not None and not 0.0 <= br.service_window_fraction <= 1.0:
+        out.append(f"business-rules: service_window_fraction {br.service_window_fraction} "
+                   "outside [0,1]")
     for name, cap in (("transport_capacity", br.transport_capacity),
                       ("fulfill_capacity", br.fulfill_capacity)):
-        if cap is not None:
-            if cap.shape != (T, L):
-                out.append(f"business-rules: {name} expected shape {(T, L)}, got {cap.shape}")
-            elif (cap < 0).any():
-                out.append(f"business-rules: {name} has negative entries")
+        if cap is not None and (cap < 0).any():
+            out.append(f"business-rules: {name} has negative entries")
     return out
 
 

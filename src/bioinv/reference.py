@@ -94,7 +94,6 @@ def synthetic_instance(stores: int, dcs: int, zones: int, seed: int,
 
 REFERENCE_SIM_SEED = 7321
 REFERENCE_SIM_WEEKS = 3
-REFERENCE_SIM_REPLICATIONS = 30
 
 
 def reference_sim_setup():

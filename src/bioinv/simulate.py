@@ -137,11 +137,9 @@ def fulfill_order_stream(orders: list[tuple], on_hand: np.ndarray, reserves,
 # rolling-horizon business-value simulation
 # ---------------------------------------------------------------------------
 
-# days per simulated week; the PWL class-2 discount; the Poisson quantiles
-# of the bio policy's uncertainty set
+# days per simulated week; the PWL class-2 discount
 DAYS_PER_WEEK = 7
 PWL_DISCOUNT = 0.5
-POLICY_LOWER_Q, POLICY_UPPER_Q = 0.05, 0.95
 # a policy solve that fails with one of these counts as a solver failure and
 # orders nothing that week; any other exception is a bug and propagates
 POLICY_ERRORS = (SolverError, FormulationError, CcgError, UncertaintyError)
@@ -192,9 +190,6 @@ class KpiReport:
     realized_profit: float = 0.0
     solver_failures: int = 0
 
-    def as_row(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 KPI_FIELDS = tuple(f.name for f in fields(KpiReport))
 
@@ -223,7 +218,7 @@ def _solve_policy(plan_inst: Instance, policy: PolicySpec, means: DemandMeans) -
         wh = infer_warehouses(plan_inst, means)
         quant = _critical_quantile_demand(plan_inst, means, wh)
         return pwl_allocation(plan_inst, means, quant, PWL_DISCOUNT)
-    uset = quantile_bounds_from_means(means, POLICY_LOWER_Q, POLICY_UPPER_Q)
+    uset = quantile_bounds_from_means(means)
     rep = solve_two_stage(plan_inst, uset, BioConfig(lam=policy.lam), policy.ccg)
     return rep.allocation
 

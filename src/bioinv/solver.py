@@ -213,30 +213,6 @@ class LinearModel:
                 problems.append(f"binary var {self.var_names[j]} bounds outside [0,1]")
         return problems
 
-    def to_lp_text(self) -> str:
-        """Dump in CPLEX LP text format for debugging against external solvers."""
-        lines = ["Maximize" if self.obj_sense == "max" else "Minimize"]
-        terms = " ".join(f"{self.obj[j]:+.17g} {self.var_names[j]}" for j in sorted(self.obj))
-        lines.append(" obj: " + (terms or "0"))
-        lines.append("Subject To")
-        for i, con in enumerate(self.constraints):
-            body = " ".join(
-                f"{v:+.17g} {self.var_names[j]}" for j, v in zip(con.cols, con.vals)
-            )
-            op = {"<=": "<=", "==": "=", ">=": ">="}[con.sense]
-            lines.append(f" c{i}: {body or '0'} {op} {con.rhs:.17g}")
-        lines.append("Bounds")
-        for j in range(self.num_vars):
-            lo = "-inf" if self.lb[j] == -INF else f"{self.lb[j]:.17g}"
-            hi = "+inf" if self.ub[j] == INF else f"{self.ub[j]:.17g}"
-            lines.append(f" {lo} <= {self.var_names[j]} <= {hi}")
-        bins = [self.var_names[j] for j in range(self.num_vars) if self.kind[j] == BINARY]
-        if bins:
-            lines.append("Binary")
-            lines.append(" " + " ".join(bins))
-        lines.append("End")
-        return "\n".join(lines)
-
 
 @dataclass
 class SolveStats:

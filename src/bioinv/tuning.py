@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ccg import CcgOptions, SolveReport, solve_two_stage
+from .ccg import CcgOptions, solve_two_stage
 from .formulations import (
     Allocation,
     BioConfig,
@@ -128,9 +128,7 @@ class ScoringObjective:
 
 def score_allocation(inst: Instance, alloc: Allocation, scenarios: list[DemandScenario],
                      objective: ScoringObjective) -> float:
-    if not scenarios:
-        raise TuningError("at least one scenario is required")
-    if len(scenarios) < objective.min_samples():
+    if len(scenarios) < objective.min_samples():   # min_samples() >= 1
         raise TuningError(
             f"{objective.kind} at level {objective.level} needs at least "
             f"{objective.min_samples()} samples, got {len(scenarios)}")
@@ -183,13 +181,19 @@ def tune_lambda(inst: Instance, uset: UncertaintySet, scenarios: list[DemandScen
     options = options or CcgOptions()
     cfg_base = cfg_base or BioConfig()
     validation, holdout = split_scenarios(scenarios, validation_fraction)
+    holdout = holdout or validation
+    # fail before the solves, not on the first score after them
+    for split, pool in (("validation", validation), ("holdout", holdout)):
+        if len(pool) < objective.min_samples():
+            raise TuningError(
+                f"{split} split holds {len(pool)} scenarios; {objective.kind} scoring "
+                f"needs at least {objective.min_samples()}")
 
     def vscore(alloc):
         return score_allocation(inst, alloc, validation, objective)
 
     def hscore(alloc):
-        pool = holdout if holdout else validation
-        return score_allocation(inst, alloc, pool, objective)
+        return score_allocation(inst, alloc, holdout, objective)
 
     if method == "grid":
         best = None
@@ -254,15 +258,6 @@ def solve_saa(inst: Instance, scenarios: list[DemandScenario],
     return Allocation(first_stage_x(m, sol)), float(sol.objective)
 
 
-def bio_value_of_allocation(inst: Instance, uset: UncertaintySet, lam: float,
-                            x: np.ndarray, options: CcgOptions | None = None,
-                            allied: str = "walkin") -> SolveReport:
-    """Exact BIO-lambda objective of a fixed allocation (the optimistic block
-    and the adversary still optimize)."""
-    cfg = BioConfig(lam=lam, allied_channels=allied)
-    return solve_two_stage(inst, uset, cfg, options, fixed_x=np.asarray(x, dtype=float))
-
-
 def verify_superposition(inst: Instance, uset: UncertaintySet, lam: float,
                          options: CcgOptions | None = None,
                          allied: str = "both") -> dict:
@@ -285,7 +280,8 @@ def verify_superposition(inst: Instance, uset: UncertaintySet, lam: float,
     predicted = lam * rep1.objective + (1.0 - lam) * rep0.objective
     residual = abs(repl.objective - predicted)
     mixed = superpose(rep0.allocation, rep1.allocation, lam)
-    rescore = bio_value_of_allocation(inst, uset, lam, mixed.x, options, allied=allied)
+    rescore = solve_two_stage(inst, uset, BioConfig(lam=lam, allied_channels=allied),
+                              options, fixed_x=mixed.x)
     return {
         "z0": rep0.objective,
         "z1": rep1.objective,

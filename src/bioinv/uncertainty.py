@@ -25,6 +25,7 @@ CHANNELS = ("b", "o")
 DISCRETE_POINT_CAP = 10_000_000
 VERTEX_DIM_LIMIT = 6
 UNIFORM_REJECTION_CAP = 10_000
+DEFAULT_LOWER_Q, DEFAULT_UPPER_Q = 0.05, 0.95
 
 
 class UncertaintyError(Exception):
@@ -68,10 +69,6 @@ class DemandScenario:
             raise UncertaintyError("walk-in and online horizons differ")
         if (self.walkin < 0).any() or (self.online < 0).any():
             raise UncertaintyError("demands must be nonnegative")
-
-    @property
-    def horizon(self) -> int:
-        return self.walkin.shape[0]
 
     def channel(self, ch: str) -> np.ndarray:
         return self.walkin if ch == "b" else self.online
@@ -266,8 +263,8 @@ def _solve_exact(M, rhs):
     return [A[i][n] for i in range(n)]
 
 
-def quantile_bounds_from_means(means: DemandMeans, lower_q: float = 0.05,
-                               upper_q: float = 0.95) -> UncertaintySet:
+def quantile_bounds_from_means(means: DemandMeans, lower_q: float = DEFAULT_LOWER_Q,
+                               upper_q: float = DEFAULT_UPPER_Q) -> UncertaintySet:
     """Poisson-quantile box and budget bounds; the budget uses the quantiles
     of the summed mean (sums of independent Poissons are Poisson)."""
     local_lower, local_upper, budget_lower, budget_upper = {}, {}, {}, {}

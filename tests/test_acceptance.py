@@ -10,6 +10,7 @@ solver or formulations.
 """
 
 import time
+from dataclasses import asdict
 from itertools import product
 
 import numpy as np
@@ -540,7 +541,7 @@ def test_criterion_10_simulator_conservation_and_fixture():
     agg2, reps2 = run_rolling_horizon(inst, PolicySpec("bio", lam=0.10), means,
                                       weeks=3, replications=30, seed=2024)
     for a, b in zip(results["bio10"][1], reps2):
-        assert a.as_row() == b.as_row()
+        assert asdict(a) == asdict(b)
 
     ro_profit = results["pure_ro"][0]["realized_profit"][0]
     bio_profit = results["bio10"][0]["realized_profit"][0]

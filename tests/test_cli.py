@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import logging
 import os
@@ -13,7 +14,7 @@ from bioinv.cli import _ccg_options, build_parser, main
 from bioinv.formulations import Allocation, evaluate_profits
 from bioinv.instance import build_instance, load_instance, save_instance
 from bioinv.simulate import PolicySpec
-from bioinv.uncertainty import load_scenarios
+from bioinv.uncertainty import load_scenarios, quantile_bounds_from_means
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -246,6 +247,15 @@ class TestParser:
         assert (args.max_iterations, args.subproblem_mode) == (
             plan.max_iterations, plan.subproblem_mode)
 
+    def test_quantile_flag_defaults_are_the_library_defaults(self):
+        params = inspect.signature(quantile_bounds_from_means).parameters
+        expected = (params["lower_q"].default, params["upper_q"].default)
+        parser = build_parser()
+        for argv in (["solve", "inst.json"], ["tune", "inst.json"],
+                     ["sample", "--means", "m.json", "--out-file", "s.json"]):
+            args = parser.parse_args(argv)
+            assert (args.lower_q, args.upper_q) == expected
+
 
 class TestHorizonCheck:
     @pytest.mark.parametrize("command", ["solve", "tune"])
@@ -260,13 +270,36 @@ class TestHorizonCheck:
         assert "demand horizon 3" in err and "instance horizon 2" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "tune"])
+    @pytest.mark.parametrize("walkin,online,message", [
+        ([[1.0] * 4], [[]], "walk-in demand has 4 columns, but the instance has 3 nodes"),
+        ([[1.0] * 2], [[]], "walk-in demand has 2 columns, but the instance has 3 nodes"),
+        ([[1.0] * 3], [[1.0]], "online demand has 1 columns, but the instance has 0 zones"),
+    ], ids=["4-walkin", "2-walkin", "1-online"])
+    def test_means_of_another_width_rejected(self, tmp_path, capsys, command,
+                                             walkin, online, message):
+        means = tmp_path / "means.json"
+        means.write_text(json.dumps({"walkin": walkin, "online": online}))
+        rc = run_cli([command, os.path.join(DATA, "example_walkin_p0_b160.json"),
+                      "--means", str(means), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{means}: {message}" in err
+        assert not (tmp_path / "run").exists()
+
     def test_removed_flags_rejected(self, tmp_path):
-        base = ["solve", os.path.join(DATA, "example_walkin_p0_b160.json"),
-                "--means", os.path.join(DATA, "example_walkin_means.json"),
-                "--out", str(tmp_path / "run")]
-        for extra in (["--mip-node-limit", "5"], ["--subproblem-mode", "ah_then_mip"]):
+        instance = os.path.join(DATA, "example_walkin_p0_b160.json")
+        means = os.path.join(DATA, "example_walkin_means.json")
+        out = ["--out", str(tmp_path / "run")]
+        for argv in (["solve", instance, "--means", means, "--mip-node-limit", "5"],
+                     ["solve", instance, "--means", means, "--subproblem-mode", "ah_then_mip"],
+                     ["solve", instance, "--means", means, "--delta", "1e-5"],
+                     ["tune", instance, "--means", means, "--delta", "1e-5"],
+                     ["simulate", os.path.join(DATA, "reference_sim_instance.json"),
+                      "--means", os.path.join(DATA, "reference_sim_means.json"),
+                      "--lambda", "0.1"]):
             with pytest.raises(SystemExit):
-                run_cli(base + extra)
+                run_cli(argv + out)
 
 
 class TestTune:

@@ -14,7 +14,8 @@ from bioinv.instance import (
     save_instance,
     validate_instance,
 )
-from bioinv.reference import example_walkin_instance
+from bioinv.records import record_to_dict
+from bioinv.reference import example_walkin_instance, example_walkin_means, reference_sim_setup
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 SHIPPED_INSTANCES = sorted(f for f in os.listdir(DATA)
@@ -142,6 +143,26 @@ class TestStructure:
         with pytest.raises(InstanceError, match="pipeline"):
             build_instance(["A"], [], 1, walkin_price=1.0, walkin_penalty=0.0,
                            lead_time=2, pipeline=[[1.0]])
+
+    @pytest.mark.parametrize("rules,field", [
+        ({"service_window_fraction": 0.5}, "service_window_fraction"),
+        ({"fulfill_capacity": [[1.0] * 7]}, "fulfill_capacity"),
+        ({"transport_capacity": [[1.0] * 6] * 2}, "transport_capacity"),
+    ])
+    def test_business_rules_the_models_cannot_read_rejected(self, tmp_path, rules, field):
+        # the models compare edge days with the window's threshold and read a
+        # capacity per (period, node); either gap crashed a model build
+        kw = {k: np.array(v) if isinstance(v, list) else v for k, v in rules.items()}
+        with pytest.raises(InstanceError, match=f"business_rules.{field}"):
+            build_instance([f"N{i}" for i in range(7)], [], 2, walkin_price=10.0,
+                           walkin_penalty=0.0, business_rules=BusinessRules(**kw))
+        with open(os.path.join(DATA, "reference_sim_instance.json")) as fh:
+            doc = json.load(fh)
+        doc["business_rules"] = rules
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceError, match=f"business_rules.{field}"):
+            load_instance(str(path))
 
 
 class TestSerialization:
@@ -278,3 +299,21 @@ class TestSerialization:
         save_instance(load_instance(os.path.join(DATA, name)), str(path))
         with open(os.path.join(DATA, name), "rb") as fh:
             assert path.read_bytes() == fh.read()
+
+    @pytest.mark.parametrize("name,build", [
+        ("reference_sim_instance.json", lambda: reference_sim_setup()[0]),
+        ("example_walkin_p0_b160.json", lambda: example_walkin_instance(0.0, 160.0)),
+        ("example_walkin_p160_b0.json", lambda: example_walkin_instance(160.0, 0.0)),
+        ("example_walkin_p80_b80.json", lambda: example_walkin_instance(80.0, 80.0)),
+        ("reference_sim_means.json", lambda: reference_sim_setup()[1]),
+        ("example_walkin_means.json", example_walkin_means),
+    ])
+    def test_shipped_fixture_is_its_constructor(self, name, build):
+        # the tests build these through bioinv.reference; the CLI tests and
+        # the benchmark load the files
+        path = os.path.join(DATA, name)
+        if "means" in name:
+            with open(path) as fh:
+                assert json.load(fh) == record_to_dict(build())
+        else:
+            assert instance_to_dict(load_instance(path)) == instance_to_dict(build())

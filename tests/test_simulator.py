@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -186,7 +188,7 @@ class TestRollingHorizon:
         a, ra = run_rolling_horizon(self.inst, pol, self.means, 3, 3, seed=77)
         b, rb = run_rolling_horizon(self.inst, pol, self.means, 3, 3, seed=77)
         for x, y in zip(ra, rb):
-            assert x.as_row() == y.as_row()
+            assert asdict(x) == asdict(y)
 
     def test_accounting_identity_and_conservation(self):
         pol = PolicySpec("bio", lam=0.10)
@@ -362,7 +364,7 @@ class TestRollingHorizon:
             uncached += run_rolling_horizon(self.inst, pol, self.means, 3, 1, seed=7)[1]
         monkeypatch.setattr(np.random, "default_rng", real_rng)
         assert len(calls) == 2 + 5 * 2
-        assert [r.as_row() for r in cached] == [r.as_row() for r in uncached]
+        assert [asdict(r) for r in cached] == [asdict(r) for r in uncached]
 
     def test_policy_failures_count_and_bugs_propagate(self, monkeypatch):
         import bioinv.simulate as sim

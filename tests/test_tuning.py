@@ -238,6 +238,19 @@ class TestTuneLambda:
                           grid=(0.05, 0.5))
         assert res.lam == 0.05
 
+    @pytest.mark.parametrize("method", ["grid", "bisection"])
+    @pytest.mark.parametrize("samples,split", [(40, "holdout"), (10, "validation")])
+    def test_sample_counts_checked_before_any_solve(self, monkeypatch, method, samples, split):
+        # cvar at level 0.05 needs 20 scenarios; 40 split 32/8 and 10 split 8/2
+        from bioinv import tuning
+        calls = []
+        monkeypatch.setattr(tuning, "solve_two_stage", lambda *a, **k: calls.append(a))
+        scen = sample_scenarios(example_walkin_means(), samples, seed=1)
+        with pytest.raises(TuningError, match=f"{split} split holds"):
+            tune_lambda(example_walkin_instance(0.0, 160.0), example_walkin_uncertainty(),
+                        scen, ScoringObjective("cvar", level=0.05), method=method)
+        assert calls == []
+
     def test_bisection_requires_zero_inventory(self):
         inst = build_instance(["A"], [], 1, walkin_price=10.0, walkin_penalty=5.0,
                               purchase_cost=3.0, pipeline=[[2.0]])
