@@ -135,33 +135,37 @@ def _less_lost_sales(inst: Instance, const, walkin, online,
     return const
 
 
-def _add_business_rule_rows(m: LinearModel, inst: Instance, t: int, y_idx: dict,
-                            extra_y: dict | None = None):
-    """Fulfillment capacity and service-window rows for one period; y_idx maps
-    (l, z) -> column for this period's shipment variables."""
+def window_weights(inst: Instance) -> list[float]:
+    """Each edge's coefficient in the service-window row: 1 - rho on a fast
+    edge (at most `service_window_days`), -rho on a slow one."""
     br = inst.business_rules
-    if not br.any_active:
-        return
-    edges = {(l, z): d for l, z, d in inst.network.edges}
+    rho = float(br.service_window_fraction)
+    return [(1.0 - rho) if d <= br.service_window_days else -rho
+            for _l, _z, d in inst.network.edges]
+
+
+def _add_business_rule_rows(m: LinearModel, inst: Instance, t: int, pools: list):
+    """Fulfillment capacity and service-window rows of period t over its
+    shipment column pools, each a list of columns by edge position; one
+    capacity row per shipping node, in order of its first edge."""
+    br, edges = inst.business_rules, inst.network.edges
     if br.fulfill_capacity is not None:
-        by_node: dict[int, list] = {}
-        for (l, z), col in y_idx.items():
-            by_node.setdefault(l, []).append(col)
-        if extra_y:
-            for (l, z), col in extra_y.items():
-                by_node.setdefault(l, []).append(col)
-        for l, cols in by_node.items():
-            m.add_constr({c: 1.0 for c in cols}, "<=", float(br.fulfill_capacity[t, l]),
-                         name=f"fulfill_cap[{t},{l}]")
+        for l in dict.fromkeys(edge[0] for edge in edges):
+            m.add_constr({c: 1.0 for cols in pools for c, ed in zip(cols, edges) if ed[0] == l},
+                         "<=", float(br.fulfill_capacity[t, l]), name=f"fulfill_cap[{t},{l}]")
     if br.service_window_fraction is not None:
-        rho = float(br.service_window_fraction)
-        coeffs: dict[int, float] = {}
-        pools = [y_idx] + ([extra_y] if extra_y else [])
-        for pool in pools:
-            for (l, z), col in pool.items():
-                fast = edges.get((l, z), 0) <= br.service_window_days
-                coeffs[col] = coeffs.get(col, 0.0) + ((1.0 - rho) if fast else -rho)
-        m.add_constr(coeffs, ">=", 0.0, name=f"service_window[{t}]")
+        w = window_weights(inst)
+        m.add_constr({c: wk for cols in pools for c, wk in zip(cols, w)}, ">=", 0.0,
+                     name=f"service_window[{t}]")
+
+
+def _by_cell(inst: Instance, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(T, L, Z) values in `x` of the (T, E) edge columns `cols`; zero off
+    the edges."""
+    out = np.zeros((inst.horizon, inst.num_nodes, inst.num_zones))
+    for k, (l, z, _d) in enumerate(inst.network.edges):
+        out[:, l, z] = x[cols[:, k]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +203,8 @@ def evaluate_allocation(inst: Instance, alloc: Allocation,
     sol = solve(m)
     if sol.status != "optimal":
         raise FormulationError(f"fulfillment LP ended with status {sol.status}")
-    ship = np.zeros((inst.horizon, inst.num_nodes, inst.num_zones))
-    for (t, l, z), col in m.info["y"].items():
-        ship[t, l, z] = sol.x[col]
-    return FulfillmentPlan(sol.x[m.info["s"]], ship, sol.x[m.info["I"]], float(sol.objective))
+    return FulfillmentPlan(sol.x[m.info["s"]], _by_cell(inst, sol.x, m.info["y"]),
+                           sol.x[m.info["I"]], float(sol.objective))
 
 
 def evaluate_profit(inst: Instance, alloc: Allocation, scenario: DemandScenario) -> float:
@@ -324,19 +326,19 @@ def _add_optimism(m: LinearModel, inst: Instance, uset: UncertaintySet, cfg: Bio
     doplus_idx = yplus_idx = None
     if cfg.allied_channels == BOTH_CHANNELS and Z > 0:
         doplus_idx = np.empty((T, Z), dtype=int)
-        yplus_idx = {}
+        yplus_idx = np.empty((T, len(inst.network.edges)), dtype=int)
         for t in range(T):
             for z in range(Z):
                 doplus_idx[t, z] = m.add_var(
                     f"Dop[{t},{z}]", float(uset.local_lower["o"][t, z]),
                     float(uset.local_upper["o"][t, z]))
                 obj[int(doplus_idx[t, z])] = -lam * e.online_penalty[t]
-            for (l, z, _d) in inst.network.edges:
-                col = m.add_var(f"yp[{t},{l},{z}]", 0.0, INF)
-                yplus_idx[t, l, z] = col
+            for k, (l, z, _d) in enumerate(inst.network.edges):
+                col = yplus_idx[t, k] = m.add_var(f"yp[{t},{l},{z}]", 0.0, INF)
                 obj[col] = e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[l, z]
             for z in range(Z):
-                coeffs = {yplus_idx[t, l, z]: 1.0 for l in range(L) if (t, l, z) in yplus_idx}
+                coeffs = {int(c): 1.0 for c, ed in zip(yplus_idx[t], inst.network.edges)
+                          if ed[1] == z}
                 coeffs[int(doplus_idx[t, z])] = -lam
                 m.add_constr(coeffs, "<=", 0.0, name=f"yp_cap[{t},{z}]")
             cols = {int(doplus_idx[t, z]): 1.0 for z in range(Z)}
@@ -348,47 +350,45 @@ def _add_optimism(m: LinearModel, inst: Instance, uset: UncertaintySet, cfg: Bio
 def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
                         walkin_frac: float = 1.0, online_frac: float = 1.0,
                         cols: tuple | None = None, alloc: Allocation | None = None,
-                        extra_s=None, extra_y: dict | None = None,
-                        const: float = 0.0, tag: str = ""):
+                        extra_s=None, extra_y=None, const: float = 0.0, tag: str = ""):
     """Inner fulfillment block for one demand realization: walk-in sales up
     to `walkin_frac` of walk-in demand, shipments up to `online_frac` of each
     zone's online demand, carried stock, and the balance and business-rule
     rows.  The first stage enters either as columns, `cols` = (x_idx,
     repo_idx), or as the fixed orders and flows of `alloc`.  `extra_s`
-    ((T, L) columns) and `extra_y` ({(t, l, z): column}) are further sales
-    drawing on the same stock: the committed s+/y+ of the BIO master, the
-    second demand class of the PWL baseline.  Returns the block's profit
-    terms, its constant (`const` less the lost-sales penalties) and the
-    index maps: columns "s", "I" ((T, L)) and "y" ({(t, l, z): column}),
-    e-commerce rows "ecom" ((T, Z))."""
+    ((T, L) columns) and `extra_y` ((T, E) columns, one per period and
+    position in `inst.network.edges`) are further sales drawing on the same
+    stock: the committed s+/y+ of the BIO master, the second demand class of
+    the PWL baseline.  Returns the block's profit terms, its constant
+    (`const` less the lost-sales penalties) and the index maps: columns "s",
+    "I" ((T, L)) and "y" ((T, E)), e-commerce rows "ecom" ((T, Z))."""
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
     e = inst.econ
+    edges = inst.network.edges
     terms: dict[int, float] = {}
     s_idx = np.empty((T, L), dtype=int)
     I_idx = np.empty((T, L), dtype=int)
-    y_idx: dict[tuple[int, int, int], int] = {}
+    y_idx = np.empty((T, len(edges)), dtype=int)
     ecom_rows = np.empty((T, Z), dtype=int)
     prev_I = None
     for t in range(T):
-        s_row, I_row, y_row = [], [], {}
+        s_row, I_row, y_row = [], [], []
         for l in range(L):
             s_row.append(m.add_var(f"s{tag}[{t},{l}]", 0.0, walkin_frac * float(walkin[t, l])))
             terms[s_row[l]] = e.walkin_price[t, l] + e.walkin_penalty[t, l]
             I_row.append(m.add_var(f"I{tag}[{t + 1},{l}]", 0.0, INF))
             terms[I_row[l]] = -e.holding[l]
-        for (l, z, _d) in inst.network.edges:
-            col = y_row[l, z] = y_idx[t, l, z] = m.add_var(f"y{tag}[{t},{l},{z}]", 0.0, INF)
-            terms[col] = e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[l, z]
+        for (l, z, _d) in edges:
+            y_row.append(m.add_var(f"y{tag}[{t},{l},{z}]", 0.0, INF))
+            terms[y_row[-1]] = e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[l, z]
         for z in range(Z):
-            row = {y_row[l, z]: 1.0 for l in range(L) if (l, z) in y_row}
+            row = {c: 1.0 for c, ed in zip(y_row, edges) if ed[1] == z}
             ecom_rows[t, z] = m.add_constr(row, "<=", online_frac * float(online[t, z]),
                                            name=f"ecom{tag}[{t},{z}]")
-        extra_row = None if extra_y is None else {
-            (l, z): col for (tt, l, z), col in extra_y.items() if tt == t}
+        pools = [y_row] + ([] if extra_y is None else [extra_y[t].tolist()])
         for l in range(L):
             coeffs = {s_row[l]: 1.0, I_row[l]: 1.0}
-            for ys in (y_row, extra_row or {}):
-                coeffs.update({ys[l, z]: 1.0 for z in range(Z) if (l, z) in ys})
+            coeffs.update((c, 1.0) for cols in pools for c, ed in zip(cols, edges) if ed[0] == l)
             if extra_s is not None:
                 coeffs[int(extra_s[t, l])] = 1.0
             rhs = pipeline_arrival(inst, t, l)
@@ -402,8 +402,8 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
             else:
                 coeffs[prev_I[l]] = -1.0
             m.add_constr(coeffs, "==", rhs, name=f"bal{tag}[{t},{l}]")
-        _add_business_rule_rows(m, inst, t, y_row, extra_row)
-        s_idx[t], I_idx[t], prev_I = s_row, I_row, I_row
+        _add_business_rule_rows(m, inst, t, pools)
+        s_idx[t], I_idx[t], y_idx[t], prev_I = s_row, I_row, y_row, I_row
     const = _less_lost_sales(inst, const, walkin, online, walkin_frac, online_frac)
     return terms, const, {"s": s_idx, "I": I_idx, "y": y_idx, "ecom": ecom_rows}
 
@@ -465,9 +465,7 @@ def extract_allocation(model: LinearModel, sol: Solution, inst: Instance,
     if cfg.lam > 0.0:
         s_plus, d_plus = sol.x[info["splus"]], sol.x[info["dplus"]]
         if info["yplus"] is not None:
-            y_plus = np.zeros((inst.horizon, inst.num_nodes, inst.num_zones))
-            for (t, l, z), col in info["yplus"].items():
-                y_plus[t, l, z] = sol.x[col]
+            y_plus = _by_cell(inst, sol.x, info["yplus"])
     eta_val = None if info["eta"] is None else float(sol.x[info["eta"]])
     return Allocation(first_stage_x(model, sol), repo, s_plus, y_plus), d_plus, eta_val
 
@@ -485,12 +483,9 @@ def stage_one_value(inst: Instance, cfg: BioConfig, alloc: Allocation,
         if alloc.y_plus is not None:
             if d_o_plus is None:
                 raise FormulationError("y_plus given without the optimistic online demand")
-            T, L, Z = alloc.y_plus.shape
-            for t in range(T):
-                for l in range(L):
-                    for z in range(Z):
-                        val += (e.online_price[t] + e.online_penalty[t]
-                                - e.fulfill_cost[l, z]) * alloc.y_plus[t, l, z]
+            for t, y_t in enumerate(alloc.y_plus):
+                for (l, z), v in np.ndenumerate(y_t):
+                    val += (e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[l, z]) * v
                 val -= cfg.lam * e.online_penalty[t] * float(np.sum(d_o_plus[t]))
     return val
 
@@ -582,20 +577,18 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
     sigma = None if br.service_window_fraction is None else _columns(m, "sg", (T,))
 
     # dual feasibility
-    edge_days = {(l, z): d for l, z, d in inst.network.edges}
+    w = None if sigma is None else window_weights(inst)
     for t in range(T):
         for l in range(L):
             m.add_constr({int(dual["b"][t, l]): 1.0, int(gamma[t, l]): 1.0}, ">=",
                          float(e.walkin_price[t, l] + e.walkin_penalty[t, l]),
                          name=f"dual_s[{t},{l}]")
-        for (l, z), d in edge_days.items():
+        for k, (l, z, _d) in enumerate(inst.network.edges):
             row = {int(dual["o"][t, z]): 1.0, int(gamma[t, l]): 1.0}
             if kappa is not None:
                 row[int(kappa[t, l])] = 1.0
             if sigma is not None:
-                rho = float(br.service_window_fraction)
-                fast = d <= br.service_window_days
-                row[int(sigma[t])] = (rho - 1.0) if fast else rho
+                row[int(sigma[t])] = -w[k]
             m.add_constr(row, ">=",
                          float(e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[l, z]),
                          name=f"dual_y[{t},{l},{z}]")
@@ -746,15 +739,14 @@ def build_pwl_baseline(inst: Instance, mean_demand, quantile_demand,
     x_idx, repo_idx, obj = _add_first_stage(m, inst, None, BioConfig(lam=0.0), None)
     # class 2: discounted sales of the excess, drawing on the class-1 stock
     s2 = np.empty((T, L), dtype=int)
-    y2: dict[tuple[int, int, int], int] = {}
+    y2 = np.empty((T, len(inst.network.edges)), dtype=int)
     for t in range(T):
         for l in range(L):
             s2[t, l] = m.add_var(f"s2[{t},{l}]", 0.0, float(exw[t, l]))
             obj[int(s2[t, l])] = discount * (e.walkin_price[t, l] + e.walkin_penalty[t, l])
-        for (l, z, _d) in inst.network.edges:
-            y2[t, l, z] = m.add_var(f"y2[{t},{l},{z}]", 0.0, INF)
-            obj[y2[t, l, z]] = (discount * (e.online_price[t] + e.online_penalty[t])
-                                - e.fulfill_cost[l, z])
+        for k, (l, z, _d) in enumerate(inst.network.edges):
+            col = y2[t, k] = m.add_var(f"y2[{t},{l},{z}]", 0.0, INF)
+            obj[col] = discount * (e.online_price[t] + e.online_penalty[t]) - e.fulfill_cost[l, z]
     terms, const, _ = _add_recourse_block(
         m, inst, mw, mo, cols=(x_idx, repo_idx), extra_s=s2, extra_y=y2,
         const=_less_lost_sales(inst, 0.0, exw, exo, discount, discount), tag="1")
@@ -762,7 +754,7 @@ def build_pwl_baseline(inst: Instance, mean_demand, quantile_demand,
     # simplex takes 12% more iterations on the rolling-horizon PWL plans
     for t in range(T):
         for z in range(Z):
-            cols = {y2[t, l, z]: 1.0 for l in range(L) if (t, l, z) in y2}
+            cols = {int(c): 1.0 for c, ed in zip(y2[t], inst.network.edges) if ed[1] == z}
             m.add_constr(cols, "<=", float(exo[t, z]), name=f"ecom2[{t},{z}]")
     obj.update(terms)
     m.set_objective(obj, const=const)

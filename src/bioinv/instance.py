@@ -86,12 +86,6 @@ class BusinessRules:
     service_window_fraction: float | None = None   # rho in [0,1]
     service_window_days: int | None = None         # day threshold defining fast edges
 
-    @property
-    def any_active(self) -> bool:
-        return (self.transport_capacity is not None
-                or self.fulfill_capacity is not None
-                or self.service_window_fraction is not None)
-
 
 @dataclass(frozen=True)
 class Instance:
