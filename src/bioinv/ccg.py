@@ -40,6 +40,7 @@ _log = logging.getLogger(__name__)
 EXACT_MIP = "exact_mip"
 ALTERNATING = "alternating_heuristic"
 GAP_DENOMINATOR_GUARD = 1e-5   # keeps the relative gap finite at objective 0
+AH_ROUNDS = 25   # demand moves per heuristic start; a cycle guard (traced runs make <= 3)
 
 
 class CcgError(Exception):
@@ -54,7 +55,6 @@ class CcgOptions:
     max_iterations: int = 20
     max_seconds: float = 300.0
     subproblem_mode: str = EXACT_MIP
-    ah_rounds: int = 25
     rescore_worst_case: bool = True
 
     def __post_init__(self):
@@ -171,7 +171,7 @@ def upper_seed_scenario(uset: UncertaintySet) -> DemandScenario:
 
 
 def alternating_heuristic_subproblem(inst: Instance, uset: UncertaintySet,
-                                     alloc: Allocation, lam: float, rounds: int = 25,
+                                     alloc: Allocation, lam: float, rounds: int = AH_ROUNDS,
                                      allied: str = "walkin",
                                      start: DemandScenario | None = None, model=None):
     """Alternate dual solves (fixed demand) with demand moves (fixed duals)
@@ -228,8 +228,7 @@ def _adversary(models, kind, inst, uset, alloc, lam, allied, **build):
     return models[kind]
 
 
-def _best_heuristic_scenario(inst, uset, alloc, lam, options, allied,
-                             extra_starts=(), models=None):
+def _best_heuristic_scenario(inst, uset, alloc, lam, allied, extra_starts=(), models=None):
     """Multi-start alternating heuristic on one dual model, the run's in
     `models` (a fresh one when None); the lowest value wins."""
     starts = [upper_seed_scenario(uset), seed_scenario(uset), *extra_starts]
@@ -242,7 +241,7 @@ def _best_heuristic_scenario(inst, uset, alloc, lam, options, allied,
             continue
         seen.add(st.key())
         found = alternating_heuristic_subproblem(
-            inst, uset, alloc, lam, options.ah_rounds, allied, start=st, model=model)
+            inst, uset, alloc, lam, allied=allied, start=st, model=model)
         if best is None or found[1] < best[1] - 1e-12:
             best = found
     return best
@@ -254,8 +253,8 @@ def _solve_subproblem(inst, uset, alloc, cfg, options, deadline, pool, models):
     lam, allied = cfg.lam, cfg.allied_channels
     mode = options.subproblem_mode
     extra = list(pool)[-2:] if mode == ALTERNATING else ()
-    ah_scen, ah_val, ah_sol = _best_heuristic_scenario(inst, uset, alloc, lam, options,
-                                                       allied, extra, models)
+    ah_scen, ah_val, ah_sol = _best_heuristic_scenario(inst, uset, alloc, lam, allied, extra,
+                                                       models)
     if mode == ALTERNATING:
         return ah_scen, ah_val, False, 0
     model = _adversary(models, "mip", inst, uset, alloc, lam, allied)

@@ -193,7 +193,10 @@ def cmd_simulate(args) -> int:
     policies = {}
     for name in args.policy:
         if name.startswith("bio"):
-            spec = PolicySpec("bio", lam=float(name[3:] or 0) / 100)
+            try:
+                spec = PolicySpec("bio", lam=float(name[3:] or 0) / 100)
+            except ValueError:
+                raise CliError(f"unknown policy {name!r}: a bio policy is bio or bioNN") from None
             spec.ccg.max_iterations = args.max_iterations
             spec.ccg.subproblem_mode = args.subproblem_mode
         else:

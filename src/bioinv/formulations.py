@@ -145,9 +145,9 @@ def window_weights(inst: Instance) -> list[float]:
 
 
 def _add_business_rule_rows(m: LinearModel, inst: Instance, t: int, pools: list):
-    """Fulfillment capacity and service-window rows of period t over its
-    shipment column pools, each a list of columns by edge position; one
-    capacity row per shipping node, in order of its first edge."""
+    """Fulfillment capacity (one per shipping node, in order of its first
+    edge) and service-window rows of period t over its shipment `pools`,
+    each a list of columns by edge position."""
     br, edges = inst.business_rules, inst.network.edges
     if br.fulfill_capacity is not None:
         for l in dict.fromkeys(edge[0] for edge in edges):
@@ -531,15 +531,20 @@ def channel_weights(inst: Instance, lam: float, allied: str = WALKIN_ONLY):
 
 
 def _big_m(inst: Instance, ch: str, t: int, i: int) -> float:
-    """Upper bound on the demand dual of cell (t, i) of channel ch."""
-    e, T = inst.econ, inst.horizon
+    """Upper bound on the demand dual of cell (t, i) of channel ch.  Under a
+    service window a fast edge's dual row also carries (1 - rho) * sigma.
+    While sigma's cost (the window room of committed y+) is not negative, an
+    optimal dual lowers sigma to what the slow edges' rows ask: `slow`."""
+    e, T, edges = inst.econ, inst.horizon, inst.network.edges
     if ch == "b":
         return float(e.walkin_price[t, i] + e.walkin_penalty[t, i] + (T - t) * e.holding[i])
-    best = max(((T - t) * e.holding[l] - e.fulfill_cost[l, i]
-                for l, z, _d in inst.network.edges if z == i), default=None)
-    if best is None:
-        return 0.0
-    return max(0.0, float(e.online_price[t] + e.online_penalty[t] + best))
+    margins = [float(e.online_price[t] + e.online_penalty[t]
+                     + ((T - t) * e.holding[l] - e.fulfill_cost[l, z])) for l, z, _d in edges]
+    rho = inst.business_rules.service_window_fraction
+    w = [0.0] * len(edges) if rho is None else window_weights(inst)
+    slow = max([0.0] + [mk for mk, wk in zip(margins, w) if wk < 0]) / rho if rho else 0.0
+    return max([0.0] + [mk + max(wk, 0.0) * slow
+                        for mk, wk, (_l, z, _d) in zip(margins, w, edges) if z == i])
 
 
 def _columns(m: LinearModel, name: str, shape: tuple, lb: float = 0.0) -> np.ndarray:
@@ -600,7 +605,7 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
 
     # demand fixed (set_fixed_scenario) or picked by selectors
     winfo = {ch: {} for ch in CHANNELS}
-    m.info = {"gamma": gamma, "kappa": kappa, "dual": dual, "w": winfo}
+    m.info = {"gamma": gamma, "kappa": kappa, "sigma": sigma, "dual": dual, "w": winfo}
     if fixed_scenario is not None:
         m.info["scenario"] = fixed_scenario
     else:
@@ -625,23 +630,29 @@ def set_allocation(m: LinearModel, inst: Instance, alloc: Allocation, lam: float
                    allied: str = WALKIN_ONLY):
     """Point a `build_subproblem` model at `alloc`, `lam` and `allied`: only
     its objective changes.  That is the gamma terms (initial stock, arrivals,
-    committed optimistic sales) and the (1 - lam) * (dual - penalty) * demand
-    terms, with the kept fixed demand or the selectors' demand."""
+    committed optimistic sales), the room the committed y+ leaves in the
+    business-rule rows, and the (1 - lam) * (dual - penalty) * demand terms,
+    with the kept fixed demand or the selectors' demand."""
     T, L = inst.horizon, inst.num_nodes
     info = m.info
-    gamma, kappa = info["gamma"], info["kappa"]
+    gamma, kappa, sigma = info["gamma"], info["kappa"], info["sigma"]
     keep, penalty = channel_weights(inst, lam, allied)
     s_plus = alloc.s_plus if alloc.s_plus is not None else np.zeros((T, L))
+    y_plus = alloc.y_plus if alloc.y_plus is not None else np.zeros((T, L, inst.num_zones))
     obj: dict[int, float] = {}
     if kappa is not None:
         cap = inst.business_rules.fulfill_capacity
-        obj.update((int(kappa[t, l]), float(cap[t, l])) for t in range(T) for l in range(L))
+        obj.update((int(kappa[t, l]), float(cap[t, l] - y_plus[t, l].sum()))
+                   for t in range(T) for l in range(L))
+    if sigma is not None:
+        w, edges = window_weights(inst), inst.network.edges
+        obj.update((int(sigma[t]), sum(wk * float(y_plus[t, l, z])
+                                       for wk, (l, z, _d) in zip(w, edges))) for t in range(T))
     for t in range(T):
         for l in range(L):
             coeff = pipeline_arrival(inst, t, l) + _x_arrival_const(inst, t, l, alloc)
             coeff -= float(s_plus[t, l])
-            if alloc.y_plus is not None:
-                coeff -= float(alloc.y_plus[t, l, :].sum())
+            coeff -= float(y_plus[t, l, :].sum())
             obj[int(gamma[t, l])] = (inst.inventory.on_hand(l) if t == 0 else 0.0) + coeff
     if "scenario" in info:
         info["fixed"] = (obj, keep, penalty)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -147,7 +147,10 @@ def build_instance(nodes, zones, horizon, *, walkin_price, walkin_penalty,
         reposition_lead=None if reposition_lead is None
         else _grid("reposition_lead", reposition_lead, (L, L)).astype(int),
     )
-    inst = Instance(net, econ, inv, T, business_rules or BusinessRules())
+    rules = business_rules or BusinessRules()
+    inst = Instance(net, econ, inv, T, replace(rules, **{
+        k: np.asarray(getattr(rules, k), dtype=float)
+        for k in ("transport_capacity", "fulfill_capacity") if getattr(rules, k) is not None}))
     structural = structural_problems(inst)
     if structural:
         raise InstanceError("; ".join(structural))
@@ -298,8 +301,7 @@ def instance_from_dict(d: dict) -> Instance:
                                     if econ["fulfill_cost"] else np.zeros((L, 0)))},
         **section(InventoryState, "inventory"),
         horizon=d["horizon"],
-        business_rules=BusinessRules(**{k: np.array(v, dtype=float) if isinstance(v, list) else v
-                                        for k, v in rules.items()}),
+        business_rules=BusinessRules(**rules),
     )
 
 

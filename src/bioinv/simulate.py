@@ -160,8 +160,7 @@ class PolicySpec:
     kind: str                       # basestock | pwl | bio
     lam: float = 0.0
     ccg: CcgOptions = field(default_factory=lambda: CcgOptions(
-        max_iterations=12, max_seconds=1e9, subproblem_mode=ALTERNATING,
-        ah_rounds=10, rescore_worst_case=False))
+        max_iterations=12, max_seconds=1e9, subproblem_mode=ALTERNATING, rescore_worst_case=False))
 
     def __post_init__(self):
         if self.kind not in ("basestock", "pwl", "bio"):

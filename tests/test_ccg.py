@@ -315,8 +315,7 @@ class TestMipIncumbent:
         monkeypatch.setattr(ccg, "build_subproblem", counting)
         inst, uset = example_walkin_instance(80.0, 80.0), example_walkin_uncertainty()
         alloc = Allocation([[1.5, 2.0, 0.5]])
-        scen, val, sol = ccg._best_heuristic_scenario(inst, uset, alloc, 0.0, CcgOptions(),
-                                                      "walkin")
+        scen, val, sol = ccg._best_heuristic_scenario(inst, uset, alloc, 0.0, "walkin")
         assert builds == [True]
         ref = solve(real(inst, uset, alloc, 0.0, "walkin", fixed_scenario=scen))
         assert (ref.objective, ref.stats.simplex_iterations) == (val, sol.stats.simplex_iterations)

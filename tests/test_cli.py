@@ -55,6 +55,19 @@ class TestSolve:
         assert manifest["command"] == "solve"
         assert (out / "bound_trace.csv").exists()
 
+    def test_violating_instance_refused_without_allow_violations(self, tmp_path, capsys):
+        doc = json.load(open(os.path.join(DATA, "example_walkin_p0_b160.json")))
+        doc["econ"]["holding"] = [-1.0, 0.0, 0.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        rc = run_cli(["solve", str(bad), "--means", os.path.join(DATA, "example_walkin_means.json"),
+                      "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "nonnegativity" in err and "--allow-violations" in err
+        assert not out.exists()
+
     def test_no_silent_overwrite(self, tmp_path, capsys):
         out = tmp_path / "run"
         args = ["solve", os.path.join(DATA, "example_walkin_p0_b160.json"),
@@ -86,6 +99,21 @@ class TestGenInstance:
 
 
 class TestSampleAndEvaluate:
+    def test_uniform_sample_stays_in_the_quantile_set(self, tmp_path):
+        # the walk-in example's 5%/95% set is the box [0,3] per location with
+        # budget [1,6]; a uniform draw lands on its integer points
+        means = os.path.join(DATA, "example_walkin_means.json")
+        scen = tmp_path / "scen.json"
+        assert run_cli(["sample", "--means", means, "--samples", "50", "--seed", "2",
+                        "--family", "uniform", "--out-file", str(scen)]) == 0
+        scenarios, meta = load_scenarios(str(scen))
+        assert meta["family"] == "uniform" and len(scenarios) == 50
+        walkin = np.array([s.walkin for s in scenarios])
+        assert walkin.min() >= 0 and walkin.max() <= 3
+        assert np.all(walkin == np.round(walkin))
+        assert np.all((walkin.sum(axis=-1) >= 1) & (walkin.sum(axis=-1) <= 6))
+        assert len({s.key() for s in scenarios}) > 1
+
     def test_sample_then_evaluate(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         rc = run_cli(["sample", "--means", os.path.join(DATA, "example_walkin_means.json"),
@@ -303,6 +331,20 @@ class TestHorizonCheck:
 
 
 class TestTune:
+    def test_tune_on_a_scenario_file_equals_tune_on_its_draws(self, tmp_path):
+        # --scenarios reads the draws that --samples/--seed would make
+        walk = os.path.join(DATA, "example_walkin_p0_b160.json")
+        means = os.path.join(DATA, "example_walkin_means.json")
+        scen = tmp_path / "scen.json"
+        assert run_cli(["sample", "--means", means, "--samples", "40", "--seed", "5",
+                        "--out-file", str(scen)]) == 0
+        tune = ["tune", walk, "--means", means, "--grid", "0.0,0.5"]
+        assert run_cli(tune + ["--scenarios", str(scen), "--out", str(tmp_path / "file")]) == 0
+        assert run_cli(tune + ["--samples", "40", "--seed", "5",
+                               "--out", str(tmp_path / "drawn")]) == 0
+        for name in ("tune_report.json", "lambda_curve.csv"):
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "drawn" / name).read_bytes()
+
     def test_grid_tune_writes_curve(self, tmp_path):
         out = tmp_path / "tune"
         rc = run_cli(["tune", os.path.join(DATA, "example_walkin_p0_b160.json"),
@@ -329,6 +371,15 @@ class TestSimulate:
         summary = json.load(open(out / "kpi_summary.json"))
         assert "basestock" in summary
         assert "realized_profit" in summary["basestock"]
+
+    def test_unreadable_bio_policy_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = run_cli(["simulate", os.path.join(DATA, "reference_sim_instance.json"),
+                      "--means", os.path.join(DATA, "reference_sim_means.json"),
+                      "--policy", "basestock", "biox", "--out", str(out)])
+        assert rc == 2
+        assert "'biox'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_bio_policy(self, tmp_path, monkeypatch):
         # bio10 reads as lambda 0.1, and the CCG flags reach solve_two_stage

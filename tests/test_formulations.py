@@ -804,3 +804,157 @@ class TestEvaluateProfits:
         assert evaluate_profits(inst, alloc, []).shape == (0,)
         with pytest.raises(FormulationError, match="dims"):
             evaluate_profits(inst, alloc, [wscen([1, 1, 1]), wscen([1, 1])])
+
+
+# ---------------------------------------------------------------------------
+# business rules in the adversary: committed y+ and the window's big-M
+# ---------------------------------------------------------------------------
+
+def _two_by_two(rules, days=(1, 3, 2, 1), **econ):
+    """Two nodes, two zones, one period; by default A->Z1 and B->Z2 ship in
+    1 day, B->Z1 in 2 and A->Z2 in 3."""
+    kw = dict(walkin_price=100.0, walkin_penalty=20.0, online_price=90.0, online_penalty=10.0,
+              fulfill_cost=[[5.0, 9.0], [8.0, 4.0]], purchase_cost=30.0, holding=1.0)
+    kw.update(econ)
+    edges = [(n, z, d) for (n, z), d in zip(product("AB", ("Z1", "Z2")), days)]
+    return build_instance(["A", "B"], ["Z1", "Z2"], 1, ship_edges=edges,
+                          business_rules=BusinessRules(**rules), **kw)
+
+
+def _box(hi, bl, bu):
+    """One period, two cells per channel, box [0, hi] and budget [bl, bu]."""
+    return UncertaintySet(
+        local_lower={"b": np.zeros((1, 2)), "o": np.zeros((1, 2))},
+        local_upper={"b": np.full((1, 2), float(hi)), "o": np.full((1, 2), float(hi))},
+        budget_lower={"b": [float(bl)], "o": [float(bl)]},
+        budget_upper={"b": [float(bu)], "o": [float(bu)]})
+
+
+def _points(uset):
+    """Every integer scenario of a one-period set."""
+    return [DemandScenario([list(b)], [list(o)]) for b in uset.enumerate_discrete_points("b", 0)
+            for o in uset.enumerate_discrete_points("o", 0)]
+
+
+def _full_pool_optimum(inst, uset, cfg):
+    """The BIO optimum: the master over every integer scenario of U, by HiGHS."""
+    return _highs_lp(build_master(inst, uset, _points(uset), cfg))
+
+
+def _random_rule_instance(rng):
+    """A two-by-two instance with random economics and edge days, and a
+    fulfillment capacity, a service window, or both."""
+    kind = rng.integers(3)
+    rules = {}
+    if kind != 1:
+        rules["fulfill_capacity"] = rng.integers(0, 4, size=(1, 2)).astype(float)
+    if kind != 0:
+        rules.update(service_window_fraction=float(rng.choice([0.2, 0.3, 0.5, 0.7])),
+                     service_window_days=2)
+    econ = dict(walkin_price=float(rng.integers(60, 121)), walkin_penalty=float(rng.integers(0, 41)),
+                online_price=float(rng.integers(40, 100)), online_penalty=float(rng.integers(0, 31)),
+                fulfill_cost=rng.integers(1, 15, size=(2, 2)).astype(float),
+                purchase_cost=float(rng.integers(20, 50)), holding=float(rng.integers(0, 3)))
+    return _two_by_two(rules, [int(d) for d in rng.integers(1, 4, size=4)], **econ)
+
+
+class TestBusinessRulesInTheAdversary:
+    @pytest.mark.parametrize("rules,x,edge,eta", [
+        ({"fulfill_capacity": np.array([[1.0, 2.0]])}, [4.0, 4.0], [(0, 0), (1, 1)], 213.5),
+        ({"service_window_fraction": 0.3, "service_window_days": 2}, [2.0, 1.5], [(0, 1)],
+         109.71428571428571),
+    ])
+    def test_committed_y_plus_counts_in_the_rule_terms(self, rules, x, edge, eta):
+        # the master's recourse value at pinned commitments is the fixed-demand
+        # dual's value: committed y+ fills the capacity and window rows of both
+        inst = _two_by_two(rules)
+        uset, cfg = _box(4, 0, 8), BioConfig(lam=0.5, allied_channels="both")
+        scen = DemandScenario([[1.0, 2.0]], [[3.0, 3.0]])
+        y_plus = np.zeros((1, 2, 2))
+        for l, z in edge:
+            y_plus[0, l, z] = 1.0
+        m = build_master(inst, uset, [scen], cfg, fixed_x=np.array([x]))
+        pins = {**{c: 0.5 for c in m.info["splus"].ravel()},
+                **{c: 2.0 for c in m.info["dplus"].ravel()},
+                **{c: 3.0 for c in m.info["doplus"].ravel()},
+                **{c: y_plus[0, l, z] for c, (l, z, _d) in zip(m.info["yplus"][0],
+                                                                inst.network.edges)}}
+        for c, v in pins.items():
+            m.lb[c] = m.ub[c] = v
+        sol = solve(m)
+        assert sol.status == "optimal"
+        alloc = Allocation([x], s_plus=np.full((1, 2), 0.5), y_plus=y_plus)
+        dual = solve(build_subproblem(inst, uset, alloc, 0.5, "both", fixed_scenario=scen))
+        assert dual.status == "optimal"
+        assert sol.x[m.info["eta"]] == pytest.approx(eta, abs=1e-9)
+        assert dual.objective == pytest.approx(eta, abs=1e-9)
+
+    @pytest.mark.parametrize("rules,lam,allied,optimum", [
+        ({"fulfill_capacity": np.array([[1.0, 1.0]])}, 0.5, "both", 225.06768988587186),
+        ({"service_window_fraction": 0.5, "service_window_days": 2}, 0.0, "walkin",
+         96.88429752066112),
+    ])
+    def test_certified_objective_is_the_full_pool_optimum(self, rules, lam, allied, optimum):
+        from bioinv.ccg import solve_two_stage
+        inst, uset = _two_by_two(rules), _box(2, 1, 3)
+        cfg = BioConfig(lam=lam, allied_channels=allied)
+        rep = solve_two_stage(inst, uset, cfg)
+        assert (rep.termination, rep.certified) == ("converged", True)
+        assert _full_pool_optimum(inst, uset, cfg) == pytest.approx(optimum, abs=1e-6)
+        assert rep.objective == pytest.approx(optimum, abs=1e-6)
+        if lam == 0.0:
+            assert rep.worst_case_profit == pytest.approx(optimum, abs=1e-6)
+
+    def test_window_big_m_keeps_the_adversary_optimum(self):
+        # a fast edge's dual row carries (1 - rho) * sigma, so the online duals
+        # can exceed the window-free bound; the MIP still equals enumeration
+        inst = _two_by_two({"service_window_fraction": 0.5, "service_window_days": 2})
+        uset = _box(2, 1, 3)
+        points = _points(uset)
+        for x in product(np.arange(0.0, 4.0, 0.5), repeat=2):
+            alloc = Allocation([list(x)])
+            sol = solve(build_subproblem(inst, uset, alloc, 0.0))
+            assert sol.status == "optimal"
+            worst = evaluate_profits(inst, alloc, points).min() + first_stage_cost(inst, alloc)
+            assert sol.objective == pytest.approx(worst, abs=1e-6), x
+
+
+class TestRandomizedCertification:
+    """Random two-by-two instances with a capacity and/or a window
+    (seed 1), the full-pool optimum by HiGHS and the adversary by
+    enumeration as oracles."""
+
+    def test_no_certified_objective_above_the_full_pool_optimum(self):
+        from bioinv.ccg import CcgOptions, solve_two_stage
+        rng = np.random.default_rng(1)
+        uset = _box(2, 1, 3)
+        certified = 0
+        for n in range(10):
+            inst = _random_rule_instance(rng)
+            for lam, allied in ((0.0, "walkin"), (0.4, "walkin"), (0.4, "both"), (0.8, "both")):
+                cfg = BioConfig(lam=lam, allied_channels=allied)
+                try:
+                    rep = solve_two_stage(inst, uset, cfg, CcgOptions(rescore_worst_case=False))
+                except FormulationError as exc:
+                    # committed y+ left a scenario of U without recourse
+                    assert "unbounded" in str(exc)
+                    assert allied == "both"
+                    assert inst.business_rules.service_window_fraction is not None
+                    continue
+                if rep.certified:
+                    certified += 1
+                    full = _full_pool_optimum(inst, uset, cfg)
+                    assert rep.objective <= full + 1e-6 * max(1.0, abs(full)), (n, lam, allied)
+        assert certified >= 30
+
+    def test_subproblem_mip_equals_enumeration(self):
+        rng = np.random.default_rng(1)
+        uset = _box(2, 1, 3)
+        points = _points(uset)
+        for n in range(40):
+            inst = _random_rule_instance(rng)
+            alloc = Allocation(rng.integers(0, 8, size=(1, 2)) / 2.0)
+            sol = solve(build_subproblem(inst, uset, alloc, 0.0))
+            assert sol.status == "optimal"
+            worst = evaluate_profits(inst, alloc, points).min() + first_stage_cost(inst, alloc)
+            assert sol.objective == pytest.approx(worst, abs=1e-6), n

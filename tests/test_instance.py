@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from bioinv.formulations import Allocation, evaluate_allocation
 from bioinv.instance import (
     BusinessRules,
     InstanceError,
@@ -16,6 +17,7 @@ from bioinv.instance import (
 )
 from bioinv.records import record_to_dict
 from bioinv.reference import example_walkin_instance, example_walkin_means, reference_sim_setup
+from bioinv.uncertainty import DemandScenario
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 SHIPPED_INSTANCES = sorted(f for f in os.listdir(DATA)
@@ -163,6 +165,22 @@ class TestStructure:
         path.write_text(json.dumps(doc))
         with pytest.raises(InstanceError, match=f"business_rules.{field}"):
             load_instance(str(path))
+
+
+class TestCapacities:
+    def test_capacities_given_as_lists_become_float_arrays(self):
+        # the models read a capacity as cap[t, l] and validate_instance
+        # compares it with 0, so build_instance turns both into float arrays
+        inst = build_instance(
+            ["A", "B"], ["Z1"], 1, walkin_price=100.0, walkin_penalty=0.0, online_price=90.0,
+            fulfill_cost=[[10.0], [12.0]], pipeline=[[5.0], [0.0]],
+            business_rules=BusinessRules(transport_capacity=[[2, 3]], fulfill_capacity=[[1.0, 0.5]]))
+        for cap in (inst.business_rules.transport_capacity, inst.business_rules.fulfill_capacity):
+            assert isinstance(cap, np.ndarray) and cap.dtype == float and cap.shape == (1, 2)
+        assert validate_instance(inst) == []
+        plan = evaluate_allocation(inst, Allocation(np.zeros((1, 2))),
+                                   DemandScenario([[0.0, 0.0]], [[4.0]]))
+        assert plan.shipments.sum() == pytest.approx(1.0)
 
 
 class TestSerialization:
