@@ -22,10 +22,11 @@ from .formulations import (
     add_master_scenario,
     build_master,
     build_subproblem,
-    channel_weights,
+    demand_move_costs,
     evaluate_profit,
     extract_allocation,
     extract_worst_scenario,
+    incumbent_from_scenario,
     set_allocation,
     set_fixed_scenario,
     stage_one_value,
@@ -171,51 +172,27 @@ def upper_seed_scenario(uset: UncertaintySet) -> DemandScenario:
 
 
 def alternating_heuristic_subproblem(inst: Instance, uset: UncertaintySet,
-                                     alloc: Allocation, lam: float, rounds: int = AH_ROUNDS,
-                                     allied: str = "walkin",
+                                     alloc: Allocation, lam: float, allied: str = "walkin",
                                      start: DemandScenario | None = None, model=None):
     """Alternate dual solves (fixed demand) with demand moves (fixed duals)
     on `model`, the fixed-demand dual model of `alloc`, `lam` and `allied`
     (built when None).  Returns a feasible scenario, its subproblem value (an
     upper bound on the exact minimum) and the dual LP's solution there."""
-    if rounds < 1:
-        raise CcgError("rounds must be >= 1")
     scen = start if start is not None else upper_seed_scenario(uset)
     if model is None:
         model = build_subproblem(inst, uset, alloc, lam, allied, fixed_scenario=scen)
-    keep, penalty = channel_weights(inst, lam, allied)
-    for k in range(rounds + 1):
+    for k in range(AH_ROUNDS + 1):
         set_fixed_scenario(model, scen)
         sol = solve(model)
         if sol.status != "optimal":
             raise FormulationError(f"scenario dual LP status {sol.status}")
-        if k == rounds:
+        if k == AH_ROUNDS:
             break
-        nxt = minimize_linear_over_set(uset, {
-            ch: keep[ch] * (sol.x[model.info["dual"][ch]] - penalty[ch]) for ch in CHANNELS})
+        nxt = minimize_linear_over_set(uset, demand_move_costs(model, sol))
         if nxt.key() == scen.key():
             break
         scen = nxt
     return scen, float(sol.objective), sol
-
-
-def _mip_incumbent_from_scenario(model, scenario: DemandScenario, fixed):
-    """Feasible subproblem-MIP point built from a scenario: `fixed`, the
-    fixed-demand dual LP's solution there, in the leading columns (the same
-    columns in the same order), selectors pinned to the scenario, and each
-    picked dual-times-selector column equal to its dual."""
-    x = np.zeros(model.num_vars)
-    x[:fixed.x.size] = fixed.x
-    info = model.info
-    cells = [(info["dual"][ch][cell], scenario.channel(ch)[cell], sel)
-             for ch in CHANNELS for cell, sel in info["w"][ch].items()]
-    for dual, target, (wcols, vals, pcols) in cells:
-        picked = [k for k, v in enumerate(vals) if v == float(target)]
-        if len(picked) != 1:
-            return None
-        x[wcols[picked[0]]] = 1.0
-        x[pcols[picked[0]]] = x[dual]
-    return float(fixed.objective), x
 
 
 def _adversary(models, kind, inst, uset, alloc, lam, allied, **build):
@@ -258,7 +235,7 @@ def _solve_subproblem(inst, uset, alloc, cfg, options, deadline, pool, models):
     if mode == ALTERNATING:
         return ah_scen, ah_val, False, 0
     model = _adversary(models, "mip", inst, uset, alloc, lam, allied)
-    incumbent = _mip_incumbent_from_scenario(model, ah_scen, ah_sol)
+    incumbent = incumbent_from_scenario(model, ah_scen, ah_sol)
     remaining = None if deadline is None else max(1e-3, deadline - time.perf_counter())
     sol = solve(model, limits={"time": remaining}, incumbent=incumbent)
     if sol.x is None:
@@ -298,15 +275,13 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
         if msol.status not in ("optimal", "limit") or msol.x is None:
             report.termination = "master_failed"
             break
-        alloc, d_plus, _eta = extract_allocation(master, msol, inst, cfg)
+        alloc, (d_plus, d_o_plus), _eta = extract_allocation(master, msol, inst, cfg)
         ub = min(ub, float(msol.objective))
         report.upper_bounds.append(ub)
 
         scen, sp_val, exact, nodes = _solve_subproblem(inst, uset, alloc, cfg, options,
                                                        deadline, report.scenario_pool, models)
         report.certified &= exact and msol.status == "optimal"  # not at a time limit
-        doplus = master.info["doplus"]
-        d_o_plus = None if doplus is None else msol.x[doplus]
         cand = sp_val + stage_one_value(inst, cfg, alloc, d_plus, d_o_plus)
         if cand > report.objective + 1e-12:
             report.objective, report.allocation = cand, alloc

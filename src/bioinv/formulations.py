@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
 from .instance import Instance
-from .solver import BINARY, INF, LinearModel, Solution, solve, solve_family
+from .solver import BINARY, CONTINUOUS, INF, LinearModel, Solution, solve, solve_family
 from .uncertainty import CHANNELS, DemandScenario, UncertaintySet, poisson_quantile
 
 WALKIN_ONLY = "walkin"
@@ -159,6 +160,33 @@ def _add_business_rule_rows(m: LinearModel, inst: Instance, t: int, pools: list)
                      name=f"service_window[{t}]")
 
 
+def _columns(m: LinearModel, name: str, lb, ub=INF, kind=CONTINUOUS) -> np.ndarray:
+    """One column per entry of `lb`, `ub` and `kind` broadcast together,
+    added in row-major order; returns their indices in that shape.  Column
+    order is part of every result: the simplex breaks ties by lowest index."""
+    shape = np.broadcast(lb, ub, kind).shape
+    # the bounds and kinds broadcast into one table, read back as Python
+    # values (the kinds as the very strings given)
+    table = np.empty((3,) + shape, dtype=object)
+    table[0, ...], table[1, ...], table[2, ...] = lb, ub, np.asarray(kind, dtype=object)
+    first = m.num_vars
+    for k, lo, hi, kd in zip(count(), *table.reshape(3, -1).tolist()):
+        m.add_var(f"{name}[{k}]", lo, hi, kd)
+    return np.arange(first, m.num_vars).reshape(shape)
+
+
+def _price(obj: dict, cols: np.ndarray, coeffs: np.ndarray):
+    """Objective terms `coeffs` of the block `cols`, an array of its shape."""
+    obj.update(zip(cols.ravel().tolist(), coeffs.ravel().tolist(), strict=True))
+
+
+def _ship_margin(inst: Instance, discount: float = 1.0) -> np.ndarray:
+    """(T, E) unit margin of each edge: `discount` * (price + penalty) - cost."""
+    e, fc = inst.econ, inst.econ.fulfill_cost.tolist()
+    cost = np.array([fc[l][z] for l, z, _d in inst.network.edges])
+    return discount * (e.online_price + e.online_penalty)[:, None] - cost
+
+
 def _by_cell(inst: Instance, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(T, L, Z) values in `x` of the (T, E) edge columns `cols`; zero off
     the edges."""
@@ -255,68 +283,50 @@ def _add_first_stage(m: LinearModel, inst: Instance, uset: UncertaintySet | None
     """x (and repositioning / integer-expansion) variables plus their cost
     terms; returns (x_idx, repo_idx, obj_terms)."""
     T, L = inst.horizon, inst.num_nodes
-    e = inst.econ
-    br = inst.business_rules
+    e, tc = inst.econ, inst.business_rules.transport_capacity
     obj: dict[int, float] = {}
     cap = INF
     if cfg.integer_allocations:
         if uset is None:
             raise FormulationError("integer mode requires an uncertainty set for the cap")
         cap = float(_integer_cap(inst, uset))
-    x_idx = np.empty((T, L), dtype=int)
-    for t in range(T):
-        for l in range(L):
-            hi = cap
-            if br.transport_capacity is not None:
-                hi = min(hi, float(br.transport_capacity[t, l]))
-            if fixed_x is not None:
-                col = m.add_var(f"x[{t},{l}]", float(fixed_x[t, l]), float(fixed_x[t, l]))
-            else:
-                col = m.add_var(f"x[{t},{l}]", 0.0, hi)
-            x_idx[t, l] = col
-            obj[col] = obj.get(col, 0.0) - float(e.purchase_cost[l])
+    lo, hi = ((np.zeros((T, L)), cap if tc is None else np.minimum(cap, tc)) if fixed_x is None
+              else (fixed_x, fixed_x))
+    x_idx = _columns(m, "x", lo, hi)
+    _price(obj, x_idx, np.broadcast_to(-e.purchase_cost, (T, L)))
     repo_idx = None
     if cfg.repositioning:
         if e.reposition_cost is None:
             raise FormulationError("repositioning enabled but reposition_cost missing")
+        off = ~np.eye(L, dtype=bool)   # no flow from a node to itself
         repo_idx = np.zeros((T, L, L), dtype=int)
-        for t in range(T):
-            for src in range(L):
-                for dst in range(L):
-                    if src == dst:
-                        continue
-                    col = m.add_var(f"xr[{t},{src},{dst}]", 0.0, INF)
-                    repo_idx[t, src, dst] = col
-                    obj[col] = obj.get(col, 0.0) - float(e.reposition_cost[src, dst])
+        repo_idx[:, off] = _columns(m, "xr", np.zeros((T, L * (L - 1))))
+        _price(obj, repo_idx[:, off], np.broadcast_to(-e.reposition_cost[off], (T, L * (L - 1))))
     if cfg.integer_allocations and fixed_x is None:
         nbits = max(1, int(math.ceil(math.log2(cap + 1))))
-        for t in range(T):
-            for l in range(L):
-                coeffs = {int(x_idx[t, l]): 1.0}
-                for k in range(nbits):
-                    bcol = m.add_var(f"xbit[{t},{l},{k}]", 0.0, 1.0, BINARY)
-                    coeffs[bcol] = -float(2 ** k)
-                m.add_constr(coeffs, "==", 0.0, name=f"int_x[{t},{l}]")
+        bits = _columns(m, "xbit", np.zeros((T, L, nbits)), 1.0, BINARY)
+        weights = [-float(2 ** k) for k in range(nbits)]
+        for t, l in np.ndindex(T, L):
+            m.add_constr({int(x_idx[t, l]): 1.0, **dict(zip(bits[t, l].tolist(), weights))},
+                         "==", 0.0, name=f"int_x[{t},{l}]")
     return x_idx, repo_idx, obj
 
 
-def _add_optimism(m: LinearModel, inst: Instance, uset: UncertaintySet, cfg: BioConfig):
+def _add_optimism(m: LinearModel, inst: Instance, uset: UncertaintySet, cfg: BioConfig,
+                  obj: dict):
     """Optimistic demand D+ in U, committed sales s+ <= lam*D+ (walk-in; plus
-    y+ when both channels are allied); returns index maps and objective terms."""
+    y+ when both channels are allied) and their objective terms in `obj`;
+    returns the index maps "dplus", "splus", "doplus" and "yplus"."""
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
-    e = inst.econ
+    e, edges = inst.econ, inst.network.edges
     lam = cfg.lam
-    obj: dict[int, float] = {}
-    dplus_idx = np.empty((T, L), dtype=int)
-    splus_idx = np.empty((T, L), dtype=int)
+    # D+ and s+ of a cell side by side
+    ds = _columns(m, "Dsp", np.stack([uset.local_lower["b"][:T], np.zeros((T, L))], axis=-1),
+                  np.stack([uset.local_upper["b"][:T], np.full((T, L), INF)], axis=-1))
+    _price(obj, ds, np.stack([-lam * e.walkin_penalty, e.walkin_price + e.walkin_penalty], -1))
+    dplus_idx, splus_idx = ds[..., 0], ds[..., 1]
     for t in range(T):
         for l in range(L):
-            dplus_idx[t, l] = m.add_var(
-                f"Dp[{t},{l}]", float(uset.local_lower["b"][t, l]),
-                float(uset.local_upper["b"][t, l]))
-            splus_idx[t, l] = m.add_var(f"sp[{t},{l}]", 0.0, INF)
-            obj[int(splus_idx[t, l])] = e.walkin_price[t, l] + e.walkin_penalty[t, l]
-            obj[int(dplus_idx[t, l])] = -lam * e.walkin_penalty[t, l]
             m.add_constr({int(splus_idx[t, l]): 1.0, int(dplus_idx[t, l]): -lam},
                          "<=", 0.0, name=f"sp_cap[{t},{l}]")
         cols = {int(dplus_idx[t, l]): 1.0 for l in range(L)}
@@ -325,26 +335,22 @@ def _add_optimism(m: LinearModel, inst: Instance, uset: UncertaintySet, cfg: Bio
 
     doplus_idx = yplus_idx = None
     if cfg.allied_channels == BOTH_CHANNELS and Z > 0:
-        doplus_idx = np.empty((T, Z), dtype=int)
-        yplus_idx = np.empty((T, len(inst.network.edges)), dtype=int)
+        # a period's columns: D_o+ of each zone, then y+ of each edge
+        E = len(edges)
+        block = _columns(m, "Dop_yp", np.hstack([uset.local_lower["o"][:T], np.zeros((T, E))]),
+                         np.hstack([uset.local_upper["o"][:T], np.full((T, E), INF)]))
+        _price(obj, block, np.hstack([np.repeat((-lam * e.online_penalty)[:, None], Z, axis=1),
+                                      _ship_margin(inst)]))
+        doplus_idx, yplus_idx = block[:, :Z], block[:, Z:]
         for t in range(T):
             for z in range(Z):
-                doplus_idx[t, z] = m.add_var(
-                    f"Dop[{t},{z}]", float(uset.local_lower["o"][t, z]),
-                    float(uset.local_upper["o"][t, z]))
-                obj[int(doplus_idx[t, z])] = -lam * e.online_penalty[t]
-            for k, (l, z, _d) in enumerate(inst.network.edges):
-                col = yplus_idx[t, k] = m.add_var(f"yp[{t},{l},{z}]", 0.0, INF)
-                obj[col] = e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[l, z]
-            for z in range(Z):
-                coeffs = {int(c): 1.0 for c, ed in zip(yplus_idx[t], inst.network.edges)
-                          if ed[1] == z}
+                coeffs = {int(c): 1.0 for c, ed in zip(yplus_idx[t], edges) if ed[1] == z}
                 coeffs[int(doplus_idx[t, z])] = -lam
                 m.add_constr(coeffs, "<=", 0.0, name=f"yp_cap[{t},{z}]")
             cols = {int(doplus_idx[t, z]): 1.0 for z in range(Z)}
             m.add_constr(cols, ">=", float(uset.budget_lower["o"][t]), name=f"Dop_bl[{t}]")
             m.add_constr(cols, "<=", float(uset.budget_upper["o"][t]), name=f"Dop_bu[{t}]")
-    return dplus_idx, splus_idx, doplus_idx, yplus_idx, obj
+    return {"dplus": dplus_idx, "splus": splus_idx, "doplus": doplus_idx, "yplus": yplus_idx}
 
 
 def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
@@ -363,24 +369,19 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
     (`const` less the lost-sales penalties) and the index maps: columns "s",
     "I" ((T, L)) and "y" ((T, E)), e-commerce rows "ecom" ((T, Z))."""
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
-    e = inst.econ
-    edges = inst.network.edges
+    e, edges = inst.econ, inst.network.edges
     terms: dict[int, float] = {}
-    s_idx = np.empty((T, L), dtype=int)
-    I_idx = np.empty((T, L), dtype=int)
-    y_idx = np.empty((T, len(edges)), dtype=int)
+    # a period's columns: the (s, I) pair of each node, then y of each edge
+    ub, cost = np.full((T, 2 * L + len(edges)), INF), np.empty((T, 2 * L + len(edges)))
+    ub[:, :2 * L:2] = walkin_frac * np.asarray(walkin, dtype=float)[:T]
+    cost[:, :2 * L:2], cost[:, 1:2 * L:2] = e.walkin_price + e.walkin_penalty, -e.holding
+    cost[:, 2 * L:] = _ship_margin(inst)
+    block = _columns(m, f"r{tag}", 0.0, ub)
+    _price(terms, block, cost)
+    s_idx, I_idx, y_idx = block[:, :2 * L:2], block[:, 1:2 * L:2], block[:, 2 * L:]
     ecom_rows = np.empty((T, Z), dtype=int)
-    prev_I = None
     for t in range(T):
-        s_row, I_row, y_row = [], [], []
-        for l in range(L):
-            s_row.append(m.add_var(f"s{tag}[{t},{l}]", 0.0, walkin_frac * float(walkin[t, l])))
-            terms[s_row[l]] = e.walkin_price[t, l] + e.walkin_penalty[t, l]
-            I_row.append(m.add_var(f"I{tag}[{t + 1},{l}]", 0.0, INF))
-            terms[I_row[l]] = -e.holding[l]
-        for (l, z, _d) in edges:
-            y_row.append(m.add_var(f"y{tag}[{t},{l},{z}]", 0.0, INF))
-            terms[y_row[-1]] = e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[l, z]
+        s_row, I_row, y_row = s_idx[t].tolist(), I_idx[t].tolist(), y_idx[t].tolist()
         for z in range(Z):
             row = {c: 1.0 for c, ed in zip(y_row, edges) if ed[1] == z}
             ecom_rows[t, z] = m.add_constr(row, "<=", online_frac * float(online[t, z]),
@@ -400,10 +401,9 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
             if t == 0:
                 rhs += inst.inventory.on_hand(l)
             else:
-                coeffs[prev_I[l]] = -1.0
+                coeffs[int(I_idx[t - 1, l])] = -1.0
             m.add_constr(coeffs, "==", rhs, name=f"bal{tag}[{t},{l}]")
         _add_business_rule_rows(m, inst, t, pools)
-        s_idx[t], I_idx[t], y_idx[t], prev_I = s_row, I_row, y_row, I_row
     const = _less_lost_sales(inst, const, walkin, online, walkin_frac, online_frac)
     return terms, const, {"s": s_idx, "I": I_idx, "y": y_idx, "ecom": ecom_rows}
 
@@ -415,14 +415,11 @@ def build_master(inst: Instance, uset: UncertaintySet, scenarios: list[DemandSce
     the epigraph variable is omitted so the first iteration stays bounded."""
     m = LinearModel("master", sense="max")
     x_idx, repo_idx, obj = _add_first_stage(m, inst, uset, cfg, fixed_x)
-    dplus_idx = splus_idx = doplus_idx = yplus_idx = None
+    m.info = {"x": x_idx, "repo": repo_idx, "eta": None, "scenarios": 0,
+              **dict.fromkeys(("dplus", "splus", "doplus", "yplus"))}
     if cfg.lam > 0.0:
-        dplus_idx, splus_idx, doplus_idx, yplus_idx, terms = _add_optimism(m, inst, uset, cfg)
-        for k, v in terms.items():
-            obj[k] = obj.get(k, 0.0) + v
+        m.info.update(_add_optimism(m, inst, uset, cfg, obj))
     m.set_objective(obj)
-    m.info = {"x": x_idx, "repo": repo_idx, "eta": None, "scenarios": 0, "dplus": dplus_idx,
-              "splus": splus_idx, "doplus": doplus_idx, "yplus": yplus_idx}
     for scen in scenarios:
         add_master_scenario(m, inst, scen, cfg)
     return m
@@ -433,7 +430,7 @@ def add_master_scenario(m: LinearModel, inst: Instance, scen: DemandScenario,
     """Grow a `build_master` model of `cfg` by the recourse block of `scen` and
     its cut on eta, the epigraph variable that the first scenario adds."""
     if m.info["eta"] is None:
-        m.info["eta"] = m.add_var("eta", -INF, INF)
+        m.info["eta"] = int(_columns(m, "eta", -INF))
         m.set_objective({**m.obj, m.info["eta"]: 1.0}, const=m.obj_const)
     i = m.info["scenarios"]
     keep = channel_weights(inst, cfg.lam, cfg.allied_channels)[0]
@@ -455,19 +452,20 @@ def first_stage_x(model: LinearModel, sol: Solution) -> np.ndarray:
 
 
 def extract_allocation(model: LinearModel, sol: Solution, inst: Instance,
-                       cfg: BioConfig) -> tuple[Allocation, np.ndarray | None, float | None]:
-    """Allocation, optimistic demand, and eta value from a master solution."""
+                       cfg: BioConfig) -> tuple[Allocation, tuple, float | None]:
+    """Allocation, optimistic demand (D+, D_o+; None where the master has
+    none), and eta value from a master solution."""
     info = model.info
-    repo = None
-    if info["repo"] is not None:
-        repo = np.where(np.eye(inst.num_nodes, dtype=bool), 0.0, sol.x[info["repo"]])
-    s_plus = d_plus = y_plus = None
+    repo = (None if info["repo"] is None
+            else np.where(np.eye(inst.num_nodes, dtype=bool), 0.0, sol.x[info["repo"]]))
+    s_plus = d_plus = y_plus = d_o_plus = None
     if cfg.lam > 0.0:
         s_plus, d_plus = sol.x[info["splus"]], sol.x[info["dplus"]]
         if info["yplus"] is not None:
             y_plus = _by_cell(inst, sol.x, info["yplus"])
-    eta_val = None if info["eta"] is None else float(sol.x[info["eta"]])
-    return Allocation(first_stage_x(model, sol), repo, s_plus, y_plus), d_plus, eta_val
+            d_o_plus = sol.x[info["doplus"]]
+    eta = None if info["eta"] is None else float(sol.x[info["eta"]])
+    return Allocation(first_stage_x(model, sol), repo, s_plus, y_plus), (d_plus, d_o_plus), eta
 
 
 def stage_one_value(inst: Instance, cfg: BioConfig, alloc: Allocation,
@@ -499,16 +497,13 @@ def build_saa_model(inst: Instance, scenarios: list[DemandScenario],
         raise FormulationError("SAA model needs at least one scenario")
     cfg = BioConfig(lam=0.0, integer_allocations=integer_allocations)
     m = LinearModel("saa", sense="max")
-    obj: dict[int, float] = {}
-    x_idx, repo_idx, terms = _add_first_stage(m, inst, uset, cfg, None)
-    obj.update(terms)
+    x_idx, repo_idx, obj = _add_first_stage(m, inst, uset, cfg, None)
     w = 1.0 / len(scenarios)
     const = 0.0
     for i, scen in enumerate(scenarios):
         terms, c, _ = _add_recourse_block(
             m, inst, scen.walkin, scen.online, cols=(x_idx, repo_idx), tag=f"_{i}")
-        for col, coeff in terms.items():
-            obj[col] = obj.get(col, 0.0) + w * coeff
+        obj.update((col, w * coeff) for col, coeff in terms.items())
         const += w * c
     m.set_objective(obj, const=const)
     m.info = {"x": x_idx, "repo": repo_idx}
@@ -547,13 +542,6 @@ def _big_m(inst: Instance, ch: str, t: int, i: int) -> float:
                         for mk, wk, (_l, z, _d) in zip(margins, w, edges) if z == i])
 
 
-def _columns(m: LinearModel, name: str, shape: tuple, lb: float = 0.0) -> np.ndarray:
-    idx = np.empty(shape, dtype=int)
-    for cell in np.ndindex(shape):
-        idx[cell] = m.add_var(f"{name}{list(cell)}", lb, INF)
-    return idx
-
-
 def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
                      lam: float, allied: str = WALKIN_ONLY,
                      fixed_scenario: DemandScenario | None = None) -> LinearModel:
@@ -565,24 +553,24 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
     the dual-times-demand products.  With `fixed_scenario` the selectors are
     dropped and the model is the plain dual LP at that demand (used by the
     alternating heuristic and for strong-duality checks); its columns are
-    the leading columns of the mixed-binary model, in the same order.
+    the leading columns of the mixed-binary model, in the same order; the
+    selector pairs of every cell follow them, cell after cell.
     `info["dual"][ch]` holds the demand-dual columns of channel ch, (T, n),
     and `info["w"][ch]` maps each cell to (selectors, values,
     dual-times-selector columns).  Rows, bounds and big-Ms do not depend on
     `alloc`, `lam` or `allied`; `set_allocation` writes the objective.
     """
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
-    e = inst.econ
-    br = inst.business_rules
-
+    e, br = inst.econ, inst.business_rules
     m = LinearModel("subproblem", sense="min")
-    gamma = _columns(m, "g", (T, L), -INF)
-    dual = {ch: _columns(m, f"dual_{ch}", (T, n)) for ch, n in (("b", L), ("o", Z))}
-    kappa = None if br.fulfill_capacity is None else _columns(m, "k", (T, L))
-    sigma = None if br.service_window_fraction is None else _columns(m, "sg", (T,))
+    gamma = _columns(m, "g", np.full((T, L), -INF))
+    dual = {ch: _columns(m, f"dual_{ch}", np.zeros((T, n))) for ch, n in (("b", L), ("o", Z))}
+    kappa = None if br.fulfill_capacity is None else _columns(m, "k", np.zeros((T, L)))
+    sigma = None if br.service_window_fraction is None else _columns(m, "sg", np.zeros(T))
 
     # dual feasibility
     w = None if sigma is None else window_weights(inst)
+    margin = _ship_margin(inst)
     for t in range(T):
         for l in range(L):
             m.add_constr({int(dual["b"][t, l]): 1.0, int(gamma[t, l]): 1.0}, ">=",
@@ -594,9 +582,7 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
                 row[int(kappa[t, l])] = 1.0
             if sigma is not None:
                 row[int(sigma[t])] = -w[k]
-            m.add_constr(row, ">=",
-                         float(e.online_price[t] + e.online_penalty[t] - e.fulfill_cost[l, z]),
-                         name=f"dual_y[{t},{l},{z}]")
+            m.add_constr(row, ">=", float(margin[t, k]), name=f"dual_y[{t},{l},{z}]")
         for l in range(L):
             row = {int(gamma[t, l]): 1.0}
             if t + 1 < T:
@@ -609,19 +595,29 @@ def build_subproblem(inst: Instance, uset: UncertaintySet, alloc: Allocation,
     if fixed_scenario is not None:
         m.info["scenario"] = fixed_scenario
     else:
-        for t in range(T):
-            for ch in CHANNELS:
-                n = dual[ch].shape[1]
-                for i in range(n):
-                    vals = list(range(int(uset.local_lower[ch][t, i]),
-                                      int(uset.local_upper[ch][t, i]) + 1))
-                    winfo[ch][t, i] = _add_selectors(m, f"{ch}[{t},{i}]", int(dual[ch][t, i]),
-                                                     vals, _big_m(inst, ch, t, i))
-                if n:
-                    row = {wc: float(val) for i in range(n)
-                           for wc, val in zip(*winfo[ch][t, i][:2]) if val}
-                    m.add_constr(row, ">=", float(uset.budget_lower[ch][t]), name=f"bud_{ch}l[{t}]")
-                    m.add_constr(row, "<=", float(uset.budget_upper[ch][t]), name=f"bud_{ch}u[{t}]")
+        cells = [(t, ch, i) for t in range(T) for ch in CHANNELS for i in range(dual[ch].shape[1])]
+        vals = [list(range(int(uset.local_lower[ch][t, i]), int(uset.local_upper[ch][t, i]) + 1))
+                for t, ch, i in cells]
+        # per cell and discrete demand value, a binary selector and a
+        # dual-times-selector column side by side; all cells in one block
+        ws, ps = map(iter, _columns(m, "wp", np.zeros((sum(map(len, vals)), 2)), [1.0, INF],
+                                    [BINARY, CONTINUOUS]).T.tolist())
+        for (t, ch, i), v in zip(cells, vals):
+            wcols, pcols = list(islice(ws, len(v))), list(islice(ps, len(v)))
+            d, M, cell = int(dual[ch][t, i]), _big_m(inst, ch, t, i), f"{ch}[{t},{i}]"
+            for k, (wc, pc) in enumerate(zip(wcols, pcols)):
+                # big-M links to the cell's dual; the lower one keeps the relaxation tight
+                m.add_constr({pc: 1.0, wc: -M}, "<=", 0.0, name=f"link{cell}[{k}]")
+                m.add_constr({pc: 1.0, d: -1.0, wc: -M}, ">=", -M, name=f"linklo{cell}[{k}]")
+            m.add_constr({c: 1.0 for c in wcols}, "==", 1.0, name=f"pick{cell}")
+            m.add_constr({**dict.fromkeys(pcols, 1.0), d: -1.0}, "==", 0.0, name=f"sum{cell}")
+            m.add_sos1(wcols, v)
+            winfo[ch][t, i] = wcols, v, pcols
+            if i + 1 == dual[ch].shape[1]:
+                row = {wc: float(val) for k in range(i + 1)
+                       for wc, val in zip(*winfo[ch][t, k][:2]) if val}
+                m.add_constr(row, ">=", float(uset.budget_lower[ch][t]), name=f"bud_{ch}l[{t}]")
+                m.add_constr(row, "<=", float(uset.budget_upper[ch][t]), name=f"bud_{ch}u[{t}]")
     set_allocation(m, inst, alloc, lam, allied)
     return m
 
@@ -658,13 +654,12 @@ def set_allocation(m: LinearModel, inst: Instance, alloc: Allocation, lam: float
         info["fixed"] = (obj, keep, penalty)
         set_fixed_scenario(m, info["scenario"])
         return
-    for t in range(T):
-        for ch in CHANNELS:
-            for i in range(info["dual"][ch].shape[1]):
-                pen = float(penalty[ch][t, i])
-                for wc, val, pc in zip(*info["w"][ch][t, i]):
-                    obj[pc] = keep[ch] * val
-                    obj[wc] = -keep[ch] * val * pen
+    for ch in CHANNELS:
+        for (t, i), (wcols, vals, pcols) in info["w"][ch].items():
+            pen = float(penalty[ch][t, i])
+            for wc, val, pc in zip(wcols, vals, pcols):
+                obj[pc] = keep[ch] * val
+                obj[wc] = -keep[ch] * val * pen
     m.set_objective(obj)
 
 
@@ -684,27 +679,6 @@ def set_fixed_scenario(m: LinearModel, scenario: DemandScenario):
     m.set_objective(obj, const=const)
 
 
-def _add_selectors(m: LinearModel, cell: str, dual: int, vals: list, M: float) -> tuple:
-    """One binary selector per discrete demand value of a cell, each with a
-    dual-times-selector column tied to the cell's `dual` by big-M links;
-    returns (selectors, values, dual-times-selector columns)."""
-    wcols, pcols = [], []
-    for k in range(len(vals)):
-        wc = m.add_var(f"w{cell}[{k}]", 0.0, 1.0, BINARY)
-        pc = m.add_var(f"p{cell}[{k}]", 0.0, INF)
-        wcols.append(wc)
-        pcols.append(pc)
-        m.add_constr({pc: 1.0, wc: -M}, "<=", 0.0, name=f"link{cell}[{k}]")
-        # lower RLT link keeps the relaxation tight
-        m.add_constr({pc: 1.0, dual: -1.0, wc: -M}, ">=", -M, name=f"linklo{cell}[{k}]")
-    m.add_constr({c: 1.0 for c in wcols}, "==", 1.0, name=f"pick{cell}")
-    row = {c: 1.0 for c in pcols}
-    row[dual] = -1.0
-    m.add_constr(row, "==", 0.0, name=f"sum{cell}")
-    m.add_sos1(wcols, vals)
-    return wcols, vals, pcols
-
-
 def extract_worst_scenario(model: LinearModel, sol: Solution) -> DemandScenario:
     """Demand selected by the subproblem's binary selectors."""
     info = model.info
@@ -713,6 +687,30 @@ def extract_worst_scenario(model: LinearModel, sol: Solution) -> DemandScenario:
         for (t, i), (wcols, vals, _p) in info["w"][ch].items():
             demand[ch][t, i] = _selected_value(sol, wcols, vals, f"channel {ch} cell ({t},{i})")
     return DemandScenario(demand["b"], demand["o"])
+
+
+def incumbent_from_scenario(model: LinearModel, scenario: DemandScenario, fixed: Solution):
+    """(value, point) of a subproblem MIP at `scenario`, the inverse of
+    `extract_worst_scenario`: `fixed`, the dual LP's solution there, in the
+    leading columns, the scenario's selectors and their dual-times-selector
+    columns; None when a cell's demand is none of its selector values."""
+    x = np.zeros(model.num_vars)
+    x[:fixed.x.size] = fixed.x
+    for ch in CHANNELS:
+        for cell, (wcols, vals, pcols) in model.info["w"][ch].items():
+            picked = [k for k, v in enumerate(vals) if v == float(scenario.channel(ch)[cell])]
+            if len(picked) != 1:
+                return None
+            x[wcols[picked[0]]] = 1.0
+            x[pcols[picked[0]]] = x[model.info["dual"][ch][cell]]
+    return float(fixed.objective), x
+
+
+def demand_move_costs(model: LinearModel, sol: Solution) -> dict:
+    """Per channel, keep * (dual - penalty), (T, n): the value per unit of
+    demand of a solved fixed-demand `build_subproblem` model at its duals."""
+    _base, keep, penalty = model.info["fixed"]
+    return {ch: keep[ch] * (sol.x[model.info["dual"][ch]] - penalty[ch]) for ch in CHANNELS}
 
 
 def _selected_value(sol: Solution, wcols, vals, where: str) -> float:
@@ -737,7 +735,7 @@ def build_pwl_baseline(inst: Instance, mean_demand, quantile_demand,
     """Deterministic two-class network model: class 1 is the mean demand at
     full price/penalty, class 2 the excess up to the critical quantile at a
     discounted price/penalty."""
-    T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
+    T, L, Z, E = inst.horizon, inst.num_nodes, inst.num_zones, len(inst.network.edges)
     e = inst.econ
     mw, mo = np.atleast_2d(mean_demand.walkin), np.atleast_2d(mean_demand.online)
     qw, qo = np.atleast_2d(quantile_demand.walkin), np.atleast_2d(quantile_demand.online)
@@ -748,16 +746,12 @@ def build_pwl_baseline(inst: Instance, mean_demand, quantile_demand,
 
     m = LinearModel("pwl", sense="max")
     x_idx, repo_idx, obj = _add_first_stage(m, inst, None, BioConfig(lam=0.0), None)
-    # class 2: discounted sales of the excess, drawing on the class-1 stock
-    s2 = np.empty((T, L), dtype=int)
-    y2 = np.empty((T, len(inst.network.edges)), dtype=int)
-    for t in range(T):
-        for l in range(L):
-            s2[t, l] = m.add_var(f"s2[{t},{l}]", 0.0, float(exw[t, l]))
-            obj[int(s2[t, l])] = discount * (e.walkin_price[t, l] + e.walkin_penalty[t, l])
-        for k, (l, z, _d) in enumerate(inst.network.edges):
-            col = y2[t, k] = m.add_var(f"y2[{t},{l},{z}]", 0.0, INF)
-            obj[col] = discount * (e.online_price[t] + e.online_penalty[t]) - e.fulfill_cost[l, z]
+    # class 2: discounted sales of the excess, drawing on the class-1 stock;
+    # a period's columns: s2 of each node, then y2 of each edge
+    block = _columns(m, "s2y2", 0.0, np.hstack([exw[:T], np.full((T, E), INF)]))
+    _price(obj, block, np.hstack([discount * (e.walkin_price + e.walkin_penalty),
+                                  _ship_margin(inst, discount)]))
+    s2, y2 = block[:, :L], block[:, L:]
     terms, const, _ = _add_recourse_block(
         m, inst, mw, mo, cols=(x_idx, repo_idx), extra_s=s2, extra_y=y2,
         const=_less_lost_sales(inst, 0.0, exw, exo, discount, discount), tag="1")

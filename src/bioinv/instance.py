@@ -22,11 +22,20 @@ class InstanceError(Exception):
     pass
 
 
+def _floats(name: str, val) -> np.ndarray:
+    """`val` as a float array; InstanceError naming `name` when it is not a
+    number or a rectangular array of numbers."""
+    try:
+        return np.asarray(val, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{name}: expected numbers ({exc})") from None
+
+
 def _grid(name: str, val, shape: tuple) -> np.ndarray:
     """`val` as a float array of `shape`: a scalar fills it, and so does
     None as zero; a row fills a one-row shape.  Any other shape raises
     InstanceError."""
-    a = np.asarray(0.0 if val is None else val, dtype=float)
+    a = _floats(name, 0.0 if val is None else val)
     if a.ndim == 0:
         return np.full(shape, float(a))
     if a.ndim == 1 and shape == (1, a.size):
@@ -149,7 +158,7 @@ def build_instance(nodes, zones, horizon, *, walkin_price, walkin_penalty,
     )
     rules = business_rules or BusinessRules()
     inst = Instance(net, econ, inv, T, replace(rules, **{
-        k: np.asarray(getattr(rules, k), dtype=float)
+        k: _floats(f"business_rules.{k}", getattr(rules, k))
         for k in ("transport_capacity", "fulfill_capacity") if getattr(rules, k) is not None}))
     structural = structural_problems(inst)
     if structural:
@@ -297,8 +306,7 @@ def instance_from_dict(d: dict) -> Instance:
     return build_instance(
         **{**net, "zones": net.get("zones", []),
            "ship_edges": [(e["node"], e["zone"], e.get("days", 0)) for e in edges]},
-        **{**econ, "fulfill_cost": (np.array(econ["fulfill_cost"], dtype=float).reshape(L, -1)
-                                    if econ["fulfill_cost"] else np.zeros((L, 0)))},
+        **{**econ, "fulfill_cost": econ["fulfill_cost"] or np.zeros((L, 0))},
         **section(InventoryState, "inventory"),
         horizon=d["horizon"],
         business_rules=BusinessRules(**rules),

@@ -9,7 +9,6 @@ from bioinv import ccg
 from bioinv.ccg import (
     ALTERNATING,
     CcgOptions,
-    _mip_incumbent_from_scenario,
     alternating_heuristic_subproblem,
     minimize_linear_over_cell,
     seed_scenario,
@@ -22,6 +21,7 @@ from bioinv.formulations import (
     FormulationError,
     build_subproblem,
     evaluate_profit,
+    incumbent_from_scenario,
     set_fixed_scenario,
     stage_one_value,
 )
@@ -152,7 +152,7 @@ class TestAlternatingHeuristic:
                               walkin_penalty=5.0, purchase_cost=3.0)
         uset = walkin_set([1, 2], [1, 2], 3, 3)
         scen, val, _ = alternating_heuristic_subproblem(
-            inst, uset, Allocation([[1.0, 1.0]]), 0.0, rounds=1)
+            inst, uset, Allocation([[1.0, 1.0]]), 0.0)
         assert np.array_equal(scen.walkin, [[1.0, 2.0]])
 
     def test_value_upper_bounds_exact_min(self):
@@ -290,7 +290,7 @@ class TestMipIncumbent:
                     scen = DemandScenario([list(b)], [list(o)])
                     set_fixed_scenario(dual_lp, scen)
                     fixed = solve(dual_lp)
-                    val, x = _mip_incumbent_from_scenario(model, scen, fixed)
+                    val, x = incumbent_from_scenario(model, scen, fixed)
                     assert val == fixed.objective
                     assert (x >= lb - 1e-7).all() and (x <= ub + 1e-7).all()
                     for con in model.constraints:

@@ -40,6 +40,23 @@ class TestValidate:
         assert "nonnegativity" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("fixture,section,field,value", [
+        ("example_walkin_p0_b160.json", "econ", "holding", "x"),
+        ("reference_sim_instance.json", "business_rules", "fulfill_capacity",
+         [[1.0, 2.0], [3.0]]),
+    ])
+    def test_unreadable_array_names_its_field(self, tmp_path, capsys, fixture, section, field,
+                                              value):
+        doc = json.load(open(os.path.join(DATA, fixture)))
+        doc.setdefault(section, {})[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["validate", str(bad)]) == 1
+        name = field if section == "econ" else f"{section}.{field}"
+        assert capsys.readouterr().err.startswith(
+            f"error: InstanceError: {name}: expected numbers (")
+
+
 class TestSolve:
     def test_pure_ro_example_report(self, tmp_path, capsys):
         out = tmp_path / "run"

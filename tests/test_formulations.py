@@ -1,6 +1,11 @@
+import hashlib
+import json
+import os
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
-from itertools import product
 
 from bioinv.formulations import (
     Allocation,
@@ -12,6 +17,7 @@ from bioinv.formulations import (
     build_fulfillment_model,
     build_master,
     build_pwl_baseline,
+    build_saa_model,
     build_subproblem,
     evaluate_allocation,
     evaluate_profit,
@@ -22,15 +28,19 @@ from bioinv.formulations import (
     set_allocation,
     set_fixed_scenario,
 )
-from bioinv.instance import BusinessRules, build_instance
+from bioinv.instance import BusinessRules, build_instance, load_instance
 from bioinv.reference import (
     example_walkin_instance,
+    example_walkin_means,
     example_walkin_uncertainty,
     synthetic_instance,
 )
 from bioinv.solver import solve
 from bioinv.tuning import superpose
-from bioinv.uncertainty import DemandMeans, DemandScenario, UncertaintySet, sample_scenarios
+from bioinv.uncertainty import (DemandMeans, DemandScenario, UncertaintySet,
+                                quantile_bounds_from_means, sample_scenarios)
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 def walkin_set(lo, hi, bl, bu, periods=1):
@@ -958,3 +968,155 @@ class TestRandomizedCertification:
             assert sol.status == "optimal"
             worst = evaluate_profits(inst, alloc, points).min() + first_stage_cost(inst, alloc)
             assert sol.objective == pytest.approx(worst, abs=1e-6), n
+
+
+def _model_digest(m):
+    """sha256 of a model's content without its names: the ordered columns
+    (lb, ub, kind), rows (cols, vals, sense, rhs), objective by column,
+    constant and SOS1 groups; floats by repr, so the digest is exact."""
+    content = (m.obj_sense,
+               [(repr(float(lo)), repr(float(hi)), kd) for lo, hi, kd in zip(m.lb, m.ub, m.kind)],
+               [([int(j) for j in c.cols], [repr(float(v)) for v in c.vals], c.sense,
+                 repr(float(c.rhs))) for c in m.constraints],
+               [(int(j), repr(float(v))) for j, v in sorted(m.obj.items())],
+               repr(float(m.obj_const)),
+               [([int(j) for j in cols], [repr(float(v)) for v in vals]) for cols, vals in m.sos1])
+    return hashlib.sha256(repr(content).encode()).hexdigest()
+
+
+def _pinned_builds():
+    """(case, model) for every model class on the walk-in fixture, the
+    reference plan and a synthetic instance with capacity and window rules;
+    each instance gets repositioning costs and lead times for the
+    repositioning masters."""
+    with open(os.path.join(DATA, "reference_sim_means.json")) as fh:
+        doc = json.load(fh)
+    plan = DemandMeans(np.array(doc["walkin"][:2]), np.array(doc["online"][:2]))
+    syn, syn_means = synthetic_instance(3, 1, 2, seed=2)
+    syn = replace(syn, business_rules=BusinessRules(
+        fulfill_capacity=np.full((2, 4), 2.0), service_window_fraction=0.3,
+        service_window_days=2))
+    cases = [("walkin", example_walkin_instance(80.0, 80.0), example_walkin_means(),
+              example_walkin_uncertainty()),
+             ("reference", load_instance(os.path.join(DATA, "reference_sim_instance.json")),
+              plan, quantile_bounds_from_means(plan)),
+             ("synthetic-rules", syn, syn_means, quantile_bounds_from_means(syn_means))]
+    for name, inst, means, uset in cases:
+        T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
+        pair = np.subtract.outer(np.arange(L), np.arange(L))
+        inst = replace(inst, econ=replace(inst.econ, reposition_cost=1.0 + np.abs(pair) % 3),
+                       inventory=replace(inst.inventory, reposition_lead=np.abs(pair) % 2))
+        scens = sample_scenarios(means, 2, 11, "uniform", uset=uset)
+        x = (np.arange(T * L).reshape(T, L) % 3).astype(float)
+        y_plus = np.zeros((T, L, Z))
+        for l, z, _d in inst.network.edges:
+            y_plus[:, l, z] = 0.5
+        alloc = Allocation(x, s_plus=0.25 * x, y_plus=y_plus)
+        yield f"{name}/fulfillment", build_fulfillment_model(inst, Allocation(x), scens[0])
+        for (lam, allied), variant in product(((0.0, "walkin"), (0.3, "both")),
+                                              ("plain", "integer", "repositioning", "fixed-x")):
+            cfg = BioConfig(lam=lam, allied_channels=allied,
+                            integer_allocations=variant == "integer",
+                            repositioning=variant == "repositioning")
+            m = build_master(inst, uset, scens[:1], cfg, x if variant == "fixed-x" else None)
+            add_master_scenario(m, inst, scens[1], cfg)
+            yield f"{name}/master/{lam}/{allied}/{variant}", m
+        yield f"{name}/subproblem-mip", build_subproblem(inst, uset, alloc, 0.3, "both")
+        yield f"{name}/dual-lp", build_subproblem(inst, uset, alloc, 0.3, "both",
+                                                  fixed_scenario=scens[0])
+        quantile = DemandMeans(np.atleast_2d(means.walkin)[:T] + 1.0,
+                               np.atleast_2d(means.online)[:T] + 2.0)
+        yield f"{name}/pwl", build_pwl_baseline(inst, DemandMeans(
+            np.atleast_2d(means.walkin)[:T], np.atleast_2d(means.online)[:T]), quantile)
+        yield f"{name}/saa", build_saa_model(inst, scens)
+
+
+# Digests of the models of `_pinned_builds`.  Column order is part of every
+# result (the simplex breaks pricing ties by lowest index), so a change that
+# moves a column, row, bound or coefficient fails here; one that changes a
+# model on purpose updates these digests and says so.
+PINNED_DIGESTS = {
+    "walkin/fulfillment":
+        "7c123e86dd096688f634c2d758fa49889be947617cec76a93dbbf2a793698b11",
+    "walkin/master/0.0/walkin/plain":
+        "8b4387f9eaa67ed7496f328070d84b0287c7c65b329ef2c8fa5d07f3b427b653",
+    "walkin/master/0.0/walkin/integer":
+        "d522b2c581cd6e73bd82d45c35691eba491cfccf99bc2eca99361c15cbf90a8d",
+    "walkin/master/0.0/walkin/repositioning":
+        "13e453d8c71f83f1a014efa1498e6838f908b606d1b91cb3a47fd02a14c1e411",
+    "walkin/master/0.0/walkin/fixed-x":
+        "cca65913374fea452e9f70a09e87d5ee022307924aaa535d0f97fe9e4c773328",
+    "walkin/master/0.3/both/plain":
+        "c924c312f5d71feb06ad10f2109c2d01f3a27c3e17345b7872aa3259332396e3",
+    "walkin/master/0.3/both/integer":
+        "35ca3ab98688452149623f39f671b6ab770f457fc7843bae1834658d8769d784",
+    "walkin/master/0.3/both/repositioning":
+        "8962f29422d3eda8ad4fb0ca37de65c37bc9da53b85e6c6b0d41c82d7669ac98",
+    "walkin/master/0.3/both/fixed-x":
+        "4e9e20ecc88293cc8b5bd8ac93105a3583f810df81817ee1fbed4a90e4e6fd15",
+    "walkin/subproblem-mip":
+        "bf4a19bc55f49990039cd3683248f7ac6c12be071e4089cc4019c7df41490384",
+    "walkin/dual-lp":
+        "330d24d68488634579b63c1632c89f91547415522704d3d70c6fb7c0f1ae9fc8",
+    "walkin/pwl":
+        "8afb808ecfce340bc56def083333ef03c7d1fafdb7308fb55f22542ebf5ce6bd",
+    "walkin/saa":
+        "aa717c8be71fe4bd4e1c3fb912f6b5636ab2440742e00674100a01fd064d0fa5",
+    "reference/fulfillment":
+        "dc0a5cf24b963fc3922d038f6661014a0000fcb4e5c3d6f9c87dce09fce0e9e8",
+    "reference/master/0.0/walkin/plain":
+        "8f791863315433dc680e9a82d9a52b83da47fc34d7704a2c041cbeaa649103bb",
+    "reference/master/0.0/walkin/integer":
+        "b31d3aa02ca09b264baed57386822a62fda02d6bfcc2ee67bd2ef38e544973f1",
+    "reference/master/0.0/walkin/repositioning":
+        "886b40234f4d301754a5a8e8b9c17f3ac7fe4c7c2bd56c62c69dfe1490dc4ec2",
+    "reference/master/0.0/walkin/fixed-x":
+        "4d668b634b7b16f2177e7200af2a4768324ed47a438e01f25dd08c0928055585",
+    "reference/master/0.3/both/plain":
+        "42acfb71fe107263ed83860b1511c03d4b848ba4e61e7d71e038d45fc443dbe1",
+    "reference/master/0.3/both/integer":
+        "9ddf5d5c66690fdf3fe0431a335a4018ad94a129bb3ef83759aad71c19f44f39",
+    "reference/master/0.3/both/repositioning":
+        "2e27ed934f925850efcaebd41e7f52feb9b7aa54a5bfee06ce1e7e31bb30e80f",
+    "reference/master/0.3/both/fixed-x":
+        "557c5daad466ade8faa0d097a82bb83da6d1685567709139d8a2e3d2fafb296b",
+    "reference/subproblem-mip":
+        "b110b73418a36da1069b77b1dc75b56e66d893381c4901fa0e07f47bbfba0da1",
+    "reference/dual-lp":
+        "2e6821d30434b2939415d803149a834018927efd3e67e378ce4376abb1eafed8",
+    "reference/pwl":
+        "6fbb8c6cd482ea121899fd636b6659d1d43fab379bbca78981c00cb770889200",
+    "reference/saa":
+        "9773aac6d97465b15d97f0b170fc7ad3e8a456f6ee6666d589e53bb0f0bff647",
+    "synthetic-rules/fulfillment":
+        "34b3806f1cf3a67b7649ec72b2ba8e93913dafd010f68780402942e1a3041df8",
+    "synthetic-rules/master/0.0/walkin/plain":
+        "7d150691ba6f8ce7fcafeef7d458446a3e2944429f73bb9637748fb36db64414",
+    "synthetic-rules/master/0.0/walkin/integer":
+        "f85da125dc507048f64f5de14646136f6472772deca8cc184f2a9e625f613e2a",
+    "synthetic-rules/master/0.0/walkin/repositioning":
+        "fdc612b3c323a923c3e09f7b5609f35ec1eec7a223f6d65bb13892a4e98136eb",
+    "synthetic-rules/master/0.0/walkin/fixed-x":
+        "fe4b23245a0e978e032678e95b199eb79d0eabe8e3e693aba561ccbadfc582d6",
+    "synthetic-rules/master/0.3/both/plain":
+        "3eaeeb87cf8b887c8662cc1a2cf3f019ea84d786eccfdd065c68bbfdc83a61c4",
+    "synthetic-rules/master/0.3/both/integer":
+        "e5f1f6676e87f6bdeb0c246398d756f60e9549e5a3cae3608c8e074db427eaff",
+    "synthetic-rules/master/0.3/both/repositioning":
+        "c8d839024767fb3b6dfd706b7c20f9cb6e2d305524e3d34a68bec9338571cd45",
+    "synthetic-rules/master/0.3/both/fixed-x":
+        "8bedf2ba509c0b00896a2c38ea54edbc9bed3e24d11945b21e5e4427d30c317b",
+    "synthetic-rules/subproblem-mip":
+        "d37303a5a8caf5746d69b1e0ad504ca0918cfbf0156e1e68e1c4540391afc1c9",
+    "synthetic-rules/dual-lp":
+        "a702d5efb51624e6d0afe3f74ab463b725eff0e0c1bb3526d4df15aa11e103a1",
+    "synthetic-rules/pwl":
+        "6d6131fdd486e8bc600d510d42d190ddb56a6691c8a2f3fcc81a68d752159f2c",
+    "synthetic-rules/saa":
+        "383099e293194d6a87a86c8c5c1f2eb3337752836e07885009c0435ff5d1c1a7",
+}
+
+
+def test_every_model_keeps_its_content_and_order():
+    digests = {case: _model_digest(m) for case, m in _pinned_builds()}
+    assert digests == PINNED_DIGESTS

@@ -141,6 +141,25 @@ class TestStructure:
             build_instance(["A", "B"], [], 1, walkin_price=1.0, walkin_penalty=0.0,
                            reposition_cost=[1.0, 2.0])
 
+    @pytest.mark.parametrize("kw,field", [
+        ({"holding": "x"}, "holding"),
+        ({"walkin_price": [[1.0, 2.0], [3.0]]}, "walkin_price"),
+        ({"fulfill_cost": [["a"], [1.0]]}, "fulfill_cost"),
+        ({"lead_time": ["a", 1]}, "lead_time"),
+        ({"reposition_cost": [[0.0, 1.0], [1.0]]}, "reposition_cost"),
+        ({"reposition_lead": "x"}, "reposition_lead"),
+        ({"business_rules": BusinessRules(fulfill_capacity=[[1.0, 2.0], [3.0]])},
+         "business_rules.fulfill_capacity"),
+        ({"business_rules": BusinessRules(transport_capacity=[["x", 1.0]])},
+         "business_rules.transport_capacity"),
+    ])
+    def test_unreadable_arrays_name_their_field(self, kw, field):
+        # a non-numeric or ragged array is an InstanceError naming its field,
+        # not numpy's ValueError
+        with pytest.raises(InstanceError, match=f"^{field}: expected numbers"):
+            build_instance(["A", "B"], ["Z"], 2, **{"walkin_price": 1.0, "walkin_penalty": 0.0,
+                                                    "fulfill_cost": 1.0, **kw})
+
     def test_pipeline_length_checked(self):
         with pytest.raises(InstanceError, match="pipeline"):
             build_instance(["A"], [], 1, walkin_price=1.0, walkin_penalty=0.0,

@@ -1,4 +1,5 @@
-"""Guards for the benchmark harness under perfbench/, read without running it."""
+"""Guards read from source without running it: the benchmark harness under
+perfbench/, and which bioinv module lays out and reads model columns."""
 
 import ast
 import importlib
@@ -75,3 +76,33 @@ def test_tuning_scores_go_through_the_module_global(monkeypatch):
     tuning.tune_lambda(example_walkin_instance(0.0, 160.0), example_walkin_uncertainty(),
                        sample_scenarios(example_walkin_means(), 40, 1), method="bisection")
     assert 0 < len(calls) <= 50
+
+
+def _source_tree(module):
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "bioinv", f"{module}.py")
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def test_formulations_adds_columns_only_through_its_block_helper():
+    # every block of columns, the scalar eta included, is laid out by
+    # formulations._columns in row-major order; a per-cell add_var loop
+    # elsewhere would take column order out of that one helper
+    callers = set()
+    for fn in ast.walk(_source_tree("formulations")):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "add_var"):
+                    callers.add(fn.name)
+    assert callers == {"_columns"}
+
+
+def test_ccg_reads_no_model_columns():
+    # only formulations knows where a model keeps its columns: ccg gets
+    # allocations, scenarios, incumbents and demand costs from it; the one
+    # `.info` in ccg is its logger's
+    reads = [node.lineno for node in ast.walk(_source_tree("ccg"))
+             if isinstance(node, ast.Attribute) and node.attr == "info"
+             and not (isinstance(node.value, ast.Name) and node.value.id == "_log")]
+    assert reads == []
