@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import json
@@ -11,10 +12,12 @@ import pytest
 
 from bioinv.ccg import CcgOptions
 from bioinv.cli import _ccg_options, build_parser, main
-from bioinv.formulations import Allocation, evaluate_profits
+from bioinv.formulations import Allocation, BioConfig, evaluate_profits
 from bioinv.instance import build_instance, load_instance, save_instance
+from bioinv.reference import synthetic_instance
 from bioinv.simulate import PolicySpec
-from bioinv.uncertainty import load_scenarios, quantile_bounds_from_means
+from bioinv.tuning import ScoringObjective, tune_lambda
+from bioinv.uncertainty import load_scenarios, quantile_bounds_from_means, sample_scenarios
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -281,7 +284,97 @@ class TestFileFields:
                     in capsys.readouterr().err), argv
 
 
+# (dest, default, type, choices, nargs, required) of each subcommand's options,
+# keyed by flag (a positional by its dest)
+_INSTANCE = {"instance": ("instance", None, None, None, None, True)}
+_FORCE = {"--force": ("force", False, None, None, 0, False)}
+_OUT = {"--out": ("out", None, None, None, None, False), **_FORCE}
+_OUT_FILE = {"--out-file": ("out_file", None, None, None, None, True), **_FORCE}
+_QUANTILES = {"--lower-q": ("lower_q", 0.05, float, None, None, False),
+              "--upper-q": ("upper_q", 0.95, float, None, None, False)}
+_SAMPLES = {"--samples": ("samples", 1000, int, None, None, False),
+            "--family": ("family", "poisson", None, ["poisson", "uniform"], None, False)}
+_SEED = {"--seed": ("seed", 0, int, None, None, False)}
+_INTEGER = {"--integer": ("integer", False, None, None, 0, False)}
+_MODES = ["exact_mip", "alternating_heuristic"]
+_CCG = {"--epsilon": ("epsilon", 1e-4, float, None, None, False),
+        "--max-iterations": ("max_iterations", 20, int, None, None, False),
+        "--max-seconds": ("max_seconds", 300.0, float, None, None, False),
+        "--subproblem-mode": ("subproblem_mode", "exact_mip", None, _MODES, None, False)}
+_SETS = {"--uncertainty": ("uncertainty", None, None, None, None, False),
+         "--means": ("means", None, None, None, None, False)}
+PARSER_PIN = {
+    "validate": _INSTANCE,
+    "solve": {**_INSTANCE, **_SETS, **_QUANTILES, **_INTEGER, **_OUT, **_CCG,
+              "--lambda": ("lam", 0.0, float, None, None, False),
+              "--allied": ("allied", "walkin", None, ["walkin", "both"], None, False),
+              "--repositioning": ("repositioning", False, None, None, 0, False),
+              "--allow-violations": ("allow_violations", False, None, None, 0, False)},
+    "evaluate": {**_INSTANCE, **_OUT,
+                 "--allocation": ("allocation", None, None, None, None, True),
+                 "--scenarios": ("scenarios", None, None, None, None, True)},
+    "tune": {**_INSTANCE, **_SETS, **_SAMPLES, **_QUANTILES, **_INTEGER, **_SEED, **_OUT,
+             **_CCG,
+             "--scenarios": ("scenarios", None, None, None, None, False),
+             "--method": ("method", "grid", None, ["grid", "bisection"], None, False),
+             "--grid": ("grid", None, None, None, None, False),
+             "--objective": ("objective", "mean", None,
+                             ["mean", "worst_case", "best_case", "cvar"], None, False),
+             "--cvar-level": ("cvar_level", 0.05, float, None, None, False)},
+    "simulate": {**_INSTANCE, **_SEED, **_OUT,
+                 "--means": ("means", None, None, None, None, True),
+                 "--policy": ("policy", ["basestock"], None, None, "+", False),
+                 "--weeks": ("weeks", 3, int, None, None, False),
+                 "--replications": ("replications", 30, int, None, None, False),
+                 "--max-iterations": ("max_iterations", 12, int, None, None, False),
+                 "--subproblem-mode": ("subproblem_mode", "alternating_heuristic", None,
+                                       _MODES, None, False)},
+    "gen-instance": {**_SEED, **_OUT_FILE,
+                     "--stores": ("stores", None, int, None, None, True),
+                     "--dcs": ("dcs", 0, int, None, None, False),
+                     "--zones": ("zones", 0, int, None, None, False),
+                     "--horizon": ("horizon", 2, int, None, None, False),
+                     "--weeks": ("weeks", None, int, None, None, False),
+                     "--lead-time": ("lead_time", 1, int, None, None, False),
+                     "--mean-range": ("mean_range", [0.5, 3.0], float, None, 2, False),
+                     "--cost-range": ("cost_range", [0.35, 0.55], float, None, 2, False),
+                     "--means-out": ("means_out", None, None, None, None, False)},
+    "sample": {**_SAMPLES, **_QUANTILES, **_SEED, **_OUT_FILE,
+               "--means": ("means", None, None, None, None, True)},
+}
+
+
 class TestParser:
+    def test_every_option_is_pinned(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {command: {(a.option_strings or [a.dest])[0]:
+                             (a.dest, a.default, a.type, a.choices, a.nargs, a.required)
+                             for a in p._actions
+                             if not isinstance(a, argparse._HelpAction)}
+                   for command, p in sub.choices.items()}
+        assert options == PARSER_PIN
+
+    def test_defaults_the_library_holds_are_the_library_defaults(self):
+        parser = build_parser()
+        cfg, objective = BioConfig(), ScoringObjective()
+        solve = parser.parse_args(["solve", "inst.json"])
+        assert (solve.lam, solve.allied, solve.integer, solve.repositioning) == (
+            cfg.lam, cfg.allied_channels, cfg.integer_allocations, cfg.repositioning)
+        tune = parser.parse_args(["tune", "inst.json"])
+        assert (tune.objective, tune.cvar_level, tune.integer) == (
+            objective.kind, objective.level, cfg.integer_allocations)
+        assert tune.method == inspect.signature(tune_lambda).parameters["method"].default
+        sample = parser.parse_args(["sample", "--means", "m.json", "--out-file", "s.json"])
+        family = inspect.signature(sample_scenarios).parameters["family"].default
+        assert tune.family == sample.family == family
+        gen = parser.parse_args(["gen-instance", "--stores", "2", "--out-file", "g.json"])
+        params = inspect.signature(synthetic_instance).parameters.values()
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        assert {name: getattr(gen, name) for name in defaults} == {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in defaults.items()}
+
     def test_ccg_flag_defaults_are_the_option_defaults(self):
         parser = build_parser()
         for command in ("solve", "tune"):
