@@ -41,21 +41,23 @@ def _read(path: str, cls, error=CliError):
     return record_from_dict(cls, read_json(path, error), error, path)
 
 
-def _out_dir(args) -> str:
+def _refuse_overwrite(args, *paths):
+    for path in paths:
+        if os.path.exists(path) and not args.force:
+            raise CliError(f"{path} exists; pass --force to overwrite")
+
+
+def _write_run(args, files: dict):
+    """Write `files` (name -> text or JSON payload) and the run manifest, last,
+    into --out, else $BIOINV_OUT_DIR, else the working directory.  Without
+    --force an existing target refuses the run before anything is written."""
     out = args.out or os.environ.get("BIOINV_OUT_DIR") or "."
+    files = {**files, "run_manifest.json": _manifest(args)}
+    _refuse_overwrite(args, *(os.path.join(out, name) for name in files))
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _refuse_overwrite(args, path: str) -> str:
-    if os.path.exists(path) and not args.force:
-        raise CliError(f"{path} exists; pass --force to overwrite")
-    return path
-
-
-def _write(args, out_dir: str, name: str, payload):
-    with open(_refuse_overwrite(args, os.path.join(out_dir, name)), "w") as fh:
-        fh.write(payload if isinstance(payload, str) else json.dumps(payload, indent=1) + "\n")
+    for name, payload in files.items():
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(payload if isinstance(payload, str) else json.dumps(payload, indent=1) + "\n")
 
 
 def _manifest(args) -> dict:
@@ -97,15 +99,6 @@ def _uncertainty_for(args, inst) -> UncertaintySet:
     return uset
 
 
-def _add_ccg_flags(sp):
-    opts = CcgOptions()
-    sp.add_argument("--epsilon", type=float, default=opts.epsilon)
-    sp.add_argument("--max-iterations", type=int, default=opts.max_iterations)
-    sp.add_argument("--max-seconds", type=float, default=opts.max_seconds)
-    sp.add_argument("--subproblem-mode", default=opts.subproblem_mode,
-                    choices=[EXACT_MIP, ALTERNATING])
-
-
 def cmd_validate(args) -> int:
     inst = load_instance(args.instance)
     violations = validate_instance(inst)
@@ -128,13 +121,10 @@ def cmd_solve(args) -> int:
                     integer_allocations=args.integer,
                     repositioning=args.repositioning)
     report = solve_two_stage(inst, uset, cfg, _ccg_options(args))
-    out = _out_dir(args)
-    _write(args, out, "solve_report.json", report.to_dict())
     trace = "iteration,lower_bound,upper_bound\n" + "\n".join(
         f"{i},{lb!r},{ub!r}" for i, (lb, ub) in
         enumerate(zip(report.lower_bounds, report.upper_bounds)))
-    _write(args, out, "bound_trace.csv", trace + "\n")
-    _write(args, out, "run_manifest.json", _manifest(args))
+    _write_run(args, {"solve_report.json": report.to_dict(), "bound_trace.csv": trace + "\n"})
     print(f"objective {report.objective:.6f} ({report.termination}, "
           f"{report.iterations} iterations)")
     print(f"allocation {report.allocation.x.tolist()}")
@@ -152,11 +142,9 @@ def cmd_evaluate(args) -> int:
     scenarios, meta = load_scenarios(args.scenarios)
     stats = batch_evaluate(inst, alloc, scenarios)
     profits = stats.pop("profits")
-    out = _out_dir(args)
-    _write(args, out, "evaluation.json", {**stats, "scenarios_meta": meta})
     rows = "".join(f"{i},{float(p)!r}\n" for i, p in enumerate(profits))
-    _write(args, out, "profits.csv", "scenario,profit\n" + rows)
-    _write(args, out, "run_manifest.json", _manifest(args))
+    _write_run(args, {"evaluation.json": {**stats, "scenarios_meta": meta},
+                      "profits.csv": "scenario,profit\n" + rows})
     print(json.dumps(stats, indent=1))
     return 0
 
@@ -178,11 +166,9 @@ def cmd_tune(args) -> int:
     result = tune_lambda(inst, uset, scenarios, objective, method=args.method,
                          grid=grid, options=_ccg_options(args),
                          cfg_base=BioConfig(integer_allocations=args.integer))
-    out = _out_dir(args)
-    _write(args, out, "tune_report.json", result.to_dict())
-    _write(args, out, "lambda_curve.csv",
-           "lambda,validation_score\n" + "\n".join(f"{l!r},{s!r}" for l, s in result.curve) + "\n")
-    _write(args, out, "run_manifest.json", _manifest(args))
+    curve = "\n".join(f"{l!r},{s!r}" for l, s in result.curve)
+    _write_run(args, {"tune_report.json": result.to_dict(),
+                      "lambda_curve.csv": f"lambda,validation_score\n{curve}\n"})
     print(f"lambda* = {result.lam}  holdout score = {result.score:.6f}")
     return 0
 
@@ -205,13 +191,9 @@ def cmd_simulate(args) -> int:
     results = {name: run_rolling_horizon(inst, spec, means, args.weeks,
                                          args.replications, args.seed)
                for name, spec in policies.items()}
-
-    out = _out_dir(args)
-    _write(args, out, "kpi_ledger.csv", kpi_table(results))
     summary = {name: {k: {"mean": v[0], "stderr": v[1]} for k, v in agg.items()}
                for name, (agg, _reps) in results.items()}
-    _write(args, out, "kpi_summary.json", summary)
-    _write(args, out, "run_manifest.json", _manifest(args))
+    _write_run(args, {"kpi_ledger.csv": kpi_table(results), "kpi_summary.json": summary})
     for name, (agg, _reps) in results.items():
         print(f"{name}: realized_profit {agg['realized_profit'][0]:.2f} "
               f"± {agg['realized_profit'][1]:.2f}")
@@ -224,9 +206,10 @@ def cmd_gen_instance(args) -> int:
                                      weeks=args.weeks, lead_time=args.lead_time,
                                      mean_range=tuple(args.mean_range),
                                      cost_range=tuple(args.cost_range))
-    save_instance(inst, _refuse_overwrite(args, args.out_file))
+    _refuse_overwrite(args, *filter(None, (args.out_file, args.means_out)))
+    save_instance(inst, args.out_file)
     if args.means_out:
-        with open(_refuse_overwrite(args, args.means_out), "w") as fh:
+        with open(args.means_out, "w") as fh:
             json.dump(record_to_dict(means), fh, indent=1)
     print(f"wrote {args.out_file}" + (f" and {args.means_out}" if args.means_out else ""))
     return 0
@@ -238,10 +221,15 @@ def cmd_sample(args) -> int:
     if args.family == "uniform":
         uset = quantile_bounds_from_means(means, args.lower_q, args.upper_q)
     scen = sample_scenarios(means, args.samples, args.seed, args.family, uset=uset)
-    save_scenarios(_refuse_overwrite(args, args.out_file), scen, seed=args.seed,
-                   family=args.family)
+    _refuse_overwrite(args, args.out_file)
+    save_scenarios(args.out_file, scen, seed=args.seed, family=args.family)
     print(f"wrote {len(scen)} scenarios to {args.out_file}")
     return 0
+
+
+def _group(*parents) -> argparse.ArgumentParser:
+    """A parent parser: arguments that mean the same in each subcommand listing it."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,77 +241,76 @@ def build_parser() -> argparse.ArgumentParser:
                          "week, -vv also each LP/MIP solve")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check instance assumptions")
-    p.add_argument("instance")
+    instance, force = _group(), _group()
+    instance.add_argument("instance")
+    force.add_argument("--force", action="store_true")
+    out, out_file = _group(force), _group(force)
+    out.add_argument("--out")
+    out_file.add_argument("--out-file", required=True)
+    quantiles, samples, seed, integer, ccg = _group(), _group(), _group(), _group(), _group()
+    quantiles.add_argument("--lower-q", type=float, default=DEFAULT_LOWER_Q)
+    quantiles.add_argument("--upper-q", type=float, default=DEFAULT_UPPER_Q)
+    samples.add_argument("--samples", type=int, default=1000)
+    samples.add_argument("--family", default="poisson", choices=["poisson", "uniform"])
+    seed.add_argument("--seed", type=int, default=0)
+    integer.add_argument("--integer", action="store_true")
+    opts = CcgOptions()
+    ccg.add_argument("--epsilon", type=float, default=opts.epsilon)
+    ccg.add_argument("--max-iterations", type=int, default=opts.max_iterations)
+    ccg.add_argument("--max-seconds", type=float, default=opts.max_seconds)
+    ccg.add_argument("--subproblem-mode", default=opts.subproblem_mode,
+                     choices=[EXACT_MIP, ALTERNATING])
+
+    p = sub.add_parser("validate", help="check instance assumptions", parents=[instance])
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", help="two-stage robust / BIO solve")
-    p.add_argument("instance")
+    p = sub.add_parser("solve", help="two-stage robust / BIO solve",
+                       parents=[instance, quantiles, integer, ccg, out])
     p.add_argument("--uncertainty", help="uncertainty-set JSON")
     p.add_argument("--means", help="demand means JSON (Poisson quantile bounds)")
-    p.add_argument("--lower-q", type=float, default=DEFAULT_LOWER_Q)
-    p.add_argument("--upper-q", type=float, default=DEFAULT_UPPER_Q)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--allied", default="walkin", choices=["walkin", "both"])
-    p.add_argument("--integer", action="store_true")
+    p.add_argument("--lambda", dest="lam", type=float, default=BioConfig().lam)
+    p.add_argument("--allied", default=BioConfig().allied_channels, choices=["walkin", "both"])
     p.add_argument("--repositioning", action="store_true")
     p.add_argument("--allow-violations", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
-    _add_ccg_flags(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("evaluate", help="score an allocation on scenarios")
-    p.add_argument("instance")
+    p = sub.add_parser("evaluate", help="score an allocation on scenarios",
+                       parents=[instance, out])
     p.add_argument("--allocation", required=True)
     p.add_argument("--scenarios", required=True)
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("tune", help="choose lambda on out-of-sample scores")
-    p.add_argument("instance")
+    p = sub.add_parser("tune", help="choose lambda on out-of-sample scores",
+                       parents=[instance, samples, quantiles, integer, seed, ccg, out])
     p.add_argument("--uncertainty")
     p.add_argument("--means")
     p.add_argument("--scenarios")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--family", default="poisson", choices=["poisson", "uniform"])
-    p.add_argument("--lower-q", type=float, default=DEFAULT_LOWER_Q)
-    p.add_argument("--upper-q", type=float, default=DEFAULT_UPPER_Q)
     p.add_argument("--method", default="grid", choices=["grid", "bisection"])
     p.add_argument("--grid", help="comma-separated lambda values")
-    p.add_argument("--objective", default="mean",
+    p.add_argument("--objective", default=ScoringObjective().kind,
                    choices=["mean", "worst_case", "best_case", "cvar"])
-    p.add_argument("--cvar-level", type=float, default=0.05)
-    p.add_argument("--integer", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
-    _add_ccg_flags(p)
+    p.add_argument("--cvar-level", type=float, default=ScoringObjective().level)
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("simulate", help="rolling-horizon business simulation")
-    p.add_argument("instance")
+    p = sub.add_parser("simulate", help="rolling-horizon business simulation",
+                       parents=[instance, seed, out])
     p.add_argument("--means", required=True, help="weekly demand means JSON")
     p.add_argument("--policy", nargs="+", default=["basestock"],
                    help="basestock | pwl | bio | bioNN: bio plans at lambda NN/100 "
                         "(bio10 is 0.1, bio is 0)")
     p.add_argument("--weeks", type=int, default=3)
     p.add_argument("--replications", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
     plan = PolicySpec("bio").ccg
     p.add_argument("--max-iterations", type=int, default=plan.max_iterations)
     p.add_argument("--subproblem-mode", default=plan.subproblem_mode,
                    choices=[EXACT_MIP, ALTERNATING])
-    p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("gen-instance", help="generate a synthetic instance")
+    p = sub.add_parser("gen-instance", help="generate a synthetic instance",
+                       parents=[seed, out_file])
     p.add_argument("--stores", type=int, required=True)
     p.add_argument("--dcs", type=int, default=0)
     p.add_argument("--zones", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=int, default=2)
     p.add_argument("--weeks", type=int, default=None)
     p.add_argument("--lead-time", type=int, default=1)
@@ -331,20 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LO", "HI"), help="weekly Poisson mean range")
     p.add_argument("--cost-range", type=float, nargs=2, default=[0.35, 0.55],
                    metavar=("LO", "HI"), help="purchase cost as a price fraction")
-    p.add_argument("--out-file", required=True)
     p.add_argument("--means-out")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_instance)
 
-    p = sub.add_parser("sample", help="draw seeded demand scenarios")
+    p = sub.add_parser("sample", help="draw seeded demand scenarios",
+                       parents=[samples, quantiles, seed, out_file])
     p.add_argument("--means", required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--family", default="poisson", choices=["poisson", "uniform"])
-    p.add_argument("--lower-q", type=float, default=DEFAULT_LOWER_Q)
-    p.add_argument("--upper-q", type=float, default=DEFAULT_UPPER_Q)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-file", required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sample)
     return ap
 

@@ -24,11 +24,24 @@ class InstanceError(Exception):
 
 def _floats(name: str, val) -> np.ndarray:
     """`val` as a float array; InstanceError naming `name` when it is not a
-    number or a rectangular array of numbers."""
+    number or a rectangular array of numbers, or holds a NaN (a JSON null)."""
     try:
-        return np.asarray(val, dtype=float)
+        a = np.asarray(val, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"{name}: expected numbers ({exc})") from None
+    if np.isnan(a).any():
+        raise InstanceError(f"{name}: expected numbers (got NaN)")
+    return a
+
+
+def _pipeline_row(node, val) -> tuple:
+    """A node's pipeline row as a tuple of floats; InstanceError naming the
+    row when it is not a list of numbers."""
+    name = f"inventory.pipeline[{node}]"
+    a = _floats(name, val)
+    if a.ndim != 1:
+        raise InstanceError(f"{name}: expected numbers (a list, got {val!r})")
+    return tuple(a.tolist())
 
 
 def _grid(name: str, val, shape: tuple) -> np.ndarray:
@@ -149,7 +162,8 @@ def build_instance(nodes, zones, horizon, *, walkin_price, walkin_penalty,
     if pipeline is None:
         pipe = tuple(tuple(0.0 for _ in range(lt[l] + 1)) for l in range(L))
     else:
-        pipe = tuple(tuple(float(v) for v in row) for row in pipeline)
+        pipe = tuple(_pipeline_row(nodes[l] if l < L else l, row)
+                     for l, row in enumerate(pipeline))
     inv = InventoryState(
         pipeline=pipe,
         lead_time=lt,

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,34 @@ class TestBounds:
         assert solve(sp).objective + stage1 == pytest.approx(rep.objective, abs=1e-6)
         with pytest.raises(FormulationError, match="y_plus"):
             stage_one_value(inst, cfg, rep.allocation, rep.d_plus)
+
+    def test_stage_one_value_is_the_masters_first_stage_part(self, monkeypatch):
+        # a candidate lower bound adds stage_one_value, a second copy of the
+        # master's first-stage prices, to the subproblem value; at every master
+        # solution it must equal the master objective less eta
+        inst, means = synthetic_instance(3, 1, 2, seed=1)
+        pair = np.subtract.outer(np.arange(inst.num_nodes), np.arange(inst.num_nodes))
+        inst = replace(inst, econ=replace(inst.econ, reposition_cost=1.0 + np.abs(pair) % 3),
+                       inventory=replace(inst.inventory, reposition_lead=np.abs(pair) % 2))
+        uset = quantile_bounds_from_means(means)
+        real, checked = ccg.extract_allocation, []
+
+        def checking(master, msol, inst, cfg):
+            alloc, (d_plus, d_o_plus), eta = real(master, msol, inst, cfg)
+            assert stage_one_value(inst, cfg, alloc, d_plus, d_o_plus) == pytest.approx(
+                msol.objective - eta, rel=1e-9), cfg
+            checked.append(repr(cfg))
+            return alloc, (d_plus, d_o_plus), eta
+
+        monkeypatch.setattr(ccg, "extract_allocation", checking)
+        options = CcgOptions(subproblem_mode=ALTERNATING, max_iterations=6,
+                             rescore_worst_case=False)
+        for (lam, allied), variant in product(((0.0, "walkin"), (0.3, "walkin"), (0.3, "both")),
+                                              ("plain", "integer", "repositioning")):
+            solve_two_stage(inst, uset, BioConfig(
+                lam=lam, allied_channels=allied, integer_allocations=variant == "integer",
+                repositioning=variant == "repositioning"), options)
+        assert len(set(checked)) == 9 and len(checked) > 9
 
     def test_ccg_equals_exhaustive_search_integer(self):
         # tiny enough for full enumeration over integer x and scenarios

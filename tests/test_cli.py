@@ -59,6 +59,20 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(
             f"error: InstanceError: {name}: expected numbers (")
 
+    @pytest.mark.parametrize("section,field,value,name", [
+        ("econ", "holding", [0.0, None, 0.0], "holding"),
+        ("inventory", "pipeline", [["x"], [0.0], [0.0]], "inventory.pipeline[M]"),
+    ], ids=["null-holding", "text-pipeline"])
+    def test_null_or_text_entry_names_its_field(self, tmp_path, capsys, section, field, value,
+                                                name):
+        doc = json.load(open(os.path.join(DATA, "example_walkin_p0_b160.json")))
+        doc[section][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: InstanceError: {name}: expected numbers (")
+
 
 class TestSolve:
     def test_pure_ro_example_report(self, tmp_path, capsys):
@@ -97,6 +111,19 @@ class TestSolve:
         assert run_cli(args) == 2  # refuses without --force
         assert "force" in capsys.readouterr().err
         assert run_cli(args + ["--force"]) == 0
+
+    def test_out_dir_from_the_environment(self, tmp_path, monkeypatch):
+        env, out = tmp_path / "env", tmp_path / "out"
+        monkeypatch.setenv("BIOINV_OUT_DIR", str(env))
+        monkeypatch.chdir(tmp_path)
+        args = ["solve", os.path.join(DATA, "example_walkin_p0_b160.json"),
+                "--means", os.path.join(DATA, "example_walkin_means.json")]
+        files = ["bound_trace.csv", "run_manifest.json", "solve_report.json"]
+        assert run_cli(args) == 0
+        assert sorted(os.listdir(env)) == files
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == files
+        assert sorted(os.listdir(tmp_path)) == ["env", "out"]
 
 
 class TestGenInstance:
@@ -221,6 +248,26 @@ class TestOverwrite:
             assert path.read_text() == "kept"
             assert run_cli(args + ["--force"]) == 0
             assert path.read_bytes() == written
+
+    @pytest.mark.parametrize("stale", ["solve_report.json", "bound_trace.csv",
+                                       "run_manifest.json"])
+    def test_refused_run_writes_nothing(self, tmp_path, capsys, stale):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / stale).write_text("")
+        assert run_cli(["solve", os.path.join(DATA, "example_walkin_p0_b160.json"),
+                        "--means", os.path.join(DATA, "example_walkin_means.json"),
+                        "--out", str(out)]) == 2
+        assert f"{out / stale} exists; pass --force" in capsys.readouterr().err
+        assert os.listdir(out) == [stale] and (out / stale).read_text() == ""
+
+    def test_refused_gen_instance_writes_nothing(self, tmp_path, capsys):
+        inst, means = tmp_path / "i.json", tmp_path / "m.json"
+        means.write_text("kept")
+        assert run_cli(["gen-instance", "--stores", "2", "--out-file", str(inst),
+                        "--means-out", str(means)]) == 2
+        assert f"{means} exists; pass --force" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["m.json"] and means.read_text() == "kept"
 
 
 class TestFileFields:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -152,13 +153,27 @@ class TestStructure:
          "business_rules.fulfill_capacity"),
         ({"business_rules": BusinessRules(transport_capacity=[["x", 1.0]])},
          "business_rules.transport_capacity"),
+        ({"holding": [0.0, None]}, "holding"),
+        ({"reposition_cost": [[0.0, float("nan")], [1.0, 0.0]]}, "reposition_cost"),
+        ({"business_rules": BusinessRules(fulfill_capacity=[[1.0, None], [1.0, 1.0]])},
+         "business_rules.fulfill_capacity"),
+        ({"pipeline": [["x"], [0.0]]}, "inventory.pipeline[A]"),
+        ({"pipeline": [[0.0], [None]]}, "inventory.pipeline[B]"),
+        ({"pipeline": [[0.0], 5.0]}, "inventory.pipeline[B]"),
+        ({"pipeline": [[0.0], [0.0], [[1.0]]]}, "inventory.pipeline[2]"),
     ])
     def test_unreadable_arrays_name_their_field(self, kw, field):
-        # a non-numeric or ragged array is an InstanceError naming its field,
-        # not numpy's ValueError
-        with pytest.raises(InstanceError, match=f"^{field}: expected numbers"):
+        # a non-numeric, ragged or NaN array (a JSON null) is an InstanceError
+        # naming its field, not numpy's ValueError
+        with pytest.raises(InstanceError, match=f"^{re.escape(field)}: expected numbers"):
             build_instance(["A", "B"], ["Z"], 2, **{"walkin_price": 1.0, "walkin_penalty": 0.0,
                                                     "fulfill_cost": 1.0, **kw})
+
+    def test_infinite_entries_stay_legal(self):
+        inst = build_instance(["A", "B"], ["Z"], 2, walkin_price=1.0, walkin_penalty=0.0,
+                              fulfill_cost=1.0, holding=[0.0, np.inf], pipeline=[[np.inf], [0.0]],
+                              business_rules=BusinessRules(fulfill_capacity=np.full((2, 2), np.inf)))
+        assert np.isinf(inst.econ.holding[1]) and inst.inventory.pipeline[0] == (np.inf,)
 
     def test_pipeline_length_checked(self):
         with pytest.raises(InstanceError, match="pipeline"):
