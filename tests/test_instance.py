@@ -170,9 +170,10 @@ class TestStructure:
                                                     "fulfill_cost": 1.0, **kw})
 
     def test_infinite_entries_stay_legal(self):
+        rules = BusinessRules(fulfill_capacity=np.full((2, 2), np.inf))
         inst = build_instance(["A", "B"], ["Z"], 2, walkin_price=1.0, walkin_penalty=0.0,
                               fulfill_cost=1.0, holding=[0.0, np.inf], pipeline=[[np.inf], [0.0]],
-                              business_rules=BusinessRules(fulfill_capacity=np.full((2, 2), np.inf)))
+                              business_rules=rules)
         assert np.isinf(inst.econ.holding[1]) and inst.inventory.pipeline[0] == (np.inf,)
 
     def test_pipeline_length_checked(self):
