@@ -1,9 +1,13 @@
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
 from bioinv.ccg import CcgOptions, solve_two_stage
-from bioinv.formulations import Allocation, BioConfig, evaluate_profit
-from bioinv.instance import build_instance
+from bioinv.formulations import Allocation, BioConfig, evaluate_profit, evaluate_profits
+from bioinv.instance import build_instance, load_instance
 from bioinv.reference import (
     example_walkin_instance,
     example_walkin_means,
@@ -21,11 +25,14 @@ from bioinv.tuning import (
     verify_superposition,
 )
 from bioinv.uncertainty import (
+    DemandMeans,
     DemandScenario,
     UncertaintySet,
     quantile_bounds_from_means,
     sample_scenarios,
 )
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 def walkin_set(lo, hi, bl, bu):
@@ -346,3 +353,42 @@ class TestSaaOracle:
         scen = [wscen([0]), wscen([0]), wscen([3]), wscen([3]), wscen([3])]
         alloc, _ = solve_saa(inst, scen)
         assert alloc.x[0, 0] == pytest.approx(3.0)
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def _data_means(name, periods=None):
+    with open(os.path.join(DATA, name)) as fh:
+        doc = json.load(fh)
+    return DemandMeans(walkin=doc["walkin"][:periods], online=doc["online"][:periods])
+
+
+def test_scenario_batch_profits_are_pinned():
+    # the benchmark's evaluate batch: the reference week-0 plan (its first
+    # two periods), 150 Poisson scenarios, a base allocation and its double.
+    # The digests were taken before the dual simplex's bookkeeping was
+    # rewritten, which must leave every profit bit for bit as it was; they
+    # hold for one numpy and BLAS build, whose rounding another may not share
+    inst = load_instance(os.path.join(DATA, "reference_sim_instance.json"))
+    means = _data_means("reference_sim_means.json", 2)
+    scenarios = sample_scenarios(means, 150, seed=7)
+    base = np.ceil(means.walkin)
+    base[:, 5:] = np.ceil(means.online.sum(axis=1) / 2.0)[:, None]  # the DCs
+    assert [_digest(evaluate_profits(inst, Allocation(x=x), scenarios).tobytes())
+            for x in (base, 2.0 * base)] == ["53799ca22d59a351", "dd1392b578b56b71"]
+
+
+def test_bisection_tune_is_pinned():
+    # lambda, scores, curve and allocation of a bisection tune on the walk-in
+    # fixture over 40 Poisson scenarios, pinned as above
+    inst = load_instance(os.path.join(DATA, "example_walkin_p0_b160.json"))
+    means = _data_means("example_walkin_means.json")
+    res = tune_lambda(inst, quantile_bounds_from_means(means),
+                      sample_scenarios(means, 40, seed=7), method="bisection")
+    assert _digest(res.lam, res.score, res.validation_score, res.curve,
+                   res.allocation.x.tobytes()) == "8ecf89ca6c7c4ddb"
