@@ -43,15 +43,20 @@ def _read(path: str, cls, error=CliError):
 
 def _refuse_overwrite(args, *paths):
     for path in paths:
+        if os.path.isdir(path):
+            raise CliError(f"{path} is a directory")
         if os.path.exists(path) and not args.force:
             raise CliError(f"{path} exists; pass --force to overwrite")
 
 
 def _write_run(args, files: dict):
     """Write `files` (name -> text or JSON payload) and the run manifest, last,
-    into --out, else $BIOINV_OUT_DIR, else the working directory.  Without
-    --force an existing target refuses the run before anything is written."""
+    into --out, else $BIOINV_OUT_DIR, else the working directory.  A target that
+    exists (without --force) or is a directory, or an --out that is a file,
+    refuses the run before anything is written."""
     out = args.out or os.environ.get("BIOINV_OUT_DIR") or "."
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise CliError(f"{out} is not a directory")
     files = {**files, "run_manifest.json": _manifest(args)}
     _refuse_overwrite(args, *(os.path.join(out, name) for name in files))
     os.makedirs(out, exist_ok=True)

@@ -14,20 +14,22 @@ Branch-and-bound minimizes, a `max` objective negated (which is exact), and
 fixes binaries through column bounds (binaries are never split or negated).
 A fractional root LP is the first node, re-solved from its own basis; every
 node is re-optimized by dual simplex from its parent's optimal basis and
-split by the branching rule `_branch`.  An open node keeps only that basis,
-the column statuses and the phase-1 row flips, shared with its sibling.  The
-tableau is rebuilt from that basis by Gauss-Jordan elimination when the first
-of the two is popped, and a copy of the rebuilt tableau is kept for the
-other (none for the root, which has no sibling): the rebuild reads neither
-bounds, right-hand side nor cost, so the sibling popped next re-optimizes
-that copy, bit for bit what its own rebuild would give.  Family members are
-re-optimized by dual simplex from the last optimal basis.  A
-re-optimization is accepted only within 1e-12 of the bounds.  A node or
-family member is solved cold when its basis matrix is singular or the dual
-simplex gives up, and reported infeasible without a cold solve when a row
-stays infeasible with no column to enter.  The primal and the dual simplex
-share one pivot step, which updates only the rows with a nonzero in the pivot
-column.
+split by `_branch`.  An open node keeps only that basis, the column statuses
+and the phase-1 row flips, shared with its sibling.  The tableau is rebuilt
+from that basis by Gauss-Jordan elimination when the first of the two is
+popped, and a copy is kept for the other (none for the root): the rebuild
+reads neither bounds, right-hand side nor cost, so the copy is bit for bit
+what a second rebuild would give.  Family members are re-optimized by dual
+simplex from the last optimal basis.  A re-optimization is accepted only
+within 1e-12 of the bounds.  A node or member is solved cold when its basis
+matrix is singular or the dual simplex gives up, and reported infeasible
+without a cold solve when a row stays infeasible with no column to enter.
+Both simplex loops recompute the reduced costs (the dual one also the basic
+values) from the whole tableau at each pivot, so their rounding is that of a
+full recomputation; the masks, bound signs, nonbasic values and basic bounds
+they test against are set once per call and follow the entering and leaving
+columns.  They share one pivot step, which updates only the rows with a
+nonzero in the pivot column.
 
 Phase 1 never reads the objective.  So a model keeps its standard form and
 its simplex after phase 1 from its first `solve` on, and a later `solve` with
@@ -41,22 +43,19 @@ simplex from that tableau, extended by the new columns and rows (a CCG master
 after each scenario block).  `simplex_iterations` then counts the dual pivots.
 That tableau is carried, not refactorized, so its round-off grows with each
 growth.  When the dual simplex ends other than optimal, or its x misses a row
-of the model by more than 1e-9, the tableau is refactorized once: rebuilt
-from the basis the dual simplex reached, as a node's is, and re-optimized
-again, `simplex_iterations` counting the dual pivots of both runs.  Only when
-that fails too is the LP solved cold.  A solve that reused the kept phase 1
-(an objective-only change) keeps no optimum.  An LP's kept standard form drops
-its dense matrix, which only node rebuilds read.
+of the model by more than 1e-9, the tableau is refactorized once from the
+basis the dual simplex reached, as a node's is, and re-optimized again
+(`simplex_iterations` counting both runs); only when that fails too is the LP
+solved cold.  A solve that reused the kept phase 1 (an objective-only change)
+keeps no optimum.  An LP's kept standard form drops its dense matrix, which
+only node rebuilds read.
 
-Conventions:
-  - variables carry individual bounds; free variables are split internally,
-  - constraints are dense-ified at solve time (desk-scale models only),
-  - the simplex uses Dantzig pricing with lowest-index tie-breaking and falls
-    back to Bland's rule after a degenerate streak, which keeps every solve
-    deterministic and cycle-free.
-
-Tolerances: feasibility 1e-7, relative optimality 1e-6, binary integrality
-1e-6.
+Conventions: variables carry individual bounds (free variables are split
+internally); constraints are dense-ified at solve time (desk-scale models
+only); the simplex uses Dantzig pricing with lowest-index tie-breaking and
+falls back to Bland's rule after a degenerate streak, which keeps every solve
+deterministic and cycle-free.  Tolerances: feasibility 1e-7, relative
+optimality 1e-6, binary integrality 1e-6.
 """
 
 from __future__ import annotations
@@ -242,33 +241,26 @@ class _StandardLP:
     """
 
     def __init__(self, model: LinearModel, first: int = 0):
-        ncols = 0
         self.pos: list[int] = []
         self.neg: list[int | None] = []
         self.negated: list[bool] = []
         lbs: list[float] = []
         ubs: list[float] = []
-        for j in range(model.num_vars):
-            lo, hi = model.lb[j], model.ub[j]
-            negated = False
-            if lo == -INF and hi < INF:
+        for lo, hi in zip(model.lb, model.ub):
+            negated = lo == -INF and hi < INF
+            if negated:
                 lo, hi = -hi, INF
-                negated = True
             self.negated.append(negated)
+            self.pos.append(len(lbs))
             if lo == -INF:
-                self.pos.append(ncols)
-                self.neg.append(ncols + 1)
-                lbs.extend([0.0, 0.0])
-                ubs.extend([INF, INF])
-                ncols += 2
+                self.neg.append(len(lbs) + 1)
+                lbs += [0.0, 0.0]
+                ubs += [INF, INF]
             else:
-                self.pos.append(ncols)
                 self.neg.append(None)
                 lbs.append(lo)
                 ubs.append(hi)
-                ncols += 1
-
-        self.ncols = ncols
+        self.ncols = ncols = len(lbs)
         # for `recover`: split columns and negated variables as index arrays
         split = [j for j, k in enumerate(self.neg) if k is not None]
         self._gather = np.array(self.pos, dtype=np.intp)
@@ -316,9 +308,10 @@ class _StandardLP:
         self.const = model.obj_const
 
     def recover(self, xs: np.ndarray) -> np.ndarray:
-        x = xs[self._gather]
-        x[self._split] -= xs[self._split_neg]
-        x[self._negated] = -x[self._negated]
+        x = xs.take(self._gather)
+        if self._split.size or self._negated.size:
+            x[self._split] -= xs[self._split_neg]
+            x[self._negated] = -x[self._negated]
         return x
 
     def solve(self, b, lb, ub, warm: _Simplex | None = None):
@@ -326,13 +319,11 @@ class _StandardLP:
         bounds `lb`, `ub`: re-optimized from `warm` when given and when that
         ends optimal or proves the LP infeasible, else solved cold.  Returns
         the `Solution` and the simplex that holds its final basis."""
-        t0 = time.perf_counter()
+        t0, sx = time.perf_counter(), warm
         status = None if warm is None else warm.reoptimize(b, lb, ub)
         if status is None:
             sx = _Simplex(self.A, b, self.c, lb, ub)
             status = sx.solve()
-        else:
-            sx = warm
         return self.solution(sx, status, t0), sx
 
     def solution(self, sx: _Simplex, status: str, t0: float) -> Solution:
@@ -467,16 +458,18 @@ class _Simplex:
     def _pivot(self, row: int, col: int, leave_at: int):
         """Column `col` enters the basis at `row`; the column basic there
         leaves at bound `leave_at` (_AT_LOWER or _AT_UPPER)."""
+        T = self.T
         self.status[self.basis[row]] = leave_at
-        prow = self.T[row]
+        prow = T[row]
         prow /= prow[col]
-        colvals = self.T[:, col].copy()
+        colvals = T[:, col].copy()
         colvals[row] = 0.0
-        # rows with a zero in the pivot column are unchanged
-        nz = colvals.nonzero()[0]
-        self.T[nz] -= colvals[nz, None] * prow
-        self.T[:, col] = 0.0
-        self.T[row, col] = 1.0
+        nz = colvals.nonzero()[0]  # rows with a zero in the pivot column are unchanged
+        rows = T.take(nz, 0)
+        rows -= colvals.take(nz)[:, None] * prow
+        T[nz] = rows
+        T[:, col] = 0.0  # also turns the column's signed zeros positive
+        prow[col] = 1.0
         self.basis[row] = col
         self.status[col] = _BASIC
 
@@ -484,9 +477,12 @@ class _Simplex:
         degenerate = 0
         max_iter = 50000 + 200 * (self.m + self.n)
         T, lb, ub, status, basis = self.T, self.lb, self.ub, self.status, self.basis
-        # the bounds hold still within a run; bl and bu follow the basis
+        # the bounds hold still within a run; the movable nonbasic columns, the
+        # signs (-1 at the lower bound, +1 at the upper) and bl, bu follow the basis
         span = ub - lb
         movable = allow & (span > 0)
+        movable[basis] = False
+        sign = np.where(status == _AT_LOWER, -1.0, 1.0)
         bl, bu = lb[basis], ub[basis]
         bl_fin, bu_fin = np.isfinite(bl), np.isfinite(bu)
         no_ratio = np.full(self.m, INF)
@@ -496,16 +492,14 @@ class _Simplex:
                 raise SolverError("simplex iteration safety cap reached")
             z = cost - cost[basis] @ T
             # improving: up from a lower bound or down from an upper one
-            cand = movable & (np.where(status == _AT_LOWER, -z, z) > REDUCED_COST_TOL)
-            cand[basis] = False
-            idx = cand.nonzero()[0]
+            idx = (movable & (sign * z > REDUCED_COST_TOL)).nonzero()[0]
             if idx.size == 0:
                 return "optimal"
             if degenerate >= _BLAND_TRIGGER:
                 enter = int(idx[0])
             else:
                 enter = int(idx[np.abs(z[idx]).argmax()])
-            increasing = status[enter] == _AT_LOWER
+            increasing = sign[enter] < 0
             # movement of basics: x_B = bhat - theta * d
             d = T[:, enter].copy() if increasing else -T[:, enter]
             drop = np.divide(self.bhat - bl, d, out=no_ratio.copy(),
@@ -534,15 +528,19 @@ class _Simplex:
                 # bound flip, no basis change
                 self.bhat -= d * theta_enter
                 status[enter] = _AT_UPPER if increasing else _AT_LOWER
+                sign[enter] = -sign[enter]
                 continue
             self.bhat -= d * theta
             self.bhat[r] = (lb[enter] + theta) if increasing else (ub[enter] - theta)
-            self._pivot(r, enter, _AT_LOWER if drop[r] <= rise[r] else _AT_UPPER)
+            leave, at_upper = basis[r], not drop[r] <= rise[r]
+            self._pivot(r, enter, _AT_UPPER if at_upper else _AT_LOWER)
+            movable[enter], movable[leave] = False, allow[leave] and span[leave] > 0
+            sign[leave] = 1.0 if at_upper else -1.0
             bl[r], bu[r] = lb[enter], ub[enter]
             bl_fin[r], bu_fin[r] = math.isfinite(bl[r]), math.isfinite(bu[r])
 
     def _assemble(self) -> np.ndarray:
-        xs = self._nonbasic_values()
+        xs = np.where(self.status == _AT_UPPER, self.ub, self.lb)
         xs[self.basis] = self.bhat
         return xs
 
@@ -577,66 +575,62 @@ class _Simplex:
         what its columns can reach, or the pivot cap is reached.  The
         tableau then still holds a dual feasible basis.  The reduced costs
         and the basic values are recomputed from the whole tableau at each
-        pivot; the rest of the bookkeeping follows the entering and leaving
-        columns."""
-        n, m, T, basis = self.n, self.m, self.T, self.basis
-        st = self.status[:n]
+        pivot; the masks, the nonbasic values, the bound signs and the basic
+        bounds are set once and follow the entering and leaving columns."""
+        n, m, T, basis, cost = self.n, self.m, self.T, self.basis, self.cost
         self.lb[:n], self.ub[:n] = lb, ub
-        lb, ub = self.lb, self.ub
+        lb, ub, st = self.lb, self.ub, self.status[:n]
+        lbn, ubn = lb[:n], ub[:n]
         db = np.where(self.flip, -b, b)
         self.iterations = 0
-        z = self.cost - self.cost[basis] @ T
-        nonbasic = np.ones(n, dtype=bool)
-        nonbasic[basis[basis < n]] = False
+        zn = (cost - cost[basis] @ T)[:n]
+        nonbasic = st != _BASIC  # a structural column's status says if it is basic
         # pricing skips columns with ub == lb, so such a column can sit at the
-        # bound its reduced cost does not favour
-        to_upper = nonbasic & (z[:n] < -REDUCED_COST_TOL)
-        if np.any(ub[:n][to_upper] == INF):
+        # bound its reduced cost does not favour, but never at an infinite one
+        to_upper = nonbasic & (zn < -REDUCED_COST_TOL)
+        if np.count_nonzero(to_upper & (ubn == INF)):
             return None
-        st[to_upper] = _AT_UPPER
-        st[nonbasic & (z[:n] > REDUCED_COST_TOL)] = _AT_LOWER
-        st[nonbasic & (st == _AT_UPPER) & (ub[:n] == INF)] = _AT_LOWER
-        # the bounds hold still; the movable columns, the nonbasic values and
-        # the basic bounds follow the basis, pivot by pivot
-        span = ub[:n] - lb[:n]
-        movable = nonbasic & (span > 0)
-        xn = self._nonbasic_values()[:n]
+        upper = to_upper | ((st == _AT_UPPER) & ~(zn > REDUCED_COST_TOL) & (ubn < INF))
+        np.copyto(st, upper, where=nonbasic)  # _AT_LOWER is 0 and _AT_UPPER is 1
+        movable = nonbasic & (ubn > lbn)
+        xn = np.where(upper, ubn, lbn)
+        xn[~nonbasic] = 0.0
+        sign = np.where(upper, 1.0, -1.0)  # -1 at the lower bound, +1 at the upper
         bl, bu = lb[basis], ub[basis]
+        TB, TN, no_ratio = T[:, n:], T[:, :n], np.full(n, INF)
         while True:
-            self.bhat = T[:, n:] @ db - T[:, :n] @ xn
-            below, above = bl - self.bhat, self.bhat - bu
+            self.bhat = bhat = TB @ db - TN @ xn
+            below, above = bl - bhat, bhat - bu
             infeas = np.maximum(below, above)
-            r = int(np.argmax(infeas)) if m else -1
+            r = int(infeas.argmax()) if m else -1
             if m == 0 or infeas[r] <= _REOPT_TOL:
                 return "optimal"
             if self.iterations >= 50 + 2 * m:
                 return None
             # the basic value of row r must rise (below its lower bound) or
-            # fall; moving nonbasic j by dx moves it by -T[r, j] * dx
+            # fall; moving nonbasic j by dx moves it by -T[r, j] * dx, so j
+            # can enter when signed[j] exceeds the pivot tolerance
             rise = below[r] > above[r]
-            alpha = T[r, :n] if rise else -T[r, :n]
-            elig = movable & (
-                ((st == _AT_LOWER) & (alpha < -_PIVOT_TOL))
-                | ((st == _AT_UPPER) & (alpha > _PIVOT_TOL)))
-            if not elig.any():
+            row = TN[r]
+            signed = row * sign if rise else -(row * sign)
+            elig = movable & (signed > _PIVOT_TOL)
+            if not np.count_nonzero(elig):
                 # entries below the pivot tolerance move row r by at most
-                # `reach`; a row infeasible beyond that proves the LP
-                # infeasible
-                fav = movable & (
-                    ((st == _AT_LOWER) & (alpha < 0)) | ((st == _AT_UPPER) & (alpha > 0)))
-                reach = float(np.sum(np.abs(alpha[fav]) * span[fav]))
+                # `reach`; a row infeasible beyond that proves the LP infeasible
+                fav = movable & (signed > 0)
+                reach = float(np.sum(np.abs(row[fav]) * (ubn[fav] - lbn[fav])))
                 return "infeasible" if infeas[r] > FEAS_TOL + reach else None
             if self.iterations:  # the entry's reduced costs serve the first pivot
-                z = self.cost - self.cost[basis] @ T
-            ratio = np.divide(np.abs(z[:n]), np.abs(alpha), out=np.full(n, INF), where=elig)
-            enter, leave = int(np.argmin(ratio)), int(basis[r])
+                zn = (cost - cost[basis] @ T)[:n]
+            ratio = np.divide(np.abs(zn), np.abs(row), out=no_ratio.copy(), where=elig)
+            enter, leave = int(ratio.argmin()), int(basis[r])
             self._pivot(r, enter, _AT_LOWER if rise else _AT_UPPER)
             self.iterations += 1
             movable[enter], xn[enter] = False, 0.0
             bl[r], bu[r] = lb[enter], ub[enter]
             if leave < n:
-                movable[leave] = span[leave] > 0
-                xn[leave] = lb[leave] if rise else ub[leave]
+                movable[leave] = ubn[leave] > lbn[leave]
+                xn[leave], sign[leave] = (lbn[leave], -1.0) if rise else (ubn[leave], 1.0)
 
 
 class _Kept(NamedTuple):
@@ -911,6 +905,10 @@ def solve_family(model: LinearModel, rows, rhs, cols, ub) -> list[Solution]:
             or rhs.ndim != 2 or ub.ndim != 2 or rhs.shape[1] != ub.shape[1]:
         raise SolverError(f"family data shaped {rhs.shape}/{ub.shape} for "
                           f"{rows.size} rows and {cols.size} columns")
+    for what, idx, size in (("rows", rows, model.num_constraints),
+                            ("columns", cols, model.num_vars)):
+        if np.any((idx < 0) | (idx >= size)) or len(set(idx.tolist())) < idx.size:
+            raise SolverError(f"family {what} {idx.tolist()} are not distinct below {size}")
     if np.any(ub < np.asarray(model.lb)[cols][:, None]):
         raise SolverError("a family member has an upper bound below its lower bound")
     std = _StandardLP(model)
@@ -918,16 +916,13 @@ def solve_family(model: LinearModel, rows, rhs, cols, ub) -> list[Solution]:
         raise SolverError("family bounds must sit on variables with a finite lower bound")
     scols = np.array([std.pos[j] for j in cols], dtype=int)
     b, u = std.b.copy(), std.ub.copy()
+    keys = [rhs[:, k].tobytes() + ub[:, k].tobytes() for k in range(rhs.shape[1])]
     seen: dict[bytes, Solution] = {}
-    out = []
     last = None
-    for k in range(rhs.shape[1]):
-        key = rhs[:, k].tobytes() + ub[:, k].tobytes()
+    for k, key in enumerate(keys):
         if key not in seen:
             b[rows], u[scols] = rhs[:, k], ub[:, k]
-            sol, sx = std.solve(b, std.lb, u, last)
-            if sol.status == "optimal":
+            seen[key], sx = std.solve(b, std.lb, u, last)
+            if seen[key].status == "optimal":
                 last = sx
-            seen[key] = sol
-        out.append(seen[key])
-    return out
+    return [seen[key] for key in keys]

@@ -261,6 +261,26 @@ class TestOverwrite:
         assert f"{out / stale} exists; pass --force" in capsys.readouterr().err
         assert os.listdir(out) == [stale] and (out / stale).read_text() == ""
 
+    @pytest.mark.parametrize("target", ["solve_report.json", "bound_trace.csv",
+                                        "run_manifest.json"])
+    def test_directory_target_refuses_the_run_even_with_force(self, tmp_path, capsys, target):
+        out = tmp_path / "run"
+        (out / target).mkdir(parents=True)
+        assert run_cli(["solve", os.path.join(DATA, "example_walkin_p0_b160.json"),
+                        "--means", os.path.join(DATA, "example_walkin_means.json"),
+                        "--out", str(out), "--force"]) == 2
+        assert f"error: {out / target} is a directory" in capsys.readouterr().err
+        assert os.listdir(out) == [target] and os.listdir(out / target) == []
+
+    def test_out_that_is_a_file_refuses_the_run(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("kept")
+        assert run_cli(["solve", os.path.join(DATA, "example_walkin_p0_b160.json"),
+                        "--means", os.path.join(DATA, "example_walkin_means.json"),
+                        "--out", str(out), "--force"]) == 2
+        assert f"error: {out} is not a directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run"] and out.read_text() == "kept"
+
     def test_refused_gen_instance_writes_nothing(self, tmp_path, capsys):
         inst, means = tmp_path / "i.json", tmp_path / "m.json"
         means.write_text("kept")

@@ -766,6 +766,20 @@ def test_solve_family_rejects_bad_input():
     m.lb[x] = 1.0
     with pytest.raises(SolverError):
         solve_family(m, [0], np.ones((1, 2)), [x], np.zeros((1, 2)))
+    # family rows and columns must be distinct indices into the model: an
+    # index of -1 bounded the last column or rewrote the last row, and one
+    # past the end raised a bare IndexError
+    m = LinearModel(sense="max")
+    x, y = m.add_var("x", 0.0, 3.0), m.add_var("y", 0.0, 3.0)
+    m.add_constr({x: 1.0, y: 1.0}, "<=", 4.0)
+    m.add_constr({x: 1.0}, "<=", 2.0)
+    m.set_objective({x: 1.0, y: 1.0})
+    assert [s.objective for s in solve_family(m, [0], [[3.0]], [y], [[2.0]])] == [3.0]
+    for rows, cols, what in (([0], [-1], "columns"), ([0], [2], "columns"),
+                             ([0], [0, 0], "columns"), ([-1], [y], "rows"),
+                             ([2], [y], "rows"), ([1, 1], [y], "rows")):
+        with pytest.raises(SolverError, match=f"family {what} "):
+            solve_family(m, rows, np.ones((len(rows), 1)), cols, np.ones((len(cols), 1)))
 
 
 def _random_lp_data(rng):
@@ -1454,9 +1468,11 @@ def test_the_root_pop_takes_no_spare_copy(monkeypatch):
 
 def test_node_rebuilds_leave_numpy_ma_unimported():
     # np.unique's first call imports numpy.ma, 1.5 MB of resident memory
-    # that a run paid at its first tableau rebuild
+    # that a run paid at its first tableau rebuild; nor do the dual simplex
+    # of a family batch (a cold member, then one dual pivot each) or the
+    # re-solve of a grown LP (one dual pivot) import it
     code = """import sys
-from bioinv.solver import BINARY, LinearModel, solve
+from bioinv.solver import BINARY, LinearModel, solve, solve_family
 m = LinearModel(sense="max")
 for i in range(3):
     m.add_var(f"x{i}", 0.0, 1.0, BINARY)
@@ -1464,9 +1480,20 @@ m.add_constr({0: 2.0, 1: 3.0, 2: 4.0}, "<=", 6.0)
 m.set_objective({0: 3.0, 1: 4.0, 2: 5.0})
 sol = solve(m)
 print(sol.status, sol.stats.nodes, "numpy.ma" in sys.modules)
+lp = LinearModel(sense="max")
+x, y = lp.add_var("x", 0.0, 3.0), lp.add_var("y", 0.0, 3.0)
+lp.add_constr({x: 1.0, y: 2.0}, "<=", 4.0)
+lp.set_objective({x: 2.0, y: 3.0})
+sols = solve_family(lp, [0], [[4.0, 10.0, 3.0]], [x], [[3.0, 3.0, 1.0]])
+print(*[s.stats.simplex_iterations for s in sols], "numpy.ma" in sys.modules)
+solve(lp)
+lp.add_constr({x: 1.0, lp.add_var("w", 0.0, 1.0): 1.0}, "<=", 2.5)
+sol = solve(lp)
+print(sol.status, sol.objective, sol.stats.simplex_iterations, "numpy.ma" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.stdout.split() == ["optimal", "4", "False"], proc.stderr
+    assert proc.stdout.split() == ["optimal", "4", "False", "4", "1", "1", "False",
+                                   "optimal", "7.25", "1", "False"], proc.stderr
 
 
 def test_integral_root_is_accepted_only_when_strictly_better():
