@@ -766,9 +766,8 @@ def test_solve_family_rejects_bad_input():
     m.lb[x] = 1.0
     with pytest.raises(SolverError):
         solve_family(m, [0], np.ones((1, 2)), [x], np.zeros((1, 2)))
-    # family rows and columns must be distinct indices into the model: an
-    # index of -1 bounded the last column or rewrote the last row, and one
-    # past the end raised a bare IndexError
+    # family rows and columns must be distinct indices into the model; numpy
+    # would read an index of -1 as the last row or column
     m = LinearModel(sense="max")
     x, y = m.add_var("x", 0.0, 3.0), m.add_var("y", 0.0, 3.0)
     m.add_constr({x: 1.0, y: 1.0}, "<=", 4.0)
