@@ -5,6 +5,7 @@ instances.  Every run writes a manifest sufficient to reproduce it."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -38,7 +39,7 @@ class CliError(Exception):
 
 
 def _read(path: str, cls, error=CliError):
-    return record_from_dict(cls, read_json(path, error), error, path)
+    return record_from_dict(cls, read_json(path, error), error, path, UncertaintyError)
 
 
 def _refuse_overwrite(args, *paths):
@@ -68,12 +69,12 @@ def _write_run(args, files: dict):
 def _manifest(args) -> dict:
     return {
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "seed": getattr(args, "seed", None),
         "config": {k: v for k, v in vars(args).items()
-                   if k not in ("func", "command", "verbose") and v is not None},
+                   if k not in ("func", "command", "verbose", "argv") and v is not None},
     }
 
 
@@ -237,6 +238,7 @@ def _group(*parents) -> argparse.ArgumentParser:
     return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
+@functools.cache  # one parser per process, built on the first call: parse with it only
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bioinv",
@@ -334,16 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(argv=argv))
     # the package logger is silent unless asked; the handler lives for this
     # call only, so repeated in-process calls do not stack handlers
-    log, handler, level = logging.getLogger("bioinv"), None, None
+    log = logging.getLogger("bioinv")
+    handler, level = None, log.level
     if args.verbose:
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter("%(name)s %(levelname)s: %(message)s"))
         log.addHandler(handler)
-        level = log.level
         log.setLevel(logging.INFO if args.verbose == 1 else logging.DEBUG)
     try:
         return args.func(args)
@@ -353,10 +355,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # diagnostics, nonzero exit
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if handler is not None:
-            log.removeHandler(handler)
-            log.setLevel(level)
+    finally:  # removing no handler (None) is a no-op
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -68,7 +68,11 @@ def check_keys(d, known, required, error, where: str) -> dict:
     return d
 
 
-def record_from_dict(cls, d, error, where: str | None = None):
-    """`cls(**d)` for an object that names fields of `cls` only, and each
-    field without a default."""
-    return cls(**check_keys(d, *field_names(cls), error, where or cls.__name__))
+def record_from_dict(cls, d, error, where: str | None = None, invalid=None):
+    """`cls(**d)` for an object naming only fields of `cls`, and each one without a
+    default; an `invalid` (else `error`) of `cls`'s own checks is raised naming `where`."""
+    d = check_keys(d, *field_names(cls), error, where := where or cls.__name__)
+    try:
+        return cls(**d)
+    except invalid or error as exc:
+        raise type(exc)(f"{where}: {exc}") from None

@@ -67,8 +67,8 @@ class DemandScenario:
             raise UncertaintyError("scenario arrays must be 2-d (period x location)")
         if self.walkin.shape[0] != self.online.shape[0]:
             raise UncertaintyError("walk-in and online horizons differ")
-        if (self.walkin < 0).any() or (self.online < 0).any():
-            raise UncertaintyError("demands must be nonnegative")
+        if not ((self.walkin >= 0).all() and (self.online >= 0).all()):
+            raise UncertaintyError("demands must be nonnegative numbers, not NaN")
 
     def channel(self, ch: str) -> np.ndarray:
         return self.walkin if ch == "b" else self.online
@@ -89,8 +89,8 @@ class DemandMeans:
         if self.online is None:
             self.online = np.zeros((len(self.walkin), 0))
         self.online = np.atleast_2d(np.asarray(self.online, dtype=float))
-        if (self.walkin < 0).any() or (self.online < 0).any():
-            raise UncertaintyError("means must be nonnegative")
+        if not ((self.walkin >= 0).all() and (self.online >= 0).all()):
+            raise UncertaintyError("means must be nonnegative numbers, not NaN")
 
     def channel(self, ch: str) -> np.ndarray:
         return self.walkin if ch == "b" else self.online

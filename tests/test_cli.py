@@ -125,6 +125,14 @@ class TestSolve:
         assert sorted(os.listdir(out)) == files
         assert sorted(os.listdir(tmp_path)) == ["env", "out"]
 
+    def test_manifest_records_the_argv_main_parsed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["host.py", "host-arg-1", "host-arg-2"])
+        argv = ["solve", os.path.join(DATA, "example_walkin_p0_b160.json"),
+                "--means", os.path.join(DATA, "example_walkin_means.json"),
+                "--out", str(tmp_path / "run"), "--force"]
+        assert run_cli(argv) == 0
+        assert json.load(open(tmp_path / "run" / "run_manifest.json"))["argv"] == argv
+
 
 class TestGenInstance:
     def test_deterministic_generation(self, tmp_path):
@@ -350,6 +358,30 @@ class TestFileFields:
             assert (f"error: {error}{bad}: parse error at line 2: Expecting value"
                     in capsys.readouterr().err), argv
 
+    @pytest.mark.parametrize("command", ["evaluate", "solve", "sample"])
+    def test_null_demand_names_its_file_and_record(self, tmp_path, capsys, command):
+        walk = os.path.join(DATA, "example_walkin_p0_b160.json")
+        means = json.load(open(os.path.join(DATA, "example_walkin_means.json")))
+        scen, alloc = tmp_path / "scen.json", tmp_path / "alloc.json"
+        scen.write_text(json.dumps({"seed": 0, "family": "poisson", "scenarios": [
+            {"walkin": [[1.0, 1.0, 1.0]], "online": [[]]},
+            {"walkin": [[1.0, None, 1.0]], "online": [[]]}]}))
+        alloc.write_text(json.dumps({"x": [[1.0, 1.0, 1.0]]}))
+        means["walkin"][0][1] = None
+        bad = tmp_path / "means.json"
+        bad.write_text(json.dumps(means))
+        out = tmp_path / "out"
+        argv, where = {
+            "evaluate": (["evaluate", walk, "--allocation", str(alloc), "--scenarios", str(scen),
+                          "--out", str(out)], f"{scen}: scenarios[1]: demands"),
+            "solve": (["solve", walk, "--means", str(bad), "--out", str(out)], f"{bad}: means"),
+            "sample": (["sample", "--means", str(bad), "--out-file", str(out)], f"{bad}: means"),
+        }[command]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: UncertaintyError: {where} must be nonnegative numbers, not NaN\n")
+        assert not out.exists()
+
 
 # (dest, default, type, choices, nargs, required) of each subcommand's options,
 # keyed by flag (a positional by its dest)
@@ -460,6 +492,48 @@ class TestParser:
                      ["sample", "--means", "m.json", "--out-file", "s.json"]):
             args = parser.parse_args(argv)
             assert (args.lower_q, args.upper_q) == expected
+
+    def test_main_builds_the_parser_once(self, monkeypatch):
+        argv = ["validate", os.path.join(DATA, "example_walkin_p0_b160.json")]
+        assert run_cli(argv) == 0  # builds the parser, unless an earlier call did
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        for _ in range(3):
+            assert run_cli(argv) == 0
+        assert built == []
+
+    def test_an_option_of_one_call_does_not_reach_the_next(self, tmp_path):
+        solve = ["solve", os.path.join(DATA, "example_walkin_p80_b80.json"),
+                 "--means", os.path.join(DATA, "example_walkin_means.json")]
+        assert run_cli(solve + ["--lambda", "0.5", "--out", str(tmp_path / "a")]) == 0
+        assert run_cli(solve + ["--out", str(tmp_path / "b")]) == 0
+        assert [json.load(open(tmp_path / run / "run_manifest.json"))["config"]["lam"]
+                for run in "ab"] == [0.5, BioConfig().lam]
+
+    def test_simulate_leaves_the_policy_default(self, tmp_path):
+        simulate = ["simulate", os.path.join(DATA, "reference_sim_instance.json"),
+                    "--means", os.path.join(DATA, "reference_sim_means.json"),
+                    "--weeks", "3", "--replications", "1"]
+        for run, policy in (("a", []), ("b", ["--policy", "pwl", "basestock"])):
+            assert run_cli(simulate + policy + ["--out", str(tmp_path / run)]) == 0
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert [a.default for a in sub.choices["simulate"]._actions
+                if a.dest == "policy"] == [["basestock"]]
+        assert list(json.load(open(tmp_path / "a" / "kpi_summary.json"))) == ["basestock"]
+
+    def test_verbose_call_leaves_no_handler_or_level(self, tmp_path, capsys):
+        log = logging.getLogger("bioinv")
+        log.setLevel(logging.WARNING)
+        try:
+            assert run_cli(["-vv", "validate", str(tmp_path / "missing.json")]) == 1
+            assert (log.handlers, log.level) == ([], logging.WARNING)
+            capsys.readouterr()
+            assert run_cli(["validate", os.path.join(DATA, "example_walkin_p0_b160.json")]) == 0
+            assert capsys.readouterr().err == ""
+        finally:
+            log.setLevel(logging.NOTSET)
 
 
 class TestHorizonCheck:
@@ -596,8 +670,12 @@ class TestLogging:
         assert run_cli(args) == 0
         quiet = capsys.readouterr()
         assert quiet.err == ""
-        files = {name: (out / name).read_bytes() for name in ("bound_trace.csv",
-                                                               "run_manifest.json")}
+
+        def outputs(argv):  # the manifest's argv is the call's own, and differs only there
+            manifest = json.load(open(out / "run_manifest.json"))
+            assert manifest["argv"] == argv
+            return (out / "bound_trace.csv").read_bytes(), list({**manifest, "argv": 0}.items())
+        files = outputs(args)
         iterations = json.load(open(out / "solve_report.json"))["iterations"]
         assert iterations > 1
         for _ in range(2):  # a second call in the process does not stack handlers
@@ -607,7 +685,7 @@ class TestLogging:
             lines = loud.err.splitlines()
             assert len(lines) == iterations
             assert all(line.startswith("bioinv.ccg INFO: ccg iteration") for line in lines)
-            assert files == {name: (out / name).read_bytes() for name in files}
+            assert files == outputs(["-v"] + args)
         log = logging.getLogger("bioinv")
         assert log.handlers == [] and log.level == logging.NOTSET
         assert run_cli(["-vv"] + args) == 0
