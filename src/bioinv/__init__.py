@@ -26,6 +26,7 @@ from .formulations import (  # noqa: F401
     Allocation,
     BioConfig,
     FulfillmentPlan,
+    ScenarioBatch,
     basestock_policy,
     build_fulfillment_model,
     build_master,

@@ -15,22 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formulations import (
-    Allocation,
-    BioConfig,
-    FormulationError,
-    add_master_scenario,
-    build_master,
-    build_subproblem,
-    demand_move_costs,
-    evaluate_profit,
-    extract_allocation,
-    extract_worst_scenario,
-    incumbent_from_scenario,
-    set_allocation,
-    set_fixed_scenario,
-    stage_one_value,
-)
+from .formulations import (Allocation, BioConfig, FormulationError, add_master_scenario,
+                           build_master, build_subproblem, demand_move_costs, evaluate_profit,
+                           extract_allocation, extract_worst_scenario, incumbent_from_scenario,
+                           set_allocation, set_fixed_scenario, stage_one_value)
 from .instance import Instance
 from .records import record_to_dict
 from .solver import SolverError, solve

@@ -15,23 +15,15 @@ import numpy as np
 
 from . import __version__
 from .ccg import ALTERNATING, EXACT_MIP, CcgOptions, solve_two_stage
-from .formulations import Allocation, BioConfig, FormulationError
+from .formulations import Allocation, BioConfig, FormulationError, ScenarioBatch
 from .instance import load_instance, save_instance, validate_instance
 from .records import read_json, record_from_dict, record_to_dict
 from .reference import synthetic_instance
 from .simulate import PolicySpec, batch_evaluate, kpi_table, run_rolling_horizon
 from .tuning import DEFAULT_GRID, ScoringObjective, tune_lambda
-from .uncertainty import (
-    DEFAULT_LOWER_Q,
-    DEFAULT_UPPER_Q,
-    DemandMeans,
-    UncertaintyError,
-    UncertaintySet,
-    load_scenarios,
-    quantile_bounds_from_means,
-    sample_scenarios,
-    save_scenarios,
-)
+from .uncertainty import (DEFAULT_LOWER_Q, DEFAULT_UPPER_Q, DemandMeans, UncertaintyError,
+                          UncertaintySet, load_scenarios, quantile_bounds_from_means,
+                          sample_scenarios, save_scenarios)
 
 
 class CliError(Exception):
@@ -146,7 +138,8 @@ def cmd_evaluate(args) -> int:
     alloc = record_from_dict(Allocation, doc.get("allocation", doc), FormulationError,
                              args.allocation)
     scenarios, meta = load_scenarios(args.scenarios)
-    stats = batch_evaluate(inst, alloc, scenarios)
+    batch = ScenarioBatch(inst, scenarios, f"{args.scenarios}: scenarios")
+    stats = batch_evaluate(inst, alloc, batch)
     profits = stats.pop("profits")
     rows = "".join(f"{i},{float(p)!r}\n" for i, p in enumerate(profits))
     _write_run(args, {"evaluation.json": {**stats, "scenarios_meta": meta},
@@ -159,13 +152,13 @@ def cmd_tune(args) -> int:
     inst = load_instance(args.instance)
     uset = _uncertainty_for(args, inst)
     if args.scenarios:
-        scenarios, _meta = load_scenarios(args.scenarios)
+        scenarios = ScenarioBatch(inst, load_scenarios(args.scenarios)[0],
+                                  f"{args.scenarios}: scenarios")
+    elif args.means:
+        scenarios = sample_scenarios(_read(args.means, DemandMeans), args.samples, args.seed,
+                                     args.family, uset=uset)
     else:
-        if not args.means:
-            raise CliError("tune needs --scenarios or --means to sample from")
-        means = _read(args.means, DemandMeans)
-        scenarios = sample_scenarios(means, args.samples, args.seed, args.family,
-                                     uset=uset)
+        raise CliError("tune needs --scenarios or --means to sample from")
     objective = (ScoringObjective("cvar", level=args.cvar_level)
                  if args.objective == "cvar" else ScoringObjective(args.objective))
     grid = tuple(float(v) for v in args.grid.split(",")) if args.grid else DEFAULT_GRID

@@ -16,7 +16,7 @@ from itertools import count, islice
 import numpy as np
 
 from .instance import Instance
-from .solver import BINARY, CONTINUOUS, INF, LinearModel, Solution, solve, solve_family
+from .solver import BINARY, CONTINUOUS, INF, LinearModel, LPFamily, Solution, solve
 from .uncertainty import CHANNELS, DemandScenario, UncertaintySet, poisson_quantile
 
 WALKIN_ONLY = "walkin"
@@ -122,6 +122,19 @@ def _x_arrival_const(inst: Instance, t: int, l: int, alloc: Allocation) -> float
     return val
 
 
+def _balance_rhs(inst: Instance, alloc: Allocation | None = None) -> np.ndarray:
+    """(T, L) balance-row right-hand sides: pipeline arrivals, plus the orders
+    and flows of `alloc` when given, plus on-hand stock in period 0."""
+    T, L = inst.horizon, inst.num_nodes
+    rhs = np.array([[pipeline_arrival(inst, t, l) for l in range(L)] for t in range(T)])
+    if alloc is not None:
+        if alloc.x.shape != (T, L):
+            raise FormulationError(f"allocation shape {alloc.x.shape}, expected {(T, L)}")
+        rhs += [[_x_arrival_const(inst, t, l, alloc) for l in range(L)] for t in range(T)]
+    rhs[0] += [inst.inventory.on_hand(l) for l in range(L)]
+    return rhs
+
+
 def _less_lost_sales(inst: Instance, const, walkin, online,
                      walkin_frac: float = 1.0, online_frac: float = 1.0):
     """`const` less the lost-sales penalty `penalty * frac * demand` of every
@@ -200,11 +213,11 @@ def _by_cell(inst: Instance, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
 # fulfillment LP (inner maximization at a fixed allocation and scenario)
 # ---------------------------------------------------------------------------
 
-def _check_scenario_dims(inst: Instance, s: DemandScenario):
+def _check_scenario_dims(inst: Instance, s: DemandScenario, where: str = ""):
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
     if s.walkin.shape != (T, L) or s.online.shape != (T, Z):
         raise FormulationError(
-            f"scenario dims {s.walkin.shape}/{s.online.shape} do not match "
+            f"{where}scenario dims {s.walkin.shape}/{s.online.shape} do not match "
             f"instance ({T},{L})/({T},{Z})")
 
 
@@ -212,13 +225,10 @@ def build_fulfillment_model(inst: Instance, alloc: Allocation,
                             scenario: DemandScenario) -> LinearModel:
     """LP over sales, shipments and carried inventory with the allocation
     fixed; always feasible (zero fulfillment)."""
-    T, L = inst.horizon, inst.num_nodes
     _check_scenario_dims(inst, scenario)
-    if alloc.x.shape != (T, L):
-        raise FormulationError(f"allocation shape {alloc.x.shape}, expected {(T, L)}")
     m = LinearModel("fulfillment", sense="max")
     terms, const, m.info = _add_recourse_block(
-        m, inst, scenario.walkin, scenario.online, alloc=alloc,
+        m, inst, scenario.walkin, scenario.online, balance=_balance_rhs(inst, alloc),
         const=-first_stage_cost(inst, alloc))
     m.set_objective(terms, const=const)
     return m
@@ -239,30 +249,50 @@ def evaluate_profit(inst: Instance, alloc: Allocation, scenario: DemandScenario)
     return float(evaluate_profits(inst, alloc, [scenario])[0])
 
 
-def evaluate_profits(inst: Instance, alloc: Allocation,
-                     scenarios: list[DemandScenario]) -> np.ndarray:
-    """Optimal-fulfillment profit of one allocation on each scenario.
+class ScenarioBatch(tuple):
+    """Demand scenarios checked against `inst` once (`where` names them in
+    the error); a batch of `inst` is returned as it is.  Their fulfillment
+    LPs are one `LPFamily`: walk-in demand bounds the walk-in sales columns,
+    online demand is the e-commerce rows' right-hand side.  The first
+    `evaluate_profits` builds it and stacks the demands into (T, L, K) and
+    (T, Z, K) arrays; a later allocation moves only the balance rows'
+    right-hand sides and the constant."""
 
-    The scenarios share one fulfillment model: walk-in demand is the upper
-    bound of the walk-in sales columns and online demand the right-hand side
-    of the e-commerce rows, so the batch is one `solve_family` call.  Each
-    scenario's constant (first-stage cost and lost-sales penalties) is summed
-    by `_less_lost_sales`, as in `_add_recourse_block`."""
-    T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
-    if not scenarios:
+    def __new__(cls, inst: Instance, scenarios, where: str = "scenarios"):
+        if isinstance(scenarios, cls) and scenarios.inst is inst:
+            return scenarios
+        batch = super().__new__(cls, scenarios)
+        T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
+        for i, s in enumerate(batch):
+            if s.walkin.shape != (T, L) or s.online.shape != (T, Z):
+                _check_scenario_dims(inst, s, f"{where}[{i}]: ")
+        batch.inst, batch.family = inst, None
+        return batch
+
+
+def evaluate_profits(inst: Instance, alloc: Allocation, scenarios) -> np.ndarray:
+    """Optimal-fulfillment profit of one allocation on each scenario, through
+    their `ScenarioBatch`.  Each scenario's constant (first-stage cost and
+    lost-sales penalties) is summed by `_less_lost_sales`, as in
+    `_add_recourse_block`."""
+    batch = ScenarioBatch(inst, scenarios)
+    if not batch:
         return np.zeros(0)
-    m = build_fulfillment_model(inst, alloc, scenarios[0])
-    for s in scenarios[1:]:
-        _check_scenario_dims(inst, s)
-    m.obj_const = -0.0   # x + -0.0 is x for every x, signed zeros included
-    walkin = np.stack([s.walkin for s in scenarios], axis=-1)   # (T, L, K)
-    online = np.stack([s.online for s in scenarios], axis=-1)   # (T, Z, K)
-    K = len(scenarios)
-    sols = solve_family(m, m.info["ecom"].ravel(), online.reshape(T * Z, K),
-                        m.info["s"].ravel(), walkin.reshape(T * L, K))
-    const = _less_lost_sales(inst, np.full(K, -first_stage_cost(inst, alloc)), walkin, online)
-    profits = np.empty(K)
-    for k, sol in enumerate(sols):
+    balance = _balance_rhs(inst, alloc)
+    if batch.family is None:
+        T, L, Z, K = inst.horizon, inst.num_nodes, inst.num_zones, len(batch)
+        m = build_fulfillment_model(inst, alloc, batch[0])
+        m.obj_const = -0.0   # x + -0.0 is x for every x, signed zeros included
+        walkin = np.stack([s.walkin for s in batch], axis=-1)   # (T, L, K)
+        online = np.stack([s.online for s in batch], axis=-1)   # (T, Z, K)
+        batch.family = (LPFamily(m, m.info["ecom"].ravel(), online.reshape(T * Z, K),
+                                 m.info["s"].ravel(), walkin.reshape(T * L, K)),
+                        m.info["bal"].ravel(), walkin, online)
+    family, bal_rows, walkin, online = batch.family
+    const = _less_lost_sales(inst, np.full(len(batch), -first_stage_cost(inst, alloc)),
+                             walkin, online)
+    profits = np.empty(len(batch))
+    for k, sol in enumerate(family.solve(bal_rows, balance.ravel())):
         if sol.status != "optimal":
             raise FormulationError(f"fulfillment LP ended with status {sol.status}")
         profits[k] = sol.objective + const[k]
@@ -355,19 +385,20 @@ def _add_optimism(m: LinearModel, inst: Instance, uset: UncertaintySet, cfg: Bio
 
 def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
                         walkin_frac: float = 1.0, online_frac: float = 1.0,
-                        cols: tuple | None = None, alloc: Allocation | None = None,
+                        cols: tuple | None = None, balance: np.ndarray | None = None,
                         extra_s=None, extra_y=None, const: float = 0.0, tag: str = ""):
     """Inner fulfillment block for one demand realization: walk-in sales up
     to `walkin_frac` of walk-in demand, shipments up to `online_frac` of each
     zone's online demand, carried stock, and the balance and business-rule
     rows.  The first stage enters either as columns, `cols` = (x_idx,
-    repo_idx), or as the fixed orders and flows of `alloc`.  `extra_s`
-    ((T, L) columns) and `extra_y` ((T, E) columns, one per period and
-    position in `inst.network.edges`) are further sales drawing on the same
-    stock: the committed s+/y+ of the BIO master, the second demand class of
-    the PWL baseline.  Returns the block's profit terms, its constant
-    (`const` less the lost-sales penalties) and the index maps: columns "s",
-    "I" ((T, L)) and "y" ((T, E)), e-commerce rows "ecom" ((T, Z))."""
+    repo_idx), or through the balance rows' right-hand sides `balance` of a
+    fixed allocation (`_balance_rhs`).  `extra_s` ((T, L) columns) and
+    `extra_y` ((T, E) columns, one per period and position in
+    `inst.network.edges`) are further sales drawing on the same stock: the
+    committed s+/y+ of the BIO master, the second demand class of the PWL
+    baseline.  Returns the block's profit terms, its constant (`const` less
+    the lost-sales penalties) and the index maps: columns "s", "I" ((T, L))
+    and "y" ((T, E)), rows "ecom" ((T, Z)) and "bal" ((T, L))."""
     T, L, Z = inst.horizon, inst.num_nodes, inst.num_zones
     e, edges = inst.econ, inst.network.edges
     terms: dict[int, float] = {}
@@ -379,7 +410,8 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
     block = _columns(m, f"r{tag}", 0.0, ub)
     _price(terms, block, cost)
     s_idx, I_idx, y_idx = block[:, :2 * L:2], block[:, 1:2 * L:2], block[:, 2 * L:]
-    ecom_rows = np.empty((T, Z), dtype=int)
+    ecom_rows, bal_rows = np.empty((T, Z), dtype=int), np.empty((T, L), dtype=int)
+    balance = _balance_rhs(inst) if balance is None else balance
     for t in range(T):
         s_row, I_row, y_row = s_idx[t].tolist(), I_idx[t].tolist(), y_idx[t].tolist()
         for z in range(Z):
@@ -392,20 +424,16 @@ def _add_recourse_block(m: LinearModel, inst: Instance, walkin, online, *,
             coeffs.update((c, 1.0) for cols in pools for c, ed in zip(cols, edges) if ed[0] == l)
             if extra_s is not None:
                 coeffs[int(extra_s[t, l])] = 1.0
-            rhs = pipeline_arrival(inst, t, l)
-            if alloc is not None:
-                rhs += _x_arrival_const(inst, t, l, alloc)
-            else:
+            if cols is not None:
                 for col, sign in _x_arrival_terms(inst, t, l, *cols):
                     coeffs[col] = coeffs.get(col, 0.0) - sign
-            if t == 0:
-                rhs += inst.inventory.on_hand(l)
-            else:
+            if t > 0:
                 coeffs[int(I_idx[t - 1, l])] = -1.0
-            m.add_constr(coeffs, "==", rhs, name=f"bal{tag}[{t},{l}]")
+            bal_rows[t, l] = m.add_constr(coeffs, "==", float(balance[t, l]),
+                                          name=f"bal{tag}[{t},{l}]")
         _add_business_rule_rows(m, inst, t, pools)
     const = _less_lost_sales(inst, const, walkin, online, walkin_frac, online_frac)
-    return terms, const, {"s": s_idx, "I": I_idx, "y": y_idx, "ecom": ecom_rows}
+    return terms, const, {"s": s_idx, "I": I_idx, "y": y_idx, "ecom": ecom_rows, "bal": bal_rows}
 
 
 def build_master(inst: Instance, uset: UncertaintySet, scenarios: list[DemandScenario],

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .records import check_keys, field_names, read_json, record_to_dict
+from .records import check_keys, field_names, numbers, read_json, record_to_dict
 
 
 class InstanceError(Exception):
@@ -25,10 +25,7 @@ class InstanceError(Exception):
 def _floats(name: str, val) -> np.ndarray:
     """`val` as a float array; InstanceError naming `name` when it is not a
     number or a rectangular array of numbers, or holds a NaN (a JSON null)."""
-    try:
-        a = np.asarray(val, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"{name}: expected numbers ({exc})") from None
+    a = numbers(name, val, InstanceError)
     if np.isnan(a).any():
         raise InstanceError(f"{name}: expected numbers (got NaN)")
     return a
@@ -260,18 +257,13 @@ def validate_instance(inst: Instance) -> list[str]:
     # prices and penalties non-increasing over time
     for t in range(1, T):
         for li in range(L):
-            if e.walkin_price[t, li] > e.walkin_price[t - 1, li]:
-                out.append(f"monotonicity: walkin_price increases at period {t}, "
-                           f"node {net.nodes[li]} ({e.walkin_price[t-1, li]} -> {e.walkin_price[t, li]})")
-            if e.walkin_penalty[t, li] > e.walkin_penalty[t - 1, li]:
-                out.append(f"monotonicity: walkin_penalty increases at period {t}, "
-                           f"node {net.nodes[li]} ({e.walkin_penalty[t-1, li]} -> {e.walkin_penalty[t, li]})")
-        if e.online_price[t] > e.online_price[t - 1]:
-            out.append(f"monotonicity: online_price increases at period {t} "
-                       f"({e.online_price[t-1]} -> {e.online_price[t]})")
-        if e.online_penalty[t] > e.online_penalty[t - 1]:
-            out.append(f"monotonicity: online_penalty increases at period {t} "
-                       f"({e.online_penalty[t-1]} -> {e.online_penalty[t]})")
+            for name, a in (("walkin_price", e.walkin_price), ("walkin_penalty", e.walkin_penalty)):
+                if a[t, li] > a[t - 1, li]:
+                    out.append(f"monotonicity: {name} increases at period {t}, "
+                               f"node {net.nodes[li]} ({a[t-1, li]} -> {a[t, li]})")
+        for name, a in (("online_price", e.online_price), ("online_penalty", e.online_penalty)):
+            if a[t] > a[t - 1]:
+                out.append(f"monotonicity: {name} increases at period {t} ({a[t-1]} -> {a[t]})")
 
     eligible = set(net.sfs_eligible)
     for n, z, _ in net.ship_edges:

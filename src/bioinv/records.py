@@ -4,7 +4,7 @@ allocation, a demand scenario, demand means and an uncertainty set.
 A record is written as the fields that are set, in field order, with arrays
 as lists.  It is read back by field name: an unknown field, or a missing one
 that the dataclass gives no default, raises the caller's own error type, and
-so does a file that is not JSON.
+so do a file that is not JSON and an array that is not numbers.
 """
 
 from __future__ import annotations
@@ -44,6 +44,15 @@ def read_json(path: str, error):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
+
+
+def numbers(name: str, val, error) -> np.ndarray:
+    """`val` as a float array; `error` naming `name` when it holds anything
+    but numbers or is ragged."""
+    try:
+        return np.asarray(val, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name}: expected numbers ({exc})") from None
 
 
 @functools.cache

@@ -22,26 +22,12 @@ from operator import itemgetter
 import numpy as np
 
 from .ccg import ALTERNATING, CcgError, CcgOptions, solve_two_stage
-from .formulations import (
-    Allocation,
-    BioConfig,
-    FormulationError,
-    basestock_policy,
-    critical_ratios,
-    evaluate_profits,
-    infer_warehouses,
-    pwl_allocation,
-)
+from .formulations import (Allocation, BioConfig, FormulationError, basestock_policy,
+                           critical_ratios, evaluate_profits, infer_warehouses, pwl_allocation)
 from .instance import Instance, InventoryState
 from .solver import SolverError
-from .uncertainty import (
-    CHANNELS,
-    DemandMeans,
-    DemandScenario,
-    UncertaintyError,
-    poisson_quantile,
-    quantile_bounds_from_means,
-)
+from .uncertainty import (CHANNELS, DemandMeans, DemandScenario, UncertaintyError,
+                          poisson_quantile, quantile_bounds_from_means)
 
 
 _log = logging.getLogger(__name__)

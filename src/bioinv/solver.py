@@ -2,11 +2,11 @@
 
 Self-contained two-phase bounded-variable simplex plus best-bound
 branch-and-bound on binary variables.  Every optimization model in this
-package goes through `LinearModel` and `solve` (or `solve_family` for a
+package goes through `LinearModel` and `solve` (or `LPFamily` for a
 batch of LPs), so an external backend could be swapped in behind the same
 interface.
 
-One engine serves every solve.  A `solve` or `solve_family` call works on
+One engine serves every solve.  A `solve` or `LPFamily` call works on
 the model's standard form (`_StandardLP`); every LP of the call (the model
 itself, a branch-and-bound node, a family member) is that form with its own
 right-hand side and column bounds, solved by `_StandardLP.solve`.
@@ -885,44 +885,51 @@ def _branch_and_bound(model: LinearModel, binaries: list[int], limits: dict,
     return Solution("limit" if heap else "optimal", sgn * best, best_x, stats)
 
 
-def solve_family(model: LinearModel, rows, rhs, cols, ub) -> list[Solution]:
-    """Solve the LPs that differ from `model` only in some right-hand sides
-    and upper bounds: member k has right-hand side `rhs[:, k]` on
-    constraints `rows` and upper bounds `ub[:, k]` on variables `cols`.
+class LPFamily:
+    """The LPs that differ from `model` only in some right-hand sides and
+    upper bounds: member k has right-hand side `rhs[:, k]` on constraints
+    `rows` and upper bounds `ub[:, k]` on variables `cols`.  The standard
+    form and the members' keys are built once, for every `solve`."""
 
-    The standard form is built once.  Identical members are solved once;
-    every other member is re-optimized by dual simplex from the last optimal
-    basis, and solved cold when that gives up or when there is no basis yet.
-    A cold member gives the same result as `solve` of that member."""
-    if BINARY in model.kind:
-        raise SolverError("solve_family takes linear programs only")
-    problems = model.validate()
-    if problems:
-        raise SolverError("invalid model: " + "; ".join(problems))
-    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
-    rhs, ub = np.asarray(rhs, dtype=float), np.asarray(ub, dtype=float)
-    if rhs.shape[:1] != rows.shape or ub.shape[:1] != cols.shape \
-            or rhs.ndim != 2 or ub.ndim != 2 or rhs.shape[1] != ub.shape[1]:
-        raise SolverError(f"family data shaped {rhs.shape}/{ub.shape} for "
-                          f"{rows.size} rows and {cols.size} columns")
-    for what, idx, size in (("rows", rows, model.num_constraints),
-                            ("columns", cols, model.num_vars)):
-        if np.any((idx < 0) | (idx >= size)) or len(set(idx.tolist())) < idx.size:
-            raise SolverError(f"family {what} {idx.tolist()} are not distinct below {size}")
-    if np.any(ub < np.asarray(model.lb)[cols][:, None]):
-        raise SolverError("a family member has an upper bound below its lower bound")
-    std = _StandardLP(model)
-    if any(std.negated[j] or std.neg[j] is not None for j in cols):
-        raise SolverError("family bounds must sit on variables with a finite lower bound")
-    scols = np.array([std.pos[j] for j in cols], dtype=int)
-    b, u = std.b.copy(), std.ub.copy()
-    keys = [rhs[:, k].tobytes() + ub[:, k].tobytes() for k in range(rhs.shape[1])]
-    seen: dict[bytes, Solution] = {}
-    last = None
-    for k, key in enumerate(keys):
-        if key not in seen:
-            b[rows], u[scols] = rhs[:, k], ub[:, k]
-            seen[key], sx = std.solve(b, std.lb, u, last)
-            if seen[key].status == "optimal":
-                last = sx
-    return [seen[key] for key in keys]
+    def __init__(self, model: LinearModel, rows, rhs, cols, ub):
+        if BINARY in model.kind:
+            raise SolverError("LPFamily takes linear programs only")
+        problems = model.validate()
+        if problems:
+            raise SolverError("invalid model: " + "; ".join(problems))
+        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+        rhs, ub = np.asarray(rhs, dtype=float), np.asarray(ub, dtype=float)
+        if rhs.shape[:1] != rows.shape or ub.shape[:1] != cols.shape \
+                or rhs.ndim != 2 or ub.ndim != 2 or rhs.shape[1] != ub.shape[1]:
+            raise SolverError(f"family data shaped {rhs.shape}/{ub.shape} for "
+                              f"{rows.size} rows and {cols.size} columns")
+        for what, idx, size in (("rows", rows, model.num_constraints),
+                                ("columns", cols, model.num_vars)):
+            if np.any((idx < 0) | (idx >= size)) or len(set(idx.tolist())) < idx.size:
+                raise SolverError(f"family {what} {idx.tolist()} are not distinct below {size}")
+        if np.any(ub < np.asarray(model.lb)[cols][:, None]):
+            raise SolverError("a family member has an upper bound below its lower bound")
+        self.std = std = _StandardLP(model)
+        if any(std.negated[j] or std.neg[j] is not None for j in cols):
+            raise SolverError("family bounds must sit on variables with a finite lower bound")
+        self.rows, self.rhs, self.ub = rows, rhs, ub
+        self.scols = np.array([std.pos[j] for j in cols], dtype=int)
+        self.keys = [rhs[:, k].tobytes() + ub[:, k].tobytes() for k in range(rhs.shape[1])]
+
+    def solve(self, rows=(), rhs=()) -> list[Solution]:
+        """Every member, with right-hand side `rhs` on further rows `rows`.
+        Identical members are solved once; the others are re-optimized by
+        dual simplex from this call's last optimal basis, and solved cold
+        when that gives up or there is none, as `solve` would solve them."""
+        std, frows, frhs, scols, fub = self.std, self.rows, self.rhs, self.scols, self.ub
+        b, u = std.b.copy(), std.ub.copy()
+        b[np.asarray(rows, dtype=int)] = rhs
+        seen: dict[bytes, Solution] = {}
+        last = None
+        for k, key in enumerate(self.keys):
+            if key not in seen:
+                b[frows], u[scols] = frhs[:, k], fub[:, k]
+                seen[key], sx = std.solve(b, std.lb, u, last)
+                if seen[key].status == "optimal":
+                    last = sx
+        return [seen[key] for key in self.keys]

@@ -16,13 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ccg import CcgOptions, solve_two_stage
-from .formulations import (
-    Allocation,
-    BioConfig,
-    build_saa_model,
-    evaluate_profits,
-    first_stage_x,
-)
+from .formulations import (Allocation, BioConfig, ScenarioBatch, build_saa_model,
+                           evaluate_profits, first_stage_x)
 from .instance import Instance
 from .records import record_to_dict
 from .solver import solve
@@ -137,9 +132,7 @@ def score_allocation(inst: Instance, alloc: Allocation, scenarios: list[DemandSc
 
 def split_scenarios(scenarios: list[DemandScenario], validation_fraction: float = 0.8):
     """Deterministic order-preserving validation/holdout split."""
-    n = len(scenarios)
-    k = max(1, int(round(validation_fraction * n)))
-    k = min(k, n)
+    k = min(max(1, int(round(validation_fraction * len(scenarios)))), len(scenarios))
     return scenarios[:k], scenarios[k:]
 
 
@@ -162,7 +155,7 @@ class TuneResult:
         }
 
 
-def tune_lambda(inst: Instance, uset: UncertaintySet, scenarios: list[DemandScenario],
+def tune_lambda(inst: Instance, uset: UncertaintySet, scenarios,
                 objective: ScoringObjective | None = None, method: str = "grid",
                 grid: tuple = DEFAULT_GRID, options: CcgOptions | None = None,
                 cfg_base: BioConfig | None = None,
@@ -176,12 +169,15 @@ def tune_lambda(inst: Instance, uset: UncertaintySet, scenarios: list[DemandScen
     score per step and about 48 in all (requires zero initial inventory and
     continuous allocations).  A score counts as higher only beyond 1e-12, so
     a flat maximum resolves to its smaller-lambda end, as in grid search; the
-    pick is the best of the interval's ends, its midpoint, 0 and 1."""
+    pick is the best of the interval's ends, its midpoint, 0 and 1.  The
+    scenarios are checked before any solve and split into two batches, the
+    validation and the holdout one, each scored on one fulfillment model."""
     objective = objective or ScoringObjective("mean")
     options = options or CcgOptions()
     cfg_base = cfg_base or BioConfig()
-    validation, holdout = split_scenarios(scenarios, validation_fraction)
-    holdout = holdout or validation
+    validation, holdout = split_scenarios(ScenarioBatch(inst, scenarios), validation_fraction)
+    validation = ScenarioBatch(inst, validation)
+    holdout = ScenarioBatch(inst, holdout) if holdout else validation
     # fail before the solves, not on the first score after them
     for split, pool in (("validation", validation), ("holdout", holdout)):
         if len(pool) < objective.min_samples():

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .records import check_keys, read_json, record_from_dict, record_to_dict
+from .records import check_keys, numbers, read_json, record_from_dict, record_to_dict
 
 CHANNELS = ("b", "o")
 
@@ -61,8 +61,8 @@ class DemandScenario:
     online: np.ndarray  # shape (T, n_zones)
 
     def __post_init__(self):
-        self.walkin = np.asarray(self.walkin, dtype=float)
-        self.online = np.asarray(self.online, dtype=float)
+        self.walkin = numbers("walkin", self.walkin, UncertaintyError)
+        self.online = numbers("online", self.online, UncertaintyError)
         if self.walkin.ndim != 2 or self.online.ndim != 2:
             raise UncertaintyError("scenario arrays must be 2-d (period x location)")
         if self.walkin.shape[0] != self.online.shape[0]:
@@ -85,10 +85,10 @@ class DemandMeans:
     online: np.ndarray | None = None  # (T, n_zones); None: no zones
 
     def __post_init__(self):
-        self.walkin = np.atleast_2d(np.asarray(self.walkin, dtype=float))
+        self.walkin = np.atleast_2d(numbers("walkin", self.walkin, UncertaintyError))
         if self.online is None:
             self.online = np.zeros((len(self.walkin), 0))
-        self.online = np.atleast_2d(np.asarray(self.online, dtype=float))
+        self.online = np.atleast_2d(numbers("online", self.online, UncertaintyError))
         if not ((self.walkin >= 0).all() and (self.online >= 0).all()):
             raise UncertaintyError("means must be nonnegative numbers, not NaN")
 

@@ -382,6 +382,54 @@ class TestFileFields:
             f"error: UncertaintyError: {where} must be nonnegative numbers, not NaN\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "sample"])
+    def test_text_demand_names_its_file_record_and_field(self, tmp_path, capsys, command):
+        walk = os.path.join(DATA, "example_walkin_p0_b160.json")
+        scen, alloc, bad = tmp_path / "scen.json", tmp_path / "alloc.json", tmp_path / "means.json"
+        scen.write_text(json.dumps({"scenarios": [
+            {"walkin": [[1.0, 1.0, 1.0]], "online": [[]]},
+            {"walkin": [[1.0, 1.0, 1.0]], "online": [[1.0, "x"]]}]}))
+        alloc.write_text(json.dumps({"x": [[1.0, 1.0, 1.0]]}))
+        bad.write_text(json.dumps({"walkin": [[1.0, "x", 1.0]], "online": [[]]}))
+        out = tmp_path / "out"
+        argv, where = {
+            "evaluate": (["evaluate", walk, "--allocation", str(alloc), "--scenarios", str(scen),
+                          "--out", str(out)], f"{scen}: scenarios[1]: online"),
+            "sample": (["sample", "--means", str(bad), "--out-file", str(out)],
+                       f"{bad}: walkin"),
+        }[command]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: UncertaintyError: {where}: expected numbers "
+            "(could not convert string to float: 'x')\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "tune"])
+    def test_wrong_width_scenario_names_its_file_and_index(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        # the batch is checked as the file is read: tune fails before its
+        # two CCG solves, not on the first score after them
+        from bioinv import tuning
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_two_stage called")
+        monkeypatch.setattr(tuning, "solve_two_stage", no_solve)
+        walk = os.path.join(DATA, "example_walkin_p0_b160.json")
+        scen, alloc = tmp_path / "scen.json", tmp_path / "alloc.json"
+        scen.write_text(json.dumps({"scenarios": [
+            {"walkin": [[1.0, 1.0]], "online": [[]]},
+            {"walkin": [[1.0, 1.0, 1.0]], "online": [[]]}]}))
+        alloc.write_text(json.dumps({"x": [[1.0, 1.0, 1.0]]}))
+        out = tmp_path / "out"
+        argv = {"evaluate": ["evaluate", walk, "--allocation", str(alloc)],
+                "tune": ["tune", walk, "--means", os.path.join(DATA, "example_walkin_means.json"),
+                         "--method", "bisection"]}[command]
+        assert run_cli(argv + ["--scenarios", str(scen), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: FormulationError: {scen}: scenarios[0]: scenario dims (1, 2)/(1, 0) "
+            "do not match instance (1,3)/(1,0)\n")
+        assert not out.exists()
+
 
 # (dest, default, type, choices, nargs, required) of each subcommand's options,
 # keyed by flag (a positional by its dest)

@@ -11,6 +11,7 @@ from bioinv.formulations import (
     Allocation,
     BioConfig,
     FormulationError,
+    ScenarioBatch,
     add_master_scenario,
     basestock_policy,
     pipeline_arrival,
@@ -814,6 +815,60 @@ class TestEvaluateProfits:
         assert evaluate_profits(inst, alloc, []).shape == (0,)
         with pytest.raises(FormulationError, match="dims"):
             evaluate_profits(inst, alloc, [wscen([1, 1, 1]), wscen([1, 1])])
+
+
+class TestScenarioBatch:
+    """One batch scoring many allocations: its model, standard form and
+    stacked demands are built once, and only the balance rows' right-hand
+    sides and the constant follow the allocation."""
+
+    @pytest.mark.parametrize("shape", [(1, 0, 1, 1, 0), (2, 1, 2, 2, 1), (3, 1, 2, 3, 0)])
+    @pytest.mark.parametrize("variant", ["plain", "rules", "repositioning"])
+    def test_interleaved_allocations_match_fresh_batches(self, shape, variant):
+        # lambda at 0, 1, a hair off either end and at random points, then
+        # back to 0 and 1: a right-hand side left over from the allocation
+        # before would move the profits' bits
+        stores, dcs, zones, seed, lead = shape
+        inst, means = synthetic_instance(stores, dcs, zones, seed=seed, lead_time=lead)
+        T, L = inst.horizon, inst.num_nodes
+        rng = np.random.default_rng(seed)
+        repo = [None, None]
+        if variant == "rules":
+            inst = replace(inst, business_rules=BusinessRules(
+                fulfill_capacity=np.full((T, L), 1.5), service_window_fraction=0.6,
+                service_window_days=2))
+        elif variant == "repositioning":
+            inst = replace(inst, econ=replace(inst.econ, reposition_cost=np.full((L, L), 0.5)),
+                           inventory=replace(inst.inventory,
+                                             reposition_lead=rng.integers(0, 2, (L, L))))
+            # flows out of a node stay below the orders that reach it
+            repo = [rng.choice([0.0, 1.0], size=(T, L, L)) for _ in range(2)]
+            for flows in repo:
+                flows[:lead] = 0.0
+        x0 = Allocation(rng.integers(L, L + 3, size=(T, L)).astype(float), repo[0])
+        x1 = Allocation(rng.integers(L + 2, L + 6, size=(T, L))
+                        + rng.choice([0.0, 0.5], size=(T, L)), repo[1])
+        scenarios = TestEvaluateProfits.scenarios(means, 20, seed)
+        batch = ScenarioBatch(inst, scenarios)
+        lams = [0.0, 1.0, 1e-9, 1.0 - 1e-9, *rng.uniform(0.0, 1.0, 18).tolist(), 0.0, 1.0]
+        family = None
+        for lam in lams:
+            alloc = superpose(x0, x1, lam)
+            got = evaluate_profits(inst, alloc, batch)
+            assert got.tobytes() == evaluate_profits(inst, alloc, scenarios).tobytes(), lam
+            family = family or batch.family
+            assert batch.family is family
+        assert np.array_equal(got[-5:], got[:5])
+
+    def test_a_wrong_width_names_its_index_before_any_solve(self, monkeypatch):
+        from bioinv import formulations
+        monkeypatch.setattr(formulations, "build_fulfillment_model", None)
+        inst = example_walkin_instance(0.0, 160.0)
+        with pytest.raises(FormulationError, match=r"^f\.json: scenarios\[2\]: scenario dims"):
+            ScenarioBatch(inst, [wscen([1, 1, 1])] * 2 + [wscen([1, 1])], "f.json: scenarios")
+        batch = ScenarioBatch(inst, [wscen([1, 2, 3])])
+        assert ScenarioBatch(inst, batch) is batch
+        assert ScenarioBatch(inst, batch[:1]) is not batch
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from bioinv.formulations import (Allocation, BioConfig, add_master_scenario, bui
                                  build_subproblem, extract_allocation, set_allocation)
 from bioinv.instance import load_instance
 from bioinv.reference import synthetic_instance
-from bioinv.solver import (BINARY, INF, INT_TOL, OPT_TOL, LinearModel, Solution, SolverError,
-                           SolveStats, solve, solve_family)
+from bioinv.solver import (BINARY, INF, INT_TOL, OPT_TOL, LinearModel, LPFamily, Solution,
+                           SolverError, SolveStats, solve)
 from bioinv.uncertainty import DemandMeans, quantile_bounds_from_means, sample_scenarios
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -413,7 +413,7 @@ def test_warm_infeasible_reports_agree_with_cold_and_highs(monkeypatch):
     for trial in range(60):
         n, rows, k = int(rng.integers(2, 8)), int(rng.integers(1, 7)), 12
         m, _A, _senses, frows, rhs, fcols, ub = _random_family(rng, n, rows, k)
-        solve_family(m, frows, rhs, fcols, ub)
+        LPFamily(m, frows, rhs, fcols, ub).solve()
     assert from_nodes >= 15 and len(reported) - from_nodes >= 40
     for std, b, lb, ub in reported:
         assert solver._Simplex(std.A, b, std.c, lb, ub).solve() == "infeasible"
@@ -431,7 +431,7 @@ def test_warm_infeasibility_needs_a_row_beyond_reach_of_small_entries():
     x, y = m.add_var("x", 0.0, 10.0), m.add_var("y", 0.0, 1e4)
     m.add_constr({x: 1.0, y: 1e-10}, "==", 5.0)
     m.set_objective({x: 1.0})
-    sols = solve_family(m, [], np.zeros((0, 2)), [x], np.array([[10.0, 5.0 - 5e-7]]))
+    sols = LPFamily(m, [], np.zeros((0, 2)), [x], np.array([[10.0, 5.0 - 5e-7]])).solve()
     assert [s.status for s in sols] == ["optimal", "optimal"]
     assert sols[1].objective == pytest.approx(5.0 - 5e-7, abs=1e-9)
 
@@ -723,7 +723,7 @@ def test_solve_family_matches_member_solves_and_highs(monkeypatch):
         n, rows, k = int(rng.integers(2, 8)), int(rng.integers(1, 7)), 12
         m, A, senses, frows, rhs, fcols, ub = _random_family(rng, n, rows, k)
         before = len(cold)
-        sols = solve_family(m, frows, rhs, fcols, ub)
+        sols = LPFamily(m, frows, rhs, fcols, ub).solve()
         family_cold += len(cold) - before
         assert len(sols) == k
         assert sols[k // 2] is sols[0]
@@ -753,6 +753,30 @@ def test_solve_family_matches_member_solves_and_highs(monkeypatch):
     assert family_cold < members / 2
 
 
+def test_family_with_other_rows_is_a_fresh_family_bit_for_bit():
+    # one LPFamily solved again and again with right-hand sides on rows
+    # outside the family, against a fresh family of the model with those
+    # right-hand sides; a value or basis left over from the call before
+    # would show in a status, an iteration count or a bit of x
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n, rows, k = int(rng.integers(2, 8)), int(rng.integers(2, 7)), 8
+        m, _A, _senses, frows, rhs, fcols, ub = _random_family(rng, n, rows, k)
+        other = np.arange(frows.size, rows)
+        base = np.array([con.rhs for con in m.constraints])[other]
+        family = LPFamily(m, frows, rhs, fcols, ub)
+        shifts = rng.integers(-3, 4, size=(5, other.size))
+        for shift in [*shifts, shifts[0], np.zeros(other.size)]:
+            got = family.solve(other, base + shift)
+            member = _member(m, other, base + shift, [], [])
+            ref = LPFamily(member, frows, rhs, fcols, ub).solve()
+            for g, r in zip(got, ref, strict=True):
+                assert (g.status, g.stats.simplex_iterations) == \
+                    (r.status, r.stats.simplex_iterations), trial
+                if r.status == "optimal":
+                    assert (g.objective, g.x.tobytes()) == (r.objective, r.x.tobytes()), trial
+
+
 def test_solve_family_rejects_bad_input():
     m = LinearModel(sense="max")
     x = m.add_var("x", 0.0, 3.0)
@@ -760,12 +784,12 @@ def test_solve_family_rejects_bad_input():
     m.add_constr({x: 1.0, f: 1.0}, "<=", 2.0)
     m.set_objective({x: 1.0})
     with pytest.raises(SolverError):
-        solve_family(m, [0], np.ones((1, 2)), [x], np.ones((1, 3)))
+        LPFamily(m, [0], np.ones((1, 2)), [x], np.ones((1, 3))).solve()
     with pytest.raises(SolverError):
-        solve_family(m, [0], np.ones((1, 2)), [f], np.ones((1, 2)))
+        LPFamily(m, [0], np.ones((1, 2)), [f], np.ones((1, 2))).solve()
     m.lb[x] = 1.0
     with pytest.raises(SolverError):
-        solve_family(m, [0], np.ones((1, 2)), [x], np.zeros((1, 2)))
+        LPFamily(m, [0], np.ones((1, 2)), [x], np.zeros((1, 2))).solve()
     # family rows and columns must be distinct indices into the model; numpy
     # would read an index of -1 as the last row or column
     m = LinearModel(sense="max")
@@ -773,12 +797,12 @@ def test_solve_family_rejects_bad_input():
     m.add_constr({x: 1.0, y: 1.0}, "<=", 4.0)
     m.add_constr({x: 1.0}, "<=", 2.0)
     m.set_objective({x: 1.0, y: 1.0})
-    assert [s.objective for s in solve_family(m, [0], [[3.0]], [y], [[2.0]])] == [3.0]
+    assert [s.objective for s in LPFamily(m, [0], [[3.0]], [y], [[2.0]]).solve()] == [3.0]
     for rows, cols, what in (([0], [-1], "columns"), ([0], [2], "columns"),
                              ([0], [0, 0], "columns"), ([-1], [y], "rows"),
                              ([2], [y], "rows"), ([1, 1], [y], "rows")):
         with pytest.raises(SolverError, match=f"family {what} "):
-            solve_family(m, rows, np.ones((len(rows), 1)), cols, np.ones((len(cols), 1)))
+            LPFamily(m, rows, np.ones((len(rows), 1)), cols, np.ones((len(cols), 1))).solve()
 
 
 def _random_lp_data(rng):
@@ -1471,7 +1495,7 @@ def test_node_rebuilds_leave_numpy_ma_unimported():
     # of a family batch (a cold member, then one dual pivot each) or the
     # re-solve of a grown LP (one dual pivot) import it
     code = """import sys
-from bioinv.solver import BINARY, LinearModel, solve, solve_family
+from bioinv.solver import BINARY, LinearModel, LPFamily, solve
 m = LinearModel(sense="max")
 for i in range(3):
     m.add_var(f"x{i}", 0.0, 1.0, BINARY)
@@ -1483,7 +1507,7 @@ lp = LinearModel(sense="max")
 x, y = lp.add_var("x", 0.0, 3.0), lp.add_var("y", 0.0, 3.0)
 lp.add_constr({x: 1.0, y: 2.0}, "<=", 4.0)
 lp.set_objective({x: 2.0, y: 3.0})
-sols = solve_family(lp, [0], [[4.0, 10.0, 3.0]], [x], [[3.0, 3.0, 1.0]])
+sols = LPFamily(lp, [0], [[4.0, 10.0, 3.0]], [x], [[3.0, 3.0, 1.0]]).solve()
 print(*[s.stats.simplex_iterations for s in sols], "numpy.ma" in sys.modules)
 solve(lp)
 lp.add_constr({x: 1.0, lp.add_var("w", 0.0, 1.0): 1.0}, "<=", 2.5)
@@ -1653,7 +1677,7 @@ def test_reoptimize_matches_the_reference_bit_for_bit(monkeypatch):
     for trial in range(40):
         m, _A, _s, frows, rhs, fcols, ub = _random_family(
             rng, int(rng.integers(2, 8)), int(rng.integers(1, 7)), 12)
-        solve_family(m, frows, rhs, fcols, ub)
+        LPFamily(m, frows, rhs, fcols, ub).solve()
     family = len(ended)
     for trial in range(150):
         data, grown = _grown_lp(rng)

@@ -78,6 +78,28 @@ def test_tuning_scores_go_through_the_module_global(monkeypatch):
     assert 0 < len(calls) <= 50
 
 
+def test_bisection_tune_builds_one_fulfillment_model_per_split(monkeypatch):
+    # every score of the validation split shares one model, and so does the
+    # holdout's; a model per score made 49 or more.  The CCG solves skip
+    # their worst-case rescore, which builds a model of its own
+    from bioinv import formulations, tuning
+    from bioinv.ccg import CcgOptions
+    from bioinv.reference import (example_walkin_instance, example_walkin_means,
+                                  example_walkin_uncertainty)
+    from bioinv.uncertainty import sample_scenarios
+    builds, scores = [], []
+    build, score = formulations.build_fulfillment_model, tuning.score_allocation
+    monkeypatch.setattr(formulations, "build_fulfillment_model",
+                        lambda *args: builds.append(1) or build(*args))
+    monkeypatch.setattr(tuning, "score_allocation",
+                        lambda *args: scores.append(1) or score(*args))
+    tuning.tune_lambda(example_walkin_instance(0.0, 160.0), example_walkin_uncertainty(),
+                       sample_scenarios(example_walkin_means(), 40, 1), method="bisection",
+                       options=CcgOptions(rescore_worst_case=False))
+    assert len(builds) <= 2
+    assert 0 < len(scores) <= 50
+
+
 def _source_tree(module):
     path = os.path.join(os.path.dirname(__file__), "..", "src", "bioinv", f"{module}.py")
     with open(path) as fh:
