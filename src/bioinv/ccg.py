@@ -226,6 +226,8 @@ def _solve_subproblem(inst, uset, alloc, cfg, options, deadline, pool, models):
     incumbent = incumbent_from_scenario(model, ah_scen, ah_sol)
     remaining = None if deadline is None else max(1e-3, deadline - time.perf_counter())
     sol = solve(model, limits={"time": remaining}, incumbent=incumbent)
+    if sol.status == "optimal":  # for _finish; iteration k sees k pool scenarios
+        models["optimum"] = (len(pool), dict(model.obj), model.obj_const, sol)
     if sol.x is None:
         return ah_scen, ah_val, False, sol.stats.nodes
     return (extract_worst_scenario(model, sol), float(sol.objective), sol.status == "optimal",
@@ -305,7 +307,10 @@ def solve_two_stage(inst: Instance, uset: UncertaintySet, cfg: BioConfig,
 
 def _finish(report, inst, uset, options, t0, models):
     """Worst-case rescore, on the run's MIP when it has one, and timings of
-    the filled `report`."""
+    the filled `report`.  The MIP is re-pointed at the plain orders and
+    lam = 0; when that objective is, coefficient for coefficient, the one the
+    last optimal subproblem was solved under, its optimum is read instead of
+    a new solve (among tied optima, maybe not the one a fresh solve finds)."""
     obj, alloc = report.objective, report.allocation
     report.objective = float(obj) if np.isfinite(obj) else float("nan")
     t_rescore = time.perf_counter()
@@ -313,7 +318,13 @@ def _finish(report, inst, uset, options, t0, models):
         try:
             plain = Allocation(alloc.x, alloc.x_repo)
             model = _adversary(models, "mip", inst, uset, plain, 0.0, "walkin")
-            sol = solve(model, limits={"time": 60.0})
+            k, coeffs, const, sol = models.get("optimum", (0, None, None, None))
+            if (coeffs, const) == (model.obj, model.obj_const):
+                _log.debug("rescore reused the optimum of iteration %d", k)
+            else:
+                sol = solve(model, limits={"time": 60.0})
+                _log.debug("rescore MIP: %s, %d nodes, %.4f s", sol.status, sol.stats.nodes,
+                           sol.stats.wall_time)
             if sol.status == "optimal":
                 scen = extract_worst_scenario(model, sol)
                 report.worst_case_scenario = scen

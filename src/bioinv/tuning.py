@@ -171,9 +171,10 @@ def tune_lambda(inst: Instance, uset: UncertaintySet, scenarios,
     a flat maximum resolves to its smaller-lambda end, as in grid search; the
     pick is the best of the interval's ends, its midpoint, 0 and 1.  The
     scenarios are checked before any solve and split into two batches, the
-    validation and the holdout one, each scored on one fulfillment model."""
+    validation and the holdout one, each scored on one fulfillment model.
+    Nothing reads a worst-case rescore here, so the CCG reports carry none."""
     objective = objective or ScoringObjective("mean")
-    options = options or CcgOptions()
+    options = replace(options or CcgOptions(), rescore_worst_case=False)
     cfg_base = cfg_base or BioConfig()
     validation, holdout = split_scenarios(ScenarioBatch(inst, scenarios), validation_fraction)
     validation = ScenarioBatch(inst, validation)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -477,6 +478,117 @@ class TestRescore:
         assert rep.worst_case_profit is not None
         assert 0.3 <= rep.rescore_s <= rep.wall_time <= elapsed
         assert rep.to_dict()["rescore_s"] == rep.rescore_s
+
+
+class TestRescoreReuse:
+    """A lam = 0 exact run whose retained allocation is the last one answers
+    the worst-case rescore from its last subproblem's optimum: the same MIP
+    under the same objective.  Every other run solves the rescore MIP."""
+
+    CASES = [("walkin", p, b) for p, b in ((0.0, 160.0), (160.0, 0.0), (80.0, 80.0))] + [
+        ("synthetic", 3, 0, 0, 2), ("synthetic", 2, 1, 1, 1)]
+    EARLIER_RETAINED = CASES[1:4]   # some run cut short keeps an earlier allocation
+
+    @staticmethod
+    def case(kind, *args):
+        if kind == "walkin":
+            return example_walkin_instance(*args), example_walkin_uncertainty()
+        stores, dcs, zones, seed = args
+        inst, means = synthetic_instance(stores, dcs, zones, seed=seed, horizon=2)
+        return inst, quantile_bounds_from_means(means)
+
+    @staticmethod
+    def counting(monkeypatch, change=lambda sol: sol):
+        """ccg's MIP solves (the models with binaries), each through `change`."""
+        mips, real = [], ccg.solve
+
+        def patched(model, *args, **kwargs):
+            sol = real(model, *args, **kwargs)
+            if "binary" in model.kind:
+                mips.append(sol)
+                return change(sol)
+            return sol
+
+        monkeypatch.setattr(ccg, "solve", patched)
+        return mips
+
+    @staticmethod
+    def assert_fresh_rescore(inst, uset, rep):
+        # a rescore on a freshly built MIP gives the same profit, and the
+        # reported scenario attains that MIP's optimum
+        plain = Allocation(rep.allocation.x, rep.allocation.x_repo)
+        model = build_subproblem(inst, uset, plain, 0.0, "walkin")
+        ref = solve(model)
+        assert ref.status == "optimal"
+        profit = evaluate_profit(inst, plain, ccg.extract_worst_scenario(model, ref))
+        assert rep.worst_case_profit == pytest.approx(profit, rel=1e-9, abs=1e-9)
+        at = solve(build_subproblem(inst, uset, plain, 0.0, "walkin",
+                                    fixed_scenario=rep.worst_case_scenario))
+        assert at.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_lam0_reuses_the_last_optimum(self, monkeypatch, case):
+        # converged: no MIP after the loop.  Cut short by the iteration
+        # limit, some runs retain an earlier allocation than the last; their
+        # rescore objective differs from the last subproblem's and is solved
+        inst, uset = self.case(*case)
+        mips = self.counting(monkeypatch)
+        rep = solve_two_stage(inst, uset, BioConfig(lam=0.0), CcgOptions())
+        assert rep.termination == "converged" and rep.rescore_error is None
+        assert len(mips) == rep.iterations
+        self.assert_fresh_rescore(inst, uset, rep)
+        solved = []
+        for k in range(1, rep.iterations):
+            mips.clear()
+            cut = solve_two_stage(inst, uset, BioConfig(lam=0.0), CcgOptions(max_iterations=k))
+            assert cut.iterations == k and len(mips) - k in (0, 1)
+            solved.append(len(mips) - k)
+            self.assert_fresh_rescore(inst, uset, cut)
+        assert any(solved) == (case in self.EARLIER_RETAINED), solved
+
+    @pytest.mark.parametrize("lam, mode", [(0.5, ccg.EXACT_MIP), (0.0, ALTERNATING)])
+    def test_other_runs_solve_one_rescore_mip(self, monkeypatch, lam, mode):
+        inst, uset = example_walkin_instance(80.0, 80.0), example_walkin_uncertainty()
+        mips = self.counting(monkeypatch)
+        rep = solve_two_stage(inst, uset, BioConfig(lam=lam), CcgOptions(subproblem_mode=mode))
+        loop = rep.iterations if mode == ccg.EXACT_MIP else 0
+        assert len(mips) == loop + 1 and mips[-1].status == "optimal"
+        self.assert_fresh_rescore(inst, uset, rep)
+
+    def test_last_subproblem_at_its_limit_is_not_reused(self, monkeypatch):
+        # the last loop MIP, the n-th, ends "limit"; the optimum of the one
+        # before was solved under another allocation, so the rescore is solved
+        from bioinv.solver import Solution
+        inst, uset = example_walkin_instance(0.0, 160.0), example_walkin_uncertainty()
+        n = solve_two_stage(inst, uset, BioConfig(lam=0.0), CcgOptions()).iterations
+
+        def last_at_limit(sol):
+            if len(mips) == n:
+                return Solution("limit", sol.objective, sol.x, sol.stats)
+            return sol
+
+        mips = self.counting(monkeypatch, last_at_limit)
+        rep = solve_two_stage(inst, uset, BioConfig(lam=0.0), CcgOptions())
+        assert (rep.iterations, rep.certified) == (n, False)
+        assert len(mips) == n + 1 and rep.rescore_error is None
+        self.assert_fresh_rescore(inst, uset, rep)
+
+    def test_one_debug_line_and_silent_by_default(self, caplog, capsys):
+        import logging
+        inst, uset = example_walkin_instance(80.0, 80.0), example_walkin_uncertainty()
+        rep = solve_two_stage(inst, uset, BioConfig(lam=0.0), CcgOptions())
+        assert not logging.getLogger("bioinv.ccg").isEnabledFor(logging.DEBUG)
+        assert caplog.records == [] and capsys.readouterr().err == ""
+        lines = {}
+        with caplog.at_level("DEBUG", logger="bioinv.ccg"):
+            for lam in (0.0, 0.5):
+                caplog.clear()
+                solve_two_stage(inst, uset, BioConfig(lam=lam), CcgOptions())
+                lines[lam] = [r.getMessage() for r in caplog.records
+                              if r.name == "bioinv.ccg" and r.levelname == "DEBUG"]
+        assert lines[0.0] == [f"rescore reused the optimum of iteration {rep.iterations}"]
+        assert len(lines[0.5]) == 1
+        assert re.fullmatch(r"rescore MIP: optimal, \d+ nodes, \d+\.\d{4} s", lines[0.5][0])
 
 
 class TestLoopExits:

@@ -100,6 +100,28 @@ def test_bisection_tune_builds_one_fulfillment_model_per_split(monkeypatch):
     assert 0 < len(scores) <= 50
 
 
+def test_tunes_solve_no_rescore_mip(monkeypatch):
+    # nothing of a tune reads the worst-case rescore, so each CCG solve makes
+    # one subproblem MIP per iteration and none after its loop; with the
+    # rescore on, lam = 1 and every grid point would solve one more
+    from bioinv import ccg, tuning
+    from bioinv.reference import (example_walkin_instance, example_walkin_means,
+                                  example_walkin_uncertainty)
+    from bioinv.uncertainty import sample_scenarios
+    mips, real = [], ccg.solve
+    monkeypatch.setattr(ccg, "solve", lambda model, *args, **kwargs: (
+        mips.append(1) if "binary" in model.kind else None) or real(model, *args, **kwargs))
+    for method in ("bisection", "grid"):
+        mips.clear()
+        res = tuning.tune_lambda(example_walkin_instance(0.0, 160.0),
+                                 example_walkin_uncertainty(),
+                                 sample_scenarios(example_walkin_means(), 40, 1), method=method)
+        assert len(res.reports) == (2 if method == "bisection" else 5)
+        assert len(mips) == sum(rep.iterations for rep in res.reports.values()), method
+        assert all(rep.worst_case_profit is None and rep.rescore_error is None
+                   for rep in res.reports.values())
+
+
 def _source_tree(module):
     path = os.path.join(os.path.dirname(__file__), "..", "src", "bioinv", f"{module}.py")
     with open(path) as fh:
